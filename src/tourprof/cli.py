@@ -38,7 +38,10 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _banner(out=sys.stdout) -> None:
+def _banner(out=None) -> None:
+    """The reproducibility comment line.  `out=None` prints to
+    sys.stdout as it is at call time, so a redirect made after import
+    still catches it."""
     print(f"# tourprof {__version__} " + " ".join(sys.argv[1:]), file=out)
 
 
@@ -132,6 +135,8 @@ def _cmd_gen(args) -> int:
 
 
 def _profile_row(t: Tournament, args) -> int:
+    if t.n < 4:
+        raise ValueError(f"profile needs n >= 4 (got n={t.n})")
     p3 = profile3(t)
     if args.mode == "sample":
         if t.n <= EXACT_PROFILE_MAX_N:
@@ -166,15 +171,16 @@ def _cmd_edge_stats(args) -> int:
     stats = edge_stats(t)
     _banner()
     if args.moments:
-        rep = moments(t).as_floats()
+        rep = moments(t, stats).as_floats()
         print("n,ex,ey,exx,exy,eyy,ezz,var_x")
         print(",".join([str(t.n)] + [_fmt(rep[k]) for k in
                                      ("ex", "ey", "exx", "exy", "eyy",
                                       "ezz", "var_x")]))
         return 0
     if args.cdf is not None:
+        phi = float(x_cdf(t, args.cdf, stats)[0])
         print("n,x,phi")
-        print(f"{t.n},{_fmt(args.cdf)},{_fmt(float(x_cdf(t, args.cdf)[0]))}")
+        print(f"{t.n},{_fmt(args.cdf)},{_fmt(phi)}")
         return 0
     print("u,v,cyc,thru,dom_out,dom_in")
     for (u, v), c, h, do, di in zip(stats.edges, stats.cyc, stats.thru,

@@ -1,9 +1,10 @@
 """Tournaments (complete directed graphs) and the constructions studied here.
 
 Representation: the orientation is stored as packed rows of bits, one
-uint64 word per 64 opponents, so neighborhood intersections in the
-counting kernels are word-parallel.  Bit j of row u is 1 iff u beats j
-(written u -> j).  Tournaments are immutable once built.
+uint64 word per 64 opponents; the boolean adjacency matrix the counting
+kernels multiply is unpacked on first use and cached.  Bit j of row u
+is 1 iff u beats j (written u -> j).  Tournaments are immutable once
+built.
 
 Constructions: transitive, cyclic (odd order), interval tournaments,
 uniformly random, blow-ups with largest-remainder part sizes, random
@@ -74,7 +75,7 @@ def pair_index(u: int, v: int, n: int) -> int:
 class Tournament:
     """An immutable tournament on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_dense", "_cols")
+    __slots__ = ("n", "_rows", "_dense")
 
     def __init__(self, rows: np.ndarray, n: int):
         self.n = int(n)
@@ -82,7 +83,6 @@ class Tournament:
         rows.flags.writeable = False
         self._rows = rows
         self._dense = None
-        self._cols = None
 
     # -- views ---------------------------------------------------------
 
@@ -90,15 +90,6 @@ class Tournament:
     def packed_rows(self) -> np.ndarray:
         """Out-neighborhood bitsets, shape (n, ceil(n/64)), read-only."""
         return self._rows
-
-    @property
-    def packed_cols(self) -> np.ndarray:
-        """In-neighborhood bitsets (packed transpose), read-only."""
-        if self._cols is None:
-            cols = _pack_rows(self.dense().T)
-            cols.flags.writeable = False
-            self._cols = cols
-        return self._cols
 
     def dense(self) -> np.ndarray:
         """Boolean adjacency matrix, read-only; [u, v] iff u -> v."""
@@ -370,19 +361,38 @@ def from_code(code: int, n: int) -> Tournament:
 
 # -- TRN v1 ---------------------------------------------------------------
 
+_ZERO, _ONE, _DASH, _NEWLINE = (ord(c) for c in "01-\n")
+
+
+def _trn_bytes(t: Tournament) -> bytes:
+    """TRN v1 as bytes: the rows are one (n, n + 1) uint8 buffer."""
+    n = t.n
+    buf = np.empty((n, n + 1), dtype=np.uint8)
+    body = buf[:, :n]
+    np.add(t.dense(), _ZERO, out=body, dtype=np.uint8)
+    np.fill_diagonal(body, _DASH)
+    buf[:, n] = _NEWLINE
+    return f"TRN v1 {n}\n".encode("ascii") + buf.tobytes()
+
 
 def to_trn_text(t: Tournament) -> str:
     """Serialize as TRN v1: header line, then one row of {0,1,-} per
     vertex; char j of line i is 1 iff i -> j, '-' on the diagonal."""
-    d = t.dense()
-    lines = [f"TRN v1 {t.n}"]
-    for i in range(t.n):
-        row = "".join("-" if i == j else "01"[int(d[i, j])] for j in range(t.n))
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    return _trn_bytes(t).decode("ascii")
+
+
+def _first_true(mask: np.ndarray):
+    """Row-major (i, j) of the first True entry of a 2-D mask, or None."""
+    if not mask.any():
+        return None
+    return divmod(int(np.argmax(mask)), mask.shape[1])
 
 
 def from_trn_text(text: str) -> Tournament:
+    """Parse TRN v1.  Lines split as str.splitlines() does (so CRLF is
+    fine) and each row is stripped of surrounding blanks; lines after
+    the last row are ignored.  The first error in row-major order is
+    reported with its line number."""
     lines = text.splitlines()
     if not lines:
         raise DataFormatError("line 1: empty TRN input")
@@ -398,34 +408,50 @@ def from_trn_text(text: str) -> Tournament:
     if len(lines) < n + 1:
         raise DataFormatError(f"line {len(lines) + 1}: expected {n} rows, "
                               f"got {len(lines) - 1}")
-    d = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        row = lines[i + 1].strip()
-        lineno = i + 2
-        if len(row) != n:
-            raise DataFormatError(f"line {lineno}: expected {n} chars, got {len(row)}")
-        for j, ch in enumerate(row):
-            if i == j:
-                if ch != "-":
-                    raise DataFormatError(f"line {lineno}: diagonal must be '-'")
-            elif ch == "1":
-                d[i, j] = True
-            elif ch != "0":
-                raise DataFormatError(f"line {lineno}: bad char {ch!r} at column {j + 1}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] == d[j, i]:
-                raise DataFormatError(
-                    f"line {i + 2}: pair ({i}, {j}) is "
-                    + ("oriented both ways" if d[i, j] else "unoriented"))
+    rows = [line.strip() for line in lines[1:n + 1]]
+    # Rows before the first one of the wrong length are checked char by
+    # char first: a bad char on an earlier line is the earlier error.
+    short = next((i for i, row in enumerate(rows) if len(row) != n), n)
+    flat = "".join(rows[:short])
+    codes = (np.frombuffer(flat.encode("ascii"), dtype=np.uint8)
+             if flat.isascii()
+             else np.frombuffer(flat.encode("utf-32-le"), dtype="<u4"))
+    codes = codes.reshape(short, n)
+    diag = np.eye(short, n, dtype=bool)
+    bad = np.where(diag, codes != _DASH, (codes != _ZERO) & (codes != _ONE))
+    first = _first_true(bad)
+    if first is not None:
+        i, j = first
+        if i == j:
+            raise DataFormatError(f"line {i + 2}: diagonal must be '-'")
+        raise DataFormatError(
+            f"line {i + 2}: bad char {chr(codes[i, j])!r} at column {j + 1}")
+    if short < n:
+        raise DataFormatError(f"line {short + 2}: expected {n} chars, "
+                              f"got {len(rows[short])}")
+    d = codes == _ONE
+    first = _first_true(np.triu(d == d.T, k=1))
+    if first is not None:
+        i, j = first
+        raise DataFormatError(
+            f"line {i + 2}: pair ({i}, {j}) is "
+            + ("oriented both ways" if d[i, j] else "unoriented"))
     return Tournament(_pack_rows(d), n)
 
 
 def write_trn(t: Tournament, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_trn_text(t))
+    with open(path, "wb") as fh:
+        fh.write(_trn_bytes(t))
 
 
 def read_trn(path) -> Tournament:
-    with open(path, "r", encoding="ascii") as fh:
-        return from_trn_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+        # a stand-in char after the ASCII prefix lands where the bad byte is
+        where = (data[:pos].decode("ascii") + "x").splitlines()
+        raise DataFormatError(
+            f"line {len(where)}: non-ASCII byte 0x{data[pos]:02x} "
+            f"at column {len(where[-1])}")
+    return from_trn_text(data.decode("ascii"))

@@ -15,9 +15,11 @@ e = (u -> v) and a third vertex w there are four patterns:
 
 These satisfy cyc + thru + dom_out + dom_in = n - 2 per edge, and the
 4-counts fall out of pair sums: sum_e C(cyc, 2) counts C4, sum_e
-C(thru, 2) counts T4.  The kernel computes the per-edge counts by
-word-parallel intersections of packed neighborhood bitsets (n^3/64 word
-operations), never by enumerating 4-subsets.
+C(thru, 2) counts T4.  One matrix product gives all four: with the path
+matrix P2 = A A (a single float32 GEMM, n^3 multiply-adds), cyc(e) =
+P2[v, u] and thru(e) = P2[u, v]; with out-degrees d, dom_out(e) =
+d_u - 1 - thru(e) and dom_in(e) = n - 2 - d_v - thru(e).  No 4-subset
+is ever enumerated.
 
 The per-edge random variables are X = cyc/(n-2), Y = thru/(n-2) and
 Z = 1 + 2(X - Y), an edge drawn uniformly.
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import rng
 from .core import (InternalInvariantError, Tournament, TournamentError,
-                   _pack_rows, popcount_u64)
+                   _pack_rows)
 
 FOUR_TYPES = ("T4", "C4", "W", "L")
 
@@ -45,46 +47,43 @@ def _comb2(a: np.ndarray) -> np.ndarray:
     return a * (a - 1) // 2
 
 
-def _pair_popcount(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """M[a, b] = popcount(p[a] & q[b]) for packed bitset rows, blocked so
-    the (block, m, words) intermediate stays ~32MB."""
-    n, w = p.shape
-    m = q.shape[0]
-    out = np.empty((n, m), dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, m * w))
-    for s in range(0, n, block):
-        e = min(n, s + block)
-        chunk = p[s:e, None, :] & q[None, :, :]
-        out[s:e] = popcount_u64(chunk).sum(axis=2, dtype=np.int64)
-    return out
+def _comb3(a: np.ndarray) -> np.ndarray:
+    a = a.astype(np.int64, copy=False)
+    return a * (a - 1) * (a - 2) // 6
+
+
+# float32 has a 24-bit significand: every partial sum of the GEMM is an
+# integer below n, so the product is exact while n < 2**24.
+FLOAT32_EXACT_N = 1 << 24
+
+
+def _check_float32_exact(n: int) -> None:
+    if n >= FLOAT32_EXACT_N:
+        raise TournamentError(
+            f"paths_matrix is exact only for n < 2**24 (got n={n})")
 
 
 def paths_matrix(t: Tournament) -> np.ndarray:
-    """P2[a, b] = #{w : a -> w -> b}.  Note cyc(u -> v) = P2[v, u] and
-    thru(u -> v) = P2[u, v]."""
-    p2 = _pair_popcount(t.packed_rows, t.packed_cols)
-    np.fill_diagonal(p2, 0)
-    return p2
+    """P2[a, b] = #{w : a -> w -> b}, as int64.  Note cyc(u -> v) =
+    P2[v, u] and thru(u -> v) = P2[u, v]."""
+    _check_float32_exact(t.n)
+    a32 = t.dense().astype(np.float32)
+    return (a32 @ a32).astype(np.int64)
 
 
-def _neighborhood_c3_sum(t: Tournament, masks: np.ndarray) -> int:
-    """sum over vertices v of the cyclic-triangle count inside the subset
-    whose packed bitset is masks[v], via Goodman's identity on the subset:
-    C(d, 3) - sum_u C(outdeg_in_subset(u), 2)."""
-    rows = t.packed_rows
-    total = 0
-    for v in range(t.n):
-        mask = masks[v]
-        members = np.flatnonzero(
-            (mask[:, None] >> np.arange(64, dtype=np.uint64)
-             & np.uint64(1)).reshape(-1)[:t.n])
-        d = len(members)
-        if d < 3:
-            continue
-        restricted = popcount_u64(rows[members] & mask[None, :]).sum(
-            axis=1, dtype=np.int64)
-        total += comb(d, 3) - int(_comb2(restricted).sum())
-    return total
+def _arc_stats(t: Tournament) -> tuple:
+    """(u, v, cyc, thru, dom_out, dom_in) over the arcs u -> v in
+    row-major order.  The other out-neighbours of u split into thru and
+    dom_out, the other in-neighbours of v into thru and dom_in."""
+    n = t.n
+    p2 = paths_matrix(t).ravel()
+    d = t.out_degrees()
+    flat = np.flatnonzero(t.dense())            # u * n + v
+    u = np.repeat(np.arange(n, dtype=np.int64), d)
+    v = flat - u * n
+    thru = p2[flat]
+    return (u, v, p2[v * n + u], thru, np.repeat(d - 1, d) - thru,
+            (n - 2 - d)[v] - thru)
 
 
 @dataclass(frozen=True)
@@ -156,20 +155,22 @@ def profile4(t: Tournament) -> Profile4Counts:
     """Exact 4-profile via the per-edge kernel:
 
         c4 = sum_e C(cyc(e), 2)        t4 = sum_e C(thru(e), 2)
-        l  = sum_v #C3(out-neighborhood of v)
-        w  = sum_v #C3(in-neighborhood of v)
+        l  = sum_v C(d_v, 3) - sum_e C(dom_out(e), 2)
+        w  = sum_v C(e_v, 3) - sum_e C(dom_in(e), 2)
 
-    and cross-checked against C(n, 4) and the triangle-link identity
-    2*c4 + w + l = (n - 3)*c3 before returning."""
+    with out-degrees d and in-degrees e = n - 1 - d (Goodman's identity
+    inside each out- and in-neighbourhood), cross-checked against
+    C(n, 4) and the triangle-link identity 2*c4 + w + l = (n - 3)*c3
+    before returning."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    p2 = paths_matrix(t)
-    a = t.dense()
-    c4 = int(_comb2(p2.T[a]).sum())
-    t4 = int(_comb2(p2[a]).sum())
-    l_count = _neighborhood_c3_sum(t, t.packed_rows)
-    w_count = _neighborhood_c3_sum(t, t.packed_cols)
+    _, _, cyc, thru, dom_out, dom_in = _arc_stats(t)
+    c4 = int(_comb2(cyc).sum())
+    t4 = int(_comb2(thru).sum())
+    d = t.out_degrees()
+    l_count = int(_comb3(d).sum()) - int(_comb2(dom_out).sum())
+    w_count = int(_comb3(n - 1 - d).sum()) - int(_comb2(dom_in).sum())
     rest = comb(n, 4) - c4 - w_count - l_count
     if rest != t4:
         raise InternalInvariantError(
@@ -228,15 +229,9 @@ class EdgeStats:
 def edge_stats(t: Tournament) -> EdgeStats:
     if t.n < 3:
         raise TournamentError("edge stats need n >= 3")
-    a = t.dense()
-    p2 = paths_matrix(t)
-    dout = _pair_popcount(t.packed_rows, t.packed_rows)
-    din = _pair_popcount(t.packed_cols, t.packed_cols)
-    edges = np.argwhere(a).astype(np.int64)
-    u, v = edges[:, 0], edges[:, 1]
-    return EdgeStats(n=t.n, edges=edges,
-                     cyc=p2[v, u], thru=p2[u, v],
-                     dom_out=dout[u, v], dom_in=din[u, v])
+    u, v, cyc, thru, dom_out, dom_in = _arc_stats(t)
+    return EdgeStats(n=t.n, edges=np.stack([u, v], axis=1), cyc=cyc,
+                     thru=thru, dom_out=dom_out, dom_in=dom_in)
 
 
 @dataclass(frozen=True)

@@ -80,3 +80,16 @@ def small_random_tournaments():
         n = 5 + seed % 5
         out.append(random_tournament(n, seed=seed))
     return out
+
+
+@pytest.fixture(scope="session")
+def small_named_tournaments():
+    """Cyclic, interval and blow-up tournaments with n <= 9."""
+    from tourprof.core import (BlowupSpec, blowup, cyclic, interval,
+                               random_tournament, transitive)
+    return [transitive(6), cyclic(5), cyclic(7), cyclic(9),
+            interval(7, 4), interval(8, 5), interval(9, 6),
+            blowup(BlowupSpec(host=cyclic(3), weights=(0.5, 0.3, 0.2)), 9,
+                   seed=1),
+            blowup(BlowupSpec(host=random_tournament(4, seed=3),
+                              weights=(0.25,) * 4), 8, seed=2)]

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
 
+from tourprof import cli, profiles
 from tourprof.cli import main
 from tourprof.core import read_trn
 from tourprof.profiles import profile3, profile4
@@ -104,6 +107,44 @@ def test_profile_malformed_file_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "profile", str(bad))
     assert code == 3
     assert "line 3" in err
+
+
+def test_profile_non_ascii_file_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.trn"
+    bad.write_bytes(b"TRN v1 3\n-11\n0-1\n0\xff-\n")
+    code, _, err = run(capsys, "profile", str(bad))
+    assert code == 3
+    assert "line 4: non-ASCII byte 0xff at column 2" in err
+
+
+def test_profile_needs_four_vertices(capsys):
+    code, out, err = run(capsys, "profile", "transitive:3")
+    assert code == 2
+    assert "profile needs n >= 4 (got n=3)" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_banner_goes_to_the_current_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["profile", "transitive:5"]) == 0
+    assert buf.getvalue().startswith("# tourprof ")
+
+
+def test_edge_stats_computed_once(monkeypatch, capsys):
+    calls = []
+    real = profiles.edge_stats
+
+    def counting(t):
+        calls.append(t.n)
+        return real(t)
+
+    monkeypatch.setattr(cli, "edge_stats", counting)
+    monkeypatch.setattr(profiles, "edge_stats", counting)
+    for extra in (["--moments"], ["--cdf", "0.5"]):
+        calls.clear()
+        code, _, _ = run(capsys, "edge-stats", "cyclic:7", *extra)
+        assert code == 0 and calls == [7]
 
 
 def test_edge_stats_row_count(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import numpy as np
@@ -211,6 +212,66 @@ def test_trn_file_io(tmp_path):
     path = tmp_path / "t.trn"
     write_trn(t, path)
     assert read_trn(path) == t
+
+
+def test_trn_text_golden_hashes():
+    # sha256 of to_trn_text, frozen from the character-by-character writer
+    golden = {
+        "afa0e773dfc311267f7f965c3894570fcf98619ef09d4e9f72d9006f344dc144":
+            random_tournament(37, seed=11),
+        "d1e1a724f12f6fbad6fe873cad8af82f7f221993e55d5528bde923dca6b331de":
+            cyclic(31),
+        "11f6f24b1ae6c6785b34698508ef737e6e8137ba51b0c3b6ace2123a5b449d0c":
+            interval(30, 17),
+        "12fad2bd6bf286c42037fc920448dded338c21d8d8d73e8dc86ceecc7e83ccdb":
+            blowup(BlowupSpec(host=cyclic(3), weights=(0.5, 0.3, 0.2)), 40,
+                   seed=5),
+    }
+    for digest, t in golden.items():
+        text = to_trn_text(t)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+        assert from_trn_text(text) == t
+
+
+def test_trn_accepts_crlf_blanks_and_trailing_lines():
+    t = from_trn_text("TRN v1 3\r\n -11 \r\n0-1\t\r\n00-\r\ntrailer\r\n")
+    assert t == transitive(3)
+    assert from_trn_text("TRN v1 3\n-11\n0-1\n00-") == transitive(3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "line 1: empty TRN input"),
+    ("\n", "line 1: expected 'TRN v1 <n>', got ''"),
+    ("TRN v2 3\n", "line 1: expected 'TRN v1 <n>', got 'TRN v2 3'"),
+    ("TRN v1 x\n", "line 1: bad vertex count 'x'"),
+    ("TRN v1 0\n", "line 1: vertex count must be >= 1"),
+    ("TRN v1 3\n-10\n", "line 3: expected 3 rows, got 1"),
+    ("TRN v1 3\n-1\n0-1\n00-\n", "line 2: expected 3 chars, got 2"),
+    ("TRN v1 3\n-11\n0-1\n00-1\n", "line 4: expected 3 chars, got 4"),
+    ("TRN v1 3\n011\n0-1\n00-\n", "line 2: diagonal must be '-'"),
+    ("TRN v1 3\n-1x\n0-1\n00-\n", "line 2: bad char 'x' at column 3"),
+    ("TRN v1 3\n-1\u00e9\n0-1\n00-\n",
+     "line 2: bad char '\u00e9' at column 3"),
+    # the first error in row-major order wins over a later row's
+    ("TRN v1 3\n-1x\n0-\n00-\n", "line 2: bad char 'x' at column 3"),
+    ("TRN v1 3\n-1\n0x1\n00-\n", "line 2: expected 3 chars, got 2"),
+    ("TRN v1 3\n-11\n0-\n0x-\n", "line 3: expected 3 chars, got 2"),
+    ("TRN v1 3\n-11\n0-1\n01-\n", "line 3: pair (1, 2) is oriented both ways"),
+    ("TRN v1 3\n-11\n1-1\n01-\n", "line 2: pair (0, 1) is oriented both ways"),
+    ("TRN v1 3\n-01\n0-0\n01-\n", "line 2: pair (0, 1) is unoriented"),
+])
+def test_trn_error_messages(text, message):
+    with pytest.raises(DataFormatError) as info:
+        from_trn_text(text)
+    assert str(info.value) == message
+
+
+def test_read_trn_non_ascii_names_the_line(tmp_path):
+    path = tmp_path / "bad.trn"
+    path.write_bytes(b"TRN v1 3\r\n-11\r\n0\xc3\xa91\r\n00-\r\n")
+    with pytest.raises(DataFormatError) as info:
+        read_trn(path)
+    assert str(info.value) == "line 3: non-ASCII byte 0xc3 at column 2"
 
 
 @pytest.mark.parametrize("text,lineno", [

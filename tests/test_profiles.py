@@ -9,8 +9,9 @@ from tourprof.core import (InternalInvariantError, Tournament, TournamentError,
                            cyclic, from_matrix, interval, random_tournament,
                            transitive)
 from tourprof.core import _pack_rows
-from tourprof.profiles import (EdgeStats, FlipState, Profile4Counts, classify4,
-                               edge_stats, moments, profile3, profile4,
+from tourprof.profiles import (EdgeStats, FlipState, Profile4Counts,
+                               _check_float32_exact, classify4, edge_stats,
+                               moments, paths_matrix, profile3, profile4,
                                sample_profile4, verify_identities, x_cdf)
 from tourprof import rng
 
@@ -23,8 +24,9 @@ def test_profile3_matches_brute_force(small_random_tournaments):
         assert brute_profile3(t) == (profile3(t).t3_count, profile3(t).c3_count)
 
 
-def test_profile4_matches_brute_force(small_random_tournaments):
-    for t in small_random_tournaments:
+def test_profile4_matches_brute_force(small_random_tournaments,
+                                     small_named_tournaments):
+    for t in small_random_tournaments + small_named_tournaments:
         p = profile4(t)
         b = brute_profile4(t)
         assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
@@ -79,14 +81,29 @@ def test_w_instance_contains_one_cyclic_triangle():
     assert brute_profile3(t)[1] == 1
 
 
-def test_edge_stats_matches_brute(small_random_tournaments):
-    for t in small_random_tournaments[:10]:
+def test_edge_stats_matches_brute(small_random_tournaments,
+                                 small_named_tournaments):
+    for t in small_random_tournaments + small_named_tournaments:
         st = edge_stats(t)
         got = list(zip((int(u) for u, _ in st.edges),
                        (int(v) for _, v in st.edges),
                        st.cyc.tolist(), st.thru.tolist(),
                        st.dom_out.tolist(), st.dom_in.tolist()))
         assert got == brute_edge_stats(t)
+
+
+def test_paths_matrix_is_the_integer_product():
+    for t in (random_tournament(70, seed=5), cyclic(33), transitive(40)):
+        a = t.dense().astype(np.int64)
+        p2 = paths_matrix(t)
+        assert p2.dtype == np.int64
+        assert np.array_equal(p2, a @ a)
+
+
+def test_paths_matrix_float32_bound():
+    _check_float32_exact(2 ** 24 - 1)
+    with pytest.raises(TournamentError, match=r"n < 2\*\*24 \(got n=16777216\)"):
+        _check_float32_exact(2 ** 24)
 
 
 def test_edge_stats_cyclic5_sums():
