@@ -103,6 +103,12 @@ def test_equality_and_hash():
     assert a != transitive(5)
 
 
+def test_dense_matrix_is_read_only():
+    t = random_tournament(9, seed=2)
+    with pytest.raises(ValueError):
+        t.dense()[0, 1] = not t.dense()[0, 1]
+
+
 def test_random_tournament_deterministic_and_fair():
     a = random_tournament(64, seed=9)
     b = random_tournament(64, seed=9)

@@ -92,6 +92,22 @@ def test_edge_stats_matches_brute(small_random_tournaments,
         assert got == brute_edge_stats(t)
 
 
+def test_dom_pair_sums_are_t4_and_fix_w_and_l(small_random_tournaments,
+                                              small_named_tournaments):
+    # sum C(dom_out, 2) counts the 4-sets with a source whose next vertex
+    # beats the other two, sum C(dom_in, 2) those with a sink whose next
+    # vertex loses to the other two: both are exactly the T4 sets.  With
+    # Goodman inside each out-/in-neighbourhood, L and W follow.
+    for t in small_random_tournaments + small_named_tournaments:
+        rows = brute_edge_stats(t)
+        b = brute_profile4(t)
+        d = t.dense().sum(axis=1).tolist()
+        assert sum(comb(r[4], 2) for r in rows) == b["T4"]
+        assert sum(comb(r[5], 2) for r in rows) == b["T4"]
+        assert sum(comb(x, 3) for x in d) - b["T4"] == b["L"]
+        assert sum(comb(t.n - 1 - x, 3) for x in d) - b["T4"] == b["W"]
+
+
 def test_paths_matrix_is_the_integer_product():
     for t in (random_tournament(70, seed=5), cyclic(33), transitive(40)):
         a = t.dense().astype(np.int64)
@@ -205,6 +221,17 @@ def test_flip_state_transitive_top_edge():
     st.flip(0, 1)
     assert st.c3_count == 0
     st.audit()
+
+
+def test_flip_state_tournament_is_a_snapshot():
+    st = FlipState(random_tournament(12, seed=5))
+    snap = st.tournament()
+    before = snap.dense().copy()
+    st.flip(0, 1)
+    assert np.array_equal(snap.dense(), before)
+    assert snap != st.tournament()
+    with pytest.raises(ValueError):
+        snap.dense()[0, 1] = not snap.dense()[0, 1]
 
 
 def test_flip_state_tracks_recount_n128():
