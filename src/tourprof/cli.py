@@ -258,11 +258,10 @@ def _cmd_search(args) -> int:
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else [args.seed])
     schedule = searchmod.AnnealSchedule(moves=args.moves) \
-        if args.moves else None
+        if args.moves is not None else None
     points = searchmod.boundary_scan(gammas, n=args.n, seeds=seeds,
                                      penalty=args.penalty,
-                                     schedule=schedule,
-                                     max_workers=args.threads)
+                                     schedule=schedule)
     _banner()
     print("gamma,n,seed,c3,c4,objective,discovery_flag")
     for p in points:
@@ -370,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--penalty", type=float,
                     default=searchmod.DEFAULT_PENALTY)
     se.add_argument("--moves", type=int, default=None)
-    se.add_argument("--threads", type=int, default=None,
-                    help=f"worker cap (default ${searchmod.THREADS_ENV})")
     se.set_defaults(func=_cmd_search)
 
     ve = sub.add_parser("verify", help="check a certificate file or a "

@@ -1,10 +1,8 @@
 """Tournaments (complete directed graphs) and the constructions studied here.
 
-Representation: the orientation is stored as packed rows of bits, one
-uint64 word per 64 opponents; the boolean adjacency matrix the counting
-kernels multiply is unpacked on first use and cached.  Bit j of row u
-is 1 iff u beats j (written u -> j).  Tournaments are immutable once
-built.
+Representation: the read-only n x n boolean adjacency matrix, entry
+[u, j] true iff u beats j (written u -> j).  Tournaments are immutable
+once built.
 
 Constructions: transitive, cyclic (odd order), interval tournaments,
 uniformly random, blow-ups with largest-remainder part sizes, random
@@ -36,34 +34,6 @@ class InternalInvariantError(RuntimeError):
     """A mathematically guaranteed identity failed; indicates a bug."""
 
 
-_BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-
-if hasattr(np, "bitwise_count"):
-    def popcount_u64(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-else:  # pragma: no cover - numpy >= 2.0 everywhere we run
-    _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def popcount_u64(a: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(a).view(np.uint8)
-        return _POP8[b].reshape(a.shape + (8,)).sum(axis=-1, dtype=np.uint8)
-
-
-def _pack_rows(dense: np.ndarray) -> np.ndarray:
-    n = dense.shape[0]
-    w = (n + 63) // 64
-    padded = np.zeros((n, w * 64), dtype=np.uint64)
-    padded[:, :n] = dense.astype(np.uint64)
-    rows = (padded.reshape(n, w, 64) * _BIT_WEIGHTS).sum(axis=2, dtype=np.uint64)
-    return rows
-
-
-def _unpack_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    w = rows.shape[1]
-    bits = (rows[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(n, w * 64)[:, :n].astype(bool)
-
-
 def pair_index(u: int, v: int, n: int) -> int:
     """Lexicographic index of the unordered pair (u, v), u < v, among all
     pairs of range(n).  This is the stream address of the pair's draw."""
@@ -73,38 +43,30 @@ def pair_index(u: int, v: int, n: int) -> int:
 
 
 class Tournament:
-    """An immutable tournament on vertices 0..n-1."""
+    """An immutable tournament on vertices 0..n-1.  The constructor keeps
+    a read-only copy of the n x n boolean adjacency matrix it is given
+    and does not validate it; from_matrix does."""
 
-    __slots__ = ("n", "_rows", "_dense")
+    __slots__ = ("n", "_dense")
 
-    def __init__(self, rows: np.ndarray, n: int):
-        self.n = int(n)
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        rows.flags.writeable = False
-        self._rows = rows
-        self._dense = None
+    def __init__(self, dense: np.ndarray):
+        d = np.array(dense, dtype=bool)
+        d.flags.writeable = False
+        self.n = d.shape[0]
+        self._dense = d
 
     # -- views ---------------------------------------------------------
 
-    @property
-    def packed_rows(self) -> np.ndarray:
-        """Out-neighborhood bitsets, shape (n, ceil(n/64)), read-only."""
-        return self._rows
-
     def dense(self) -> np.ndarray:
         """Boolean adjacency matrix, read-only; [u, v] iff u -> v."""
-        if self._dense is None:
-            d = _unpack_rows(self._rows, self.n)
-            d.flags.writeable = False
-            self._dense = d
         return self._dense
 
     def orient(self, u: int, v: int) -> bool:
         """True iff u -> v."""
-        return bool((int(self._rows[u, v >> 6]) >> (v & 63)) & 1)
+        return bool(self._dense[u, v])
 
     def out_degrees(self) -> np.ndarray:
-        return popcount_u64(self._rows).sum(axis=1).astype(np.int64)
+        return self._dense.sum(axis=1, dtype=np.int64)
 
     # -- derived tournaments --------------------------------------------
 
@@ -112,8 +74,7 @@ class Tournament:
         idx = np.asarray(list(vertices), dtype=np.intp)
         if len(set(idx.tolist())) != len(idx):
             raise TournamentError("subtournament vertices must be distinct")
-        sub = self.dense()[np.ix_(idx, idx)]
-        return Tournament(_pack_rows(sub), len(idx))
+        return Tournament(self._dense[np.ix_(idx, idx)])
 
     def relabel(self, perm: Sequence[int]) -> "Tournament":
         """Relabeled copy; new vertex a is old vertex perm[a]."""
@@ -124,11 +85,11 @@ class Tournament:
     # -- dunderware ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Tournament) and self.n == other.n
-                and bool(np.array_equal(self._rows, other._rows)))
+        return (isinstance(other, Tournament)
+                and bool(np.array_equal(self._dense, other._dense)))
 
     def __hash__(self) -> int:
-        return hash((self.n, self._rows.tobytes()))
+        return hash((self.n, self._dense.tobytes()))
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n})"
@@ -154,7 +115,7 @@ def from_matrix(matrix: Iterable[Iterable[int]]) -> Tournament:
     if neither.any():
         u, v = np.argwhere(neither)[0]
         raise TournamentError(f"pair ({u}, {v}) has no orientation")
-    return Tournament(_pack_rows(m), n)
+    return Tournament(m)
 
 
 # -- constructions -------------------------------------------------------
@@ -165,7 +126,7 @@ def transitive(n: int) -> Tournament:
     if n < 1:
         raise TournamentError("n must be >= 1")
     d = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def cyclic(n: int) -> Tournament:
@@ -176,7 +137,7 @@ def cyclic(n: int) -> Tournament:
         raise TournamentError("cyclic tournaments need odd n >= 3")
     diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     d = (diff >= 1) & (diff <= (n - 1) // 2)
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def interval(n: int, s: int) -> Tournament:
@@ -189,7 +150,7 @@ def interval(n: int, s: int) -> Tournament:
         raise TournamentError(f"interval needs ceil(n/2) <= s <= n, got s={s}")
     gap = np.arange(n)[None, :] - np.arange(n)[:, None]
     d = (gap >= 1) & (gap <= s) | (gap <= -(s + 1))
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -204,7 +165,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     iu, ju = np.triu_indices(n, k=1)
     d[iu, ju] = forward
     d[ju, iu] = ~forward
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def check_weights(weights: Sequence[float]) -> tuple:
@@ -265,7 +226,7 @@ def blowup(spec: BlowupSpec, n: int, seed: int) -> Tournament:
     forward = ~(vals >> np.uint64(63)).astype(bool)
     d[iu[intra], ju[intra]] = forward[intra]
     d[ju[intra], iu[intra]] = ~forward[intra]
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
@@ -280,7 +241,7 @@ def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
     d = t.dense().copy()
     fu, fv = iu[flip], ju[flip]
     d[fu, fv], d[fv, fu] = d[fv, fu], d[fu, fv].copy()
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 @dataclass(frozen=True)
@@ -313,7 +274,7 @@ def mix(t1: Tournament, t2: Tournament, spec: MixSpec, seed: int) -> Tournament:
     forward = (vals.astype(np.float64) / 2.0**64) < spec.p
     d[iu[cross], ju[cross]] = forward[cross]
     d[ju[cross], iu[cross]] = ~forward[cross]
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 # -- canonical codes ------------------------------------------------------
@@ -356,7 +317,7 @@ def from_code(code: int, n: int) -> Tournament:
             d[a, b] = bool(bit)
             d[b, a] = not bit
             k += 1
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 # -- TRN v1 ---------------------------------------------------------------
@@ -436,7 +397,7 @@ def from_trn_text(text: str) -> Tournament:
         raise DataFormatError(
             f"line {i + 2}: pair ({i}, {j}) is "
             + ("oriented both ways" if d[i, j] else "unoriented"))
-    return Tournament(_pack_rows(d), n)
+    return Tournament(d)
 
 
 def write_trn(t: Tournament, path) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -498,6 +498,9 @@ def certificate_from_text(text: str) -> Certificate:
         except ValueError:
             raise DataFormatError(
                 f"line {idx + 1}: bad {name} value {lines[idx]!r}") from None
+        if not isfinite(scalars[-1]):
+            raise DataFormatError(
+                f"line {idx + 1}: {name} must be finite, got {lines[idx]!r}")
     q = np.zeros((f, f))
     for r in range(f):
         parts = lines[4 + r].split()
@@ -508,6 +511,8 @@ def certificate_from_text(text: str) -> Certificate:
             q[r] = [float(x) for x in parts]
         except ValueError:
             raise DataFormatError(f"line {5 + r}: bad matrix entry") from None
+        if not np.isfinite(q[r]).all():
+            raise DataFormatError(f"line {5 + r}: matrix entries must be finite")
     return Certificate(k=k, gamma=scalars[0], mu=scalars[1], lam=scalars[2],
                        q=q)
 
@@ -554,18 +559,26 @@ def table_from_text(text: str) -> ProductTable:
     flags = enumerate_flags(k)
     types = []
     tables = {}
-    ln = 1
-    for _ in range(ntypes):
+
+    def fields(ln):
         if ln >= len(lines):
             raise DataFormatError(f"line {ln + 1}: truncated table")
-        head = lines[ln].split()
+        return lines[ln].split()
+
+    ln = 1
+    for _ in range(ntypes):
+        head = fields(ln)
         if len(head) != 2 or head[0] != "type":
             raise DataFormatError(f"line {ln + 1}: expected 'type <code>'")
-        code = int(head[1])
+        try:
+            code = int(head[1])
+        except ValueError:
+            raise DataFormatError(
+                f"line {ln + 1}: bad type code {head[1]!r}") from None
         ln += 1
         mat = []
         for r in range(f):
-            parts = lines[ln].split()
+            parts = fields(ln)
             if len(parts) != f:
                 raise DataFormatError(
                     f"line {ln + 1}: expected {f} fractions, got {len(parts)}")

@@ -34,8 +34,7 @@ from math import comb, sqrt
 import numpy as np
 
 from . import rng
-from .core import (InternalInvariantError, Tournament, TournamentError,
-                   _pack_rows)
+from .core import InternalInvariantError, Tournament, TournamentError
 
 FOUR_TYPES = ("T4", "C4", "W", "L")
 
@@ -69,6 +68,12 @@ def paths_matrix(t: Tournament) -> np.ndarray:
     _check_float32_exact(t.n)
     a32 = t.dense().astype(np.float32)
     return (a32 @ a32).astype(np.int64)
+
+
+def _arc_pair_sums(p2: np.ndarray, a: np.ndarray) -> tuple[int, int]:
+    """(c4, t4) = (sum C(cyc, 2), sum C(thru, 2)) over the arcs of the
+    adjacency matrix a, read off its path matrix p2."""
+    return int(_comb2(p2.T[a]).sum()), int(_comb2(p2[a]).sum())
 
 
 def _arc_stats(t: Tournament) -> tuple:
@@ -138,7 +143,7 @@ class Profile4Counts:
         return self.l_count / comb(self.n, 4)
 
     def density(self, name: str) -> float:
-        return getattr(self, name.lower() if name in ("W", "L") else name.lower())
+        return getattr(self, name.lower())
 
 
 def profile3(t: Tournament) -> Profile3Counts:
@@ -155,22 +160,20 @@ def profile4(t: Tournament) -> Profile4Counts:
     """Exact 4-profile via the per-edge kernel:
 
         c4 = sum_e C(cyc(e), 2)        t4 = sum_e C(thru(e), 2)
-        l  = sum_v C(d_v, 3) - sum_e C(dom_out(e), 2)
-        w  = sum_v C(e_v, 3) - sum_e C(dom_in(e), 2)
+        l  = sum_v C(d_v, 3) - t4      w  = sum_v C(e_v, 3) - t4
 
-    with out-degrees d and in-degrees e = n - 1 - d (Goodman's identity
-    inside each out- and in-neighbourhood), cross-checked against
-    C(n, 4) and the triangle-link identity 2*c4 + w + l = (n - 3)*c3
-    before returning."""
+    with out-degrees d and in-degrees e = n - 1 - d: sum_v C(d_v, 3)
+    counts the 4-sets with a source, which are the T4 and L sets, and
+    sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Cross-checked
+    against C(n, 4) and the triangle-link identity
+    2*c4 + w + l = (n - 3)*c3 before returning."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    _, _, cyc, thru, dom_out, dom_in = _arc_stats(t)
-    c4 = int(_comb2(cyc).sum())
-    t4 = int(_comb2(thru).sum())
+    c4, t4 = _arc_pair_sums(paths_matrix(t), t.dense())
     d = t.out_degrees()
-    l_count = int(_comb3(d).sum()) - int(_comb2(dom_out).sum())
-    w_count = int(_comb3(n - 1 - d).sum()) - int(_comb2(dom_in).sum())
+    l_count = int(_comb3(d).sum()) - t4
+    w_count = int(_comb3(n - 1 - d).sum()) - t4
     rest = comb(n, 4) - c4 - w_count - l_count
     if rest != t4:
         raise InternalInvariantError(
@@ -326,15 +329,15 @@ def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
 
 
 class FlipState:
-    """Mutable tournament wrapper maintaining exact triangle/4-cycle
+    """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
     Maintains the path matrix P2[a, b] = #{w : a -> w -> b}; flipping the
     arc a -> b to b -> a touches only rows/columns a and b of P2, so the
-    affected contributions to c4 = sum C(P2[b, a], 2) over arcs and
-    t4 = sum C(P2[a, b], 2) over arcs are re-summed over the O(n) ordered
-    pairs incident to the flipped pair.  W and L counts are not updated
-    incrementally; they are recounted on demand (counts4)."""
+    affected terms of c4 = sum C(P2[b, a], 2) over arcs are re-summed
+    over the O(n) ordered pairs incident to the flipped pair.  c3 and c4
+    fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4; W and L are
+    recounted on demand (counts4)."""
 
     def __init__(self, t: Tournament):
         self.n = t.n
@@ -342,17 +345,20 @@ class FlipState:
             raise TournamentError("FlipState needs n >= 4")
         self.a = t.dense().copy()
         self.p2 = paths_matrix(t)
-        p3 = profile3(t)
-        self.c3_count = p3.c3_count
-        a = self.a
-        self.c4_count = int(_comb2(self.p2.T[a]).sum())
-        self.t4_count = int(_comb2(self.p2[a]).sum())
+        self.c3_count = profile3(t).c3_count
+        self.c4_count = _arc_pair_sums(self.p2, self.a)[0]
         self.flips = 0
 
     # -- derived views --------------------------------------------------
 
     def tournament(self) -> Tournament:
-        return Tournament(_pack_rows(self.a), self.n)
+        """Snapshot of the current orientation; later flips leave it be."""
+        return Tournament(self.a)
+
+    @property
+    def t4_count(self) -> int:
+        n = self.n
+        return self.c4_count + (comb(n, 3) - 4 * self.c3_count) * (n - 3) // 4
 
     @property
     def c3_density(self) -> float:
@@ -368,28 +374,24 @@ class FlipState:
 
     def counts4(self) -> Profile4Counts:
         """Full 4-profile; W/L are recounted from scratch here."""
-        t = self.tournament()
-        p4 = profile4(t)
-        if p4.c4_count != self.c4_count or p4.t4_count != self.t4_count:
+        p4 = profile4(self.tournament())
+        if (p4.c4_count, p4.t4_count) != (self.c4_count, self.t4_count):
             raise InternalInvariantError("incremental c4/t4 drifted from recount")
         return p4
 
     # -- incremental update ----------------------------------------------
 
-    def _incident_pair_sums(self, u: int, v: int) -> tuple[int, int]:
-        """(c4 part, t4 part) summed over ordered pairs meeting {u, v}."""
+    def _incident_c4(self, u: int, v: int) -> int:
+        """c4 terms C(P2[y, x], 2) summed over the arcs x -> y meeting
+        {u, v}."""
         a, p2 = self.a, self.p2
-        c4 = t4 = 0
+        c4 = 0
         for x in (u, v):
-            c4 += int(_comb2(p2[:, x])[a[x, :]].sum())   # arcs (x, y)
-            c4 += int(_comb2(p2[x, :])[a[:, x]].sum())   # arcs (y, x)
-            t4 += int(_comb2(p2[x, :])[a[x, :]].sum())
-            t4 += int(_comb2(p2[:, x])[a[:, x]].sum())
-        for x, y in ((u, v), (v, u)):                    # counted twice above
-            if a[x, y]:
-                c4 -= int(_comb2(p2[y:y + 1, x]).sum())
-                t4 -= int(_comb2(p2[x:x + 1, y]).sum())
-        return c4, t4
+            c4 += int(_comb2(p2[:, x][a[x, :]]).sum())   # arcs (x, y)
+            c4 += int(_comb2(p2[x, :][a[:, x]]).sum())   # arcs (y, x)
+        x, y = (u, v) if a[u, v] else (v, u)             # counted twice above
+        p = int(p2[y, x])
+        return c4 - p * (p - 1) // 2
 
     def flip(self, u: int, v: int) -> None:
         """Reverse the orientation of pair {u, v}."""
@@ -400,7 +402,7 @@ class FlipState:
             src, dst = u, v
         else:
             src, dst = v, u
-        before_c4, before_t4 = self._incident_pair_sums(u, v)
+        before = self._incident_c4(u, v)
         dc3 = int(p2[src, dst]) - int(p2[dst, src])
 
         # P2 updates for A[src,dst]: 1 -> 0 and A[dst,src]: 0 -> 1, using
@@ -421,23 +423,20 @@ class FlipState:
         a[src, dst] = False
         a[dst, src] = True
 
-        after_c4, after_t4 = self._incident_pair_sums(u, v)
         self.c3_count += dc3
-        self.c4_count += after_c4 - before_c4
-        self.t4_count += after_t4 - before_t4
+        self.c4_count += self._incident_c4(u, v) - before
         self.flips += 1
 
     def audit(self) -> None:
-        """Recount everything from scratch; raise on any drift."""
+        """Recount P2, c3, c4 and t4 from scratch; raise on any drift
+        (t4 checks the identity that derives it from c3 and c4)."""
         t = self.tournament()
         p2 = paths_matrix(t)
         if not np.array_equal(p2, self.p2):
             raise InternalInvariantError("P2 matrix drifted")
-        p3 = profile3(t)
-        a = t.dense()
-        c4 = int(_comb2(p2.T[a]).sum())
-        t4 = int(_comb2(p2[a]).sum())
-        if (p3.c3_count, c4, t4) != (self.c3_count, self.c4_count, self.t4_count):
+        c4, t4 = _arc_pair_sums(p2, t.dense())
+        if (profile3(t).c3_count, c4, t4) != \
+                (self.c3_count, self.c4_count, self.t4_count):
             raise InternalInvariantError("incremental counts drifted")
 
 

@@ -18,8 +18,6 @@ envelope and flags any point that lands more than a margin below it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
@@ -36,7 +34,6 @@ from .profiles import (FlipState, Profile3Counts, Profile4Counts, profile3,
 DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
 DEFAULT_GAMMAS = (1.0 / 16.0, 0.25)
-THREADS_ENV = "TOURPROF_THREADS"
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def anneal(n: int, gamma: float, seed: int,
     factor = schedule.cool ** (1.0 / schedule.moves)
     temp = t0
     best = cur
-    best_rows = state.tournament().packed_rows.copy()
+    best_t = state.tournament()
     accepted = 0
     for _ in range(schedule.moves):
         u, v = propose()
@@ -168,7 +165,7 @@ def anneal(n: int, gamma: float, seed: int,
             accepted += 1
             if cur < best - 1e-15:
                 best = cur
-                best_rows = state.tournament().packed_rows.copy()
+                best_t = state.tournament()
             if accepted % schedule.audit_every == 0:
                 state.audit()
         else:
@@ -176,7 +173,6 @@ def anneal(n: int, gamma: float, seed: int,
         temp *= factor
     state.audit()
 
-    best_t = Tournament(best_rows, n)
     p3, p4 = profile3(best_t), profile4(best_t)
     best_exact = p4.c4 + penalty * (p3.c3 - gamma) ** 2
     if abs(best_exact - best) > 1e-9:
@@ -208,18 +204,6 @@ class ScanPoint:
     result: AnnealResult = field(repr=False, compare=False, default=None)
 
 
-def _thread_budget(max_workers: Optional[int]) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(THREADS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _conjectured_at(c3: float) -> float:
     """Conjectured minimal c4 at the achieved c3, clamped into the curve
     domain (the curve is increasing, so clamping c3 to [0, 1/4] only
@@ -232,8 +216,7 @@ def _conjectured_at(c3: float) -> float:
 
 def boundary_scan(gammas: Sequence[float] = DEFAULT_GAMMAS, n: int = 64,
                   seeds=1, penalty: float = DEFAULT_PENALTY,
-                  schedule: Optional[AnnealSchedule] = None,
-                  max_workers: Optional[int] = None) -> list:
+                  schedule: Optional[AnnealSchedule] = None) -> list:
     """Anneal at each (gamma, seed) pair and compare the achieved c4
     with the conjectured envelope at the achieved c3.  A point is
     flagged DISCOVERY when c4 < conjectured - 0.01; results are sorted
@@ -248,23 +231,13 @@ def boundary_scan(gammas: Sequence[float] = DEFAULT_GAMMAS, n: int = 64,
     for g in gammas:
         if not 0.0 < g <= 0.25 + 1e-12:
             raise ValueError(f"scan gamma must be in (0, 1/4], got {g}")
-    jobs = [(g, s) for g in gammas for s in seed_list]
-    if not jobs:
-        return []
-
-    def run(job):
-        g, s = job
-        res = anneal(n, g, seed=s, penalty=penalty, schedule=schedule)
-        conj = _conjectured_at(res.c3)
-        return ScanPoint(gamma=g, n=n, seed=s, c3=res.c3, c4=res.c4,
-                         objective=res.objective, conjectured_c4=conj,
-                         discovery=res.c4 < conj - DISCOVERY_MARGIN,
-                         result=res)
-
-    workers = _thread_budget(max_workers)
-    if workers == 1 or len(jobs) == 1:
-        points = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run, jobs))
+    points = []
+    for g in gammas:
+        for s in seed_list:
+            res = anneal(n, g, seed=s, penalty=penalty, schedule=schedule)
+            conj = _conjectured_at(res.c3)
+            points.append(ScanPoint(
+                gamma=g, n=n, seed=s, c3=res.c3, c4=res.c4,
+                objective=res.objective, conjectured_c4=conj,
+                discovery=res.c4 < conj - DISCOVERY_MARGIN, result=res))
     return sorted(points, key=lambda p: (p.gamma, p.seed))

@@ -65,8 +65,8 @@ def brute_edge_stats(t: Tournament):
 
 
 def brute_counts3_via_matrix(dense: np.ndarray):
-    """c3 count from the path matrix product, independent of the packed
-    kernels (exact in int64 for n < 2^20)."""
+    """c3 count from an int64 path matrix product, independent of the
+    float32 kernel and of FlipState (exact in int64 for n < 2^20)."""
     a = dense.astype(np.int64)
     p2 = a @ a
     return int((a * p2.T).sum()) // 3

@@ -211,6 +211,18 @@ def test_flags_table_and_search_verify_cycle(tmp_path, capsys):
     assert lam >= 3 / 64 - 1e-4
 
 
+@pytest.mark.parametrize("lam,row", [("-inf", "0 0 0 0"),
+                                     ("0.0", "nan 0 0 0")])
+def test_verify_non_finite_certificate_is_data_error(tmp_path, capsys, lam,
+                                                     row):
+    path = tmp_path / "cert.txt"
+    path.write_text(f"FLAGCERT v1 3 4\n0.0625\n0.0\n{lam}\n{row}\n"
+                    + "0 0 0 0\n" * 3)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 3 and out == ""
+    assert "must be finite" in err
+
+
 def test_verify_identities_path(capsys):
     code, out, _ = run(capsys, "verify", "--in", "cyclic:25")
     assert code == 0
@@ -240,6 +252,12 @@ def test_search_csv_schema(capsys):
     fields = rows[1].split(",")
     assert fields[1] == "16" and fields[2] == "3"
     assert fields[6] in ("true", "false")
+
+
+def test_search_zero_moves_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--n", "8", "--moves", "0")
+    assert code == 2 and out == ""
+    assert "moves >= 1" in err
 
 
 def test_console_script_subprocess(tmp_path):

@@ -107,6 +107,10 @@ def test_dense_matrix_is_read_only():
     t = random_tournament(9, seed=2)
     with pytest.raises(ValueError):
         t.dense()[0, 1] = not t.dense()[0, 1]
+    d = t.dense().copy()
+    u = Tournament(d)
+    d[0, 1], d[1, 0] = d[1, 0], d[0, 1]
+    assert u == t and u.n == 9
 
 
 def test_random_tournament_deterministic_and_fair():
@@ -118,13 +122,6 @@ def test_random_tournament_deterministic_and_fair():
     t = random_tournament(4001, seed=1)
     mean = t.out_degrees().mean()
     assert abs(mean - 2000) < 15
-
-
-def test_random_tournament_frozen_words():
-    # Platform-stability anchor: first packed row of seed 0, n=64.
-    t = random_tournament(64, seed=0)
-    assert int(t.packed_rows[0, 0]) == int(random_tournament(64, 0).packed_rows[0, 0])
-    assert t.packed_rows.dtype == np.uint64
 
 
 def test_part_sizes_largest_remainder():

@@ -203,6 +203,10 @@ def test_flagcert_round_trip(tmp_path):
     ("FLAGCERT v1 3 4\n0.1\n0.2\n", "line 4"),
     ("FLAGCERT v1 3 4\n0.1\nxx\n0.0\n" + "0 0 0 0\n" * 4, "line 3"),
     ("FLAGCERT v1 3 4\n0.1\n0.0\n0.0\n0 0 0\n" + "0 0 0 0\n" * 3, "line 5"),
+    ("FLAGCERT v1 3 4\n0.1\n0.0\n-inf\n" + "0 0 0 0\n" * 4,
+     "line 4: lambda must be finite"),
+    ("FLAGCERT v1 3 4\n0.1\n0.0\n0.0\nnan 0 0 0\n" + "0 0 0 0\n" * 3,
+     "line 5: matrix entries must be finite"),
 ])
 def test_flagcert_errors(text, frag):
     with pytest.raises(DataFormatError, match=frag):
@@ -227,3 +231,9 @@ def test_flagtab_errors():
     broken = good.replace("type", "typo", 1)
     with pytest.raises(DataFormatError):
         table_from_text(broken)
+    lines = good.splitlines()
+    with pytest.raises(DataFormatError, match="line 4: truncated table"):
+        table_from_text("\n".join(lines[:3]) + "\n")
+    lines[1] = "type x"
+    with pytest.raises(DataFormatError, match="line 2: bad type code 'x'"):
+        table_from_text("\n".join(lines) + "\n")

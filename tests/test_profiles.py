@@ -8,7 +8,6 @@ import pytest
 from tourprof.core import (InternalInvariantError, Tournament, TournamentError,
                            cyclic, from_matrix, interval, random_tournament,
                            transitive)
-from tourprof.core import _pack_rows
 from tourprof.profiles import (EdgeStats, FlipState, Profile4Counts,
                                _check_float32_exact, classify4, edge_stats,
                                moments, paths_matrix, profile3, profile4,

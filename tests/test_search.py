@@ -74,7 +74,7 @@ def test_anneal_seed_changes_outcome():
 def test_boundary_scan_rows_sorted_and_flag_logic():
     sched = AnnealSchedule(moves=3000, warmup=150)
     pts = boundary_scan(gammas=(0.25, 1 / 16), n=16, seeds=(1, 0),
-                        schedule=sched, max_workers=1)
+                        schedule=sched)
     assert [(p.gamma, p.seed) for p in pts] == \
         sorted((g, s) for g in (1 / 16, 0.25) for s in (0, 1))
     for p in pts:
@@ -88,23 +88,6 @@ def test_boundary_scan_empty_and_invalid():
         boundary_scan(gammas=(0.3,), n=16)
     with pytest.raises(ValueError):
         boundary_scan(gammas=(0.1,), n=16, seeds=0)
-
-
-def test_boundary_scan_threads_match_serial():
-    sched = AnnealSchedule(moves=1500, warmup=100)
-    serial = boundary_scan(gammas=(0.1,), n=16, seeds=(0, 1),
-                           schedule=sched, max_workers=1)
-    threaded = boundary_scan(gammas=(0.1,), n=16, seeds=(0, 1),
-                             schedule=sched, max_workers=2)
-    assert [(p.c3, p.c4) for p in serial] == [(p.c3, p.c4) for p in threaded]
-
-
-def test_threads_env_is_read(monkeypatch):
-    from tourprof import search as mod
-    monkeypatch.setenv(mod.THREADS_ENV, "1")
-    sched = AnnealSchedule(moves=800, warmup=50)
-    pts = boundary_scan(gammas=(0.1,), n=16, seeds=1, schedule=sched)
-    assert len(pts) == 1
 
 
 def test_default_gammas_are_the_kink_and_endpoint():
