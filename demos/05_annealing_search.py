@@ -4,8 +4,9 @@ Annealing search along the (c3, c4) boundary
 ============================================
 
 Look for tournaments with unusually small c4 at a pinned triangle
-density gamma.  Single edge flips update all counts incrementally, so a
-proposal costs O(n) instead of a recount.
+density gamma.  Each proposal is a single edge flip, priced from the
+incrementally kept counts in O(n) instead of a recount; a rejected
+proposal changes no state, and only an accepted one is made.
 """
 import time
 

@@ -253,10 +253,10 @@ def _cmd_flags(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    gammas = ([float(g) for g in args.gamma.split(",")] if args.gamma
-              else list(searchmod.DEFAULT_GAMMAS))
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else [args.seed])
+    gammas = ([float(g) for g in args.gamma.split(",")]
+              if args.gamma is not None else list(searchmod.DEFAULT_GAMMAS))
+    seeds = ([int(s) for s in args.seeds.split(",")]
+             if args.seeds is not None else [args.seed])
     schedule = searchmod.AnnealSchedule(moves=args.moves) \
         if args.moves is not None else None
     points = searchmod.boundary_scan(gammas, n=args.n, seeds=seeds,

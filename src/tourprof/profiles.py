@@ -332,11 +332,19 @@ class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
-    Maintains the path matrix P2[a, b] = #{w : a -> w -> b}; flipping the
-    arc a -> b to b -> a touches only rows/columns a and b of P2, so the
-    affected terms of c4 = sum C(P2[b, a], 2) over arcs are re-summed
-    over the O(n) ordered pairs incident to the flipped pair.  c3 and c4
-    fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4; W and L are
+    Keeps the path matrix P2[a, b] = #{w : a -> w -> b}.  `delta` prices
+    reversing the arc src -> dst from P2 without changing any state: with
+    p = P2[src, dst], q = P2[dst, src], F = {x : src -> x -> dst} and
+    B = {x : dst -> x -> src},
+
+        dc3 = p - q
+        dc4 = C(p, 2) - C(q, 2) + 2q
+              - sum_{x in B} (P2[src, x] + P2[x, dst])
+              + sum_{x in F} (P2[dst, x] + P2[x, src]).
+
+    `flip` adds that delta to the counts and commits the flip as a
+    rank-1 update of rows and columns src and dst of P2.  c3 and c4 fix
+    t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4; W and L are
     recounted on demand (counts4)."""
 
     def __init__(self, t: Tournament):
@@ -347,7 +355,6 @@ class FlipState:
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
         self.c4_count = _arc_pair_sums(self.p2, self.a)[0]
-        self.flips = 0
 
     # -- derived views --------------------------------------------------
 
@@ -360,18 +367,6 @@ class FlipState:
         n = self.n
         return self.c4_count + (comb(n, 3) - 4 * self.c3_count) * (n - 3) // 4
 
-    @property
-    def c3_density(self) -> float:
-        return self.c3_count / comb(self.n, 3)
-
-    @property
-    def c4_density(self) -> float:
-        return self.c4_count / comb(self.n, 4)
-
-    def counts3(self) -> Profile3Counts:
-        return Profile3Counts(self.n, comb(self.n, 3) - self.c3_count,
-                              self.c3_count)
-
     def counts4(self) -> Profile4Counts:
         """Full 4-profile; W/L are recounted from scratch here."""
         p4 = profile4(self.tournament())
@@ -381,42 +376,38 @@ class FlipState:
 
     # -- incremental update ----------------------------------------------
 
-    def _incident_c4(self, u: int, v: int) -> int:
-        """c4 terms C(P2[y, x], 2) summed over the arcs x -> y meeting
-        {u, v}."""
+    def _arc(self, u: int, v: int) -> tuple[int, int]:
+        """(src, dst): the pair {u, v} in its current orientation."""
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise TournamentError(f"bad pair ({u}, {v})")
+        return (u, v) if self.a[u, v] else (v, u)
+
+    def delta(self, u: int, v: int) -> tuple[int, int]:
+        """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
+        src, dst = self._arc(u, v)
         a, p2 = self.a, self.p2
-        c4 = 0
-        for x in (u, v):
-            c4 += int(_comb2(p2[:, x][a[x, :]]).sum())   # arcs (x, y)
-            c4 += int(_comb2(p2[x, :][a[:, x]]).sum())   # arcs (y, x)
-        x, y = (u, v) if a[u, v] else (v, u)             # counted twice above
-        p = int(p2[y, x])
-        return c4 - p * (p - 1) // 2
+        p, q = int(p2[src, dst]), int(p2[dst, src])
+        fwd = a[src, :] & a[:, dst]
+        back = a[dst, :] & a[:, src]
+        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2 + 2 * q
+               - int((p2[src, :] + p2[:, dst]) @ back)
+               + int((p2[dst, :] + p2[:, src]) @ fwd))
+        return p - q, dc4
 
     def flip(self, u: int, v: int) -> None:
         """Reverse the orientation of pair {u, v}."""
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise TournamentError(f"bad pair ({u}, {v})")
+        dc3, dc4 = self.delta(u, v)
+        src, dst = self._arc(u, v)
         a, p2 = self.a, self.p2
-        if a[u, v]:
-            src, dst = u, v
-        else:
-            src, dst = v, u
-        before = self._incident_c4(u, v)
-        dc3 = int(p2[src, dst]) - int(p2[dst, src])
 
         # P2 updates for A[src,dst]: 1 -> 0 and A[dst,src]: 0 -> 1, using
         # pre-flip rows/columns of A.  The two changed arc entries meet
         # only in the diagonal terms P2[src,src] and P2[dst,dst], which
         # must stay 0; reset them after the rank-1 updates.
-        row_src = a[src, :].astype(np.int64)
-        row_dst = a[dst, :].astype(np.int64)
-        col_src = a[:, src].astype(np.int64)
-        col_dst = a[:, dst].astype(np.int64)
-        p2[src, :] -= row_dst
-        p2[:, src] += col_dst
-        p2[dst, :] += row_src
-        p2[:, dst] -= col_src
+        p2[src, :] -= a[dst, :]
+        p2[:, src] += a[:, dst]
+        p2[dst, :] += a[src, :]
+        p2[:, dst] -= a[:, src]
         p2[src, src] = 0
         p2[dst, dst] = 0
 
@@ -424,8 +415,7 @@ class FlipState:
         a[dst, src] = True
 
         self.c3_count += dc3
-        self.c4_count += self._incident_c4(u, v) - before
-        self.flips += 1
+        self.c4_count += dc4
 
     def audit(self) -> None:
         """Recount P2, c3, c4 and t4 from scratch; raise on any drift

@@ -5,7 +5,8 @@ objective
 
     c4 + penalty * (c3 - gamma)^2
 
-driven by the incremental FlipState kernel.  The default penalty of 500
+priced per proposal by FlipState.delta, which changes no state; only an
+accepted proposal is made with FlipState.flip.  The default penalty of 500
 keeps the equilibrium drift |c3 - gamma| near sqrt(step)/(2*penalty),
 well under the 0.003 target at n = 64; small penalties let the chain
 buy quadratic penalty for linear c4 gain and collapse toward the
@@ -55,17 +56,22 @@ class AnnealSchedule:
             raise ValueError("audit_every must be positive")
 
 
+def _penalized(n: int, c3: int, c4: int, gamma: float,
+               penalty: float) -> float:
+    """c4 + penalty*(c3 - gamma)^2 at the densities of these counts."""
+    return c4 / comb(n, 4) + penalty * (c3 / comb(n, 3) - gamma) ** 2
+
+
 def objective(subject, gamma: float, penalty: float = DEFAULT_PENALTY) -> float:
     """Penalized objective c4 + penalty*(c3 - gamma)^2 for a Tournament
     or a live FlipState."""
     if isinstance(subject, FlipState):
-        c3, c4 = subject.c3_density, subject.c4_density
+        c3, c4 = subject.c3_count, subject.c4_count
     elif isinstance(subject, Tournament):
-        c3 = profile3(subject).c3
-        c4 = profile4(subject).c4
+        c3, c4 = profile3(subject).c3_count, profile4(subject).c4_count
     else:
         raise TypeError("objective expects a Tournament or FlipState")
-    return c4 + penalty * (c3 - gamma) ** 2
+    return _penalized(subject.n, c3, c4, gamma, penalty)
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,8 @@ def anneal(n: int, gamma: float, seed: int,
         raise ValueError("annealing needs n >= 8")
     if not 0.0 <= gamma <= 0.25 + 1e-12:
         raise ValueError(f"gamma must be in [0, 1/4], got {gamma}")
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    if not (math.isfinite(penalty) and penalty >= 0):
+        raise ValueError(f"penalty must be finite and >= 0, got {penalty}")
     schedule = schedule or AnnealSchedule()
 
     state = FlipState(_warm_start(n, gamma, seed))
@@ -130,14 +136,16 @@ def anneal(n: int, gamma: float, seed: int,
         r = stream.next_below(n - 1)
         return u, r if r < u else r + 1
 
-    # Warmup: probe uphill step sizes with flip/revert to set T0 so the
-    # median uphill move starts at acceptance probability 1/2.
+    def price(u, v):
+        dc3, dc4 = state.delta(u, v)
+        return _penalized(n, state.c3_count + dc3, state.c4_count + dc4,
+                          gamma, penalty)
+
+    # Warmup: price random proposals, without making them, to set T0 so
+    # the median uphill move starts at acceptance probability 1/2.
     uphill = []
     for _ in range(schedule.warmup):
-        u, v = propose()
-        state.flip(u, v)
-        delta = objective(state, gamma, penalty) - cur
-        state.flip(u, v)
+        delta = price(*propose()) - cur
         if delta > 0:
             uphill.append(delta)
     if uphill:
@@ -153,14 +161,14 @@ def anneal(n: int, gamma: float, seed: int,
     accepted = 0
     for _ in range(schedule.moves):
         u, v = propose()
-        state.flip(u, v)
-        new = objective(state, gamma, penalty)
+        new = price(u, v)
         delta = new - cur
         if delta <= 0.0:
             accept = True
         else:
             accept = stream.next_uniform() < math.exp(-delta / temp)
         if accept:
+            state.flip(u, v)
             cur = new
             accepted += 1
             if cur < best - 1e-15:
@@ -168,13 +176,11 @@ def anneal(n: int, gamma: float, seed: int,
                 best_t = state.tournament()
             if accepted % schedule.audit_every == 0:
                 state.audit()
-        else:
-            state.flip(u, v)
         temp *= factor
     state.audit()
 
     p3, p4 = profile3(best_t), profile4(best_t)
-    best_exact = p4.c4 + penalty * (p3.c3 - gamma) ** 2
+    best_exact = _penalized(n, p3.c3_count, p4.c4_count, gamma, penalty)
     if abs(best_exact - best) > 1e-9:
         raise InternalInvariantError("best-state bookkeeping diverged from recount")
     # Sanity floor: no tournament can beat the Cauchy-Schwarz bound by

@@ -260,6 +260,21 @@ def test_search_zero_moves_is_usage_error(capsys):
     assert "moves >= 1" in err
 
 
+@pytest.mark.parametrize("penalty", ["nan", "inf"])
+def test_search_non_finite_penalty_is_usage_error(capsys, penalty):
+    code, out, err = run(capsys, "search", "--n", "8", "--moves", "10",
+                         "--penalty", penalty)
+    assert code == 2 and out == ""
+    assert "penalty must be finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--seeds"])
+def test_search_empty_list_is_usage_error(capsys, flag):
+    code, out, _ = run(capsys, "search", "--n", "8", "--moves", "10",
+                       flag, "")
+    assert code == 2 and out == ""
+
+
 def test_console_script_subprocess(tmp_path):
     out = subprocess.run([sys.executable, "-m", "tourprof.cli", "--version"],
                          capture_output=True, text=True)

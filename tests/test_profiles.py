@@ -262,11 +262,27 @@ def test_flip_state_c4_t4_track_recount():
     for i in range(300):
         u = stream.next_below(n)
         r = stream.next_below(n - 1)
-        st.flip(u, r if r < u else r + 1)
+        v = r if r < u else r + 1
+        a, p2 = st.a.copy(), st.p2.copy()
+        c3, c4 = st.c3_count, st.c4_count
+        dc3, dc4 = st.delta(u, v)
+        assert np.array_equal(st.a, a) and np.array_equal(st.p2, p2)
+        assert (st.c3_count, st.c4_count) == (c3, c4)
+        st.flip(u, v)
+        assert (st.c3_count - c3, st.c4_count - c4) == (dc3, dc4)
         t = st.tournament()
         p4 = profile4(t)
         assert (st.c4_count, st.t4_count) == (p4.c4_count, p4.t4_count)
         assert st.c3_count == profile3(t).c3_count
+
+
+@pytest.mark.parametrize("u, v", [(2, 2), (0, 7), (-1, 3)])
+def test_flip_state_bad_pair(u, v):
+    st = FlipState(random_tournament(7, seed=2))
+    with pytest.raises(TournamentError):
+        st.delta(u, v)
+    with pytest.raises(TournamentError):
+        st.flip(u, v)
 
 
 def test_verify_identities_corpus(small_random_tournaments):

@@ -60,8 +60,9 @@ def test_anneal_validation():
         anneal(6, 0.1, seed=0)
     with pytest.raises(ValueError):
         anneal(16, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        anneal(16, 0.1, seed=0, penalty=-1)
+    for penalty in (-1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            anneal(16, 0.1, seed=0, penalty=penalty)
 
 
 def test_anneal_seed_changes_outcome():
