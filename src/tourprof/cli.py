@@ -240,6 +240,8 @@ def _cmd_flags(args) -> int:
             sys.stdout.write(flagmod.certificate_to_text(cert))
         return 0
     if args.action == "moment-check":
+        if args.input is None:
+            raise ValueError("moment-check needs --in")
         t = _make_input(args.input)
         report = flagmod.moment_consistency_check(t)
         _banner()

@@ -69,35 +69,35 @@ class Flag:
     name: Optional[str] = None
 
 
-def _pairs(k: int) -> list:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-
 @lru_cache(maxsize=None)
-def _canonical_map(k: int) -> np.ndarray:
-    """canonical[code] for every labeled k-tournament code, vectorized
-    over all 2^C(k,2) codes at once (same bit convention as
-    core.canonical_code: pair-lex order, first pair most significant)."""
-    pairs = _pairs(k)
+def _canonical_map(k: int, labeled: int = 0) -> np.ndarray:
+    """canonical[code] for every k-tournament code: the least code in its
+    orbit under the relabelings that fix vertices 0..labeled-1 (same bit
+    convention as core.canonical_code: pair-lex order, first pair most
+    significant).  Types use labeled=0, edge-rooted flags labeled=2.
+
+    Walks the codes in increasing order; the first unvisited code is the
+    least of its orbit, so one gather over (relabelings x pairs) maps the
+    whole orbit to it."""
+    pairs = np.array(list(combinations(range(k), 2)),
+                     dtype=np.intp).reshape(-1, 2)
     npair = len(pairs)
-    pos = {pq: idx for idx, pq in enumerate(pairs)}
-    codes = np.arange(1 << npair, dtype=np.int64)
-    shifts = (npair - 1 - np.arange(npair)).astype(np.int64)
-    bits = ((codes[:, None] >> shifts) & 1).astype(np.uint8)
-    weights = (np.int64(1) << shifts)
-    best = codes.copy()
-    for order in permutations(range(k)):
-        src = np.empty(npair, dtype=np.intp)
-        flip = np.empty(npair, dtype=np.uint8)
-        for p, (a, b) in enumerate(pairs):
-            oa, ob = order[a], order[b]
-            if oa < ob:
-                src[p], flip[p] = pos[(oa, ob)], 0
-            else:
-                src[p], flip[p] = pos[(ob, oa)], 1
-        new_codes = (bits[:, src] ^ flip).astype(np.int64) @ weights
-        np.minimum(best, new_codes, out=best)
-    return best
+    pos = np.zeros((k, k), dtype=np.intp)
+    pos[pairs[:, 0], pairs[:, 1]] = np.arange(npair)
+    perms = np.array([tuple(range(labeled)) + rest
+                      for rest in permutations(range(labeled, k))],
+                     dtype=np.intp)
+    oa, ob = perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]
+    src = pos[np.minimum(oa, ob), np.maximum(oa, ob)]
+    flip = (oa > ob).astype(np.int64)
+    shifts = np.arange(npair - 1, -1, -1, dtype=np.int64)
+    weights = np.int64(1) << shifts
+    canon = np.full(1 << npair, -1, dtype=np.int64)
+    for code in range(canon.size):
+        if canon[code] < 0:
+            bits = (code >> shifts) & 1
+            canon[(bits[src] ^ flip) @ weights] = code
+    return canon
 
 
 @lru_cache(maxsize=None)
@@ -106,10 +106,7 @@ def enumerate_types(k: int) -> tuple:
     sorted by canonical code.  Counts: 1, 1, 2, 4, 12, 56."""
     if not 1 <= k <= MAX_TYPE_ORDER:
         raise ValueError(f"type enumeration supports 1 <= k <= {MAX_TYPE_ORDER}")
-    if k == 1:
-        return (TournamentType(1, 0, 0, from_code(0, 1)),)
-    canon = _canonical_map(k)
-    codes = sorted(set(int(c) for c in np.unique(canon)))
+    codes = np.unique(_canonical_map(k)).tolist()
     types = tuple(TournamentType(k, code, i, from_code(code, k))
                   for i, code in enumerate(codes))
     if len(types) != TYPE_COUNTS[k]:
@@ -118,36 +115,23 @@ def enumerate_types(k: int) -> tuple:
     return types
 
 
-def _flag_code(dense: np.ndarray, labeled: tuple, unlabeled: tuple) -> int:
-    """Canonical code of the flag induced on labeled + unlabeled vertices
-    of `dense`: minimum upper-triangle code over permutations of the
-    unlabeled part only."""
-    return min(_upper_code(dense, labeled + rest)
-               for rest in permutations(unlabeled))
+def _flag_code(dense: np.ndarray, order: tuple) -> int:
+    """Canonical code of the flag induced on `order` (labeled pair first)
+    of `dense`."""
+    return int(_canonical_map(len(order), 2)[_upper_code(dense, order)])
 
 
 @lru_cache(maxsize=None)
 def enumerate_flags(k: int) -> tuple:
     """All flags of order k in {2, 3, 4} over the edge type, sorted by
-    canonical code.  For k = 3 each flag carries its pattern name."""
+    canonical code.  The labeled arc 0 -> 1 is the first pair, so the
+    flags are the canonical codes whose top bit is set.  For k = 3 each
+    flag carries its pattern name."""
     if k not in FLAG_COUNTS:
         raise ValueError("flag order must be 2, 3, or 4")
-    pairs = _pairs(k)
-    npair = len(pairs)
-    free = [p for p, pq in enumerate(pairs) if pq != (0, 1)]
-    edge_bit = 1 << (npair - 1 - pairs.index((0, 1)))
-    seen = {}
-    for assign in range(1 << len(free)):
-        code = edge_bit
-        for idx, p in enumerate(free):
-            if (assign >> idx) & 1:
-                code |= 1 << (npair - 1 - p)
-        t = from_code(code, k)
-        canon = _flag_code(t.dense().astype(np.uint8), (0, 1),
-                           tuple(range(2, k)))
-        seen.setdefault(canon, t)
+    canon = _canonical_map(k, 2)
     flags = []
-    for i, code in enumerate(sorted(seen)):
+    for i, code in enumerate(np.unique(canon[canon.size // 2:]).tolist()):
         rep = from_code(code, k)
         name = None
         if k == 3:
@@ -216,8 +200,8 @@ def product_table(k: int) -> ProductTable:
             rest = tuple(w for w in range(n_big) if w not in (int(u), int(v)))
             for a_side in combinations(rest, k - 2):
                 b_side = tuple(w for w in rest if w not in a_side)
-                i = fidx[_flag_code(dense, (int(u), int(v)), a_side)]
-                j = fidx[_flag_code(dense, (int(u), int(v)), b_side)]
+                i = fidx[_flag_code(dense, (int(u), int(v)) + a_side)]
+                j = fidx[_flag_code(dense, (int(u), int(v)) + b_side)]
                 counts[i][j] += 1
                 nconf += 1
         if nconf != total:
@@ -235,11 +219,7 @@ def _type_densities(order: int, code: int) -> tuple:
     rep = from_code(code, order)
     p3 = profile3(rep)
     d_c3 = Fraction(p3.c3_count, comb(order, 3))
-    if order == 4:
-        d_c4 = Fraction(int(classify4(rep) == "C4"))
-    else:
-        p4 = profile4(rep)
-        d_c4 = Fraction(p4.c4_count, comb(order, 4))
+    d_c4 = Fraction(profile4(rep).c4_count, comb(order, 4))
     return d_c3, d_c4
 
 
@@ -357,6 +337,8 @@ def search_certificate(gamma: float, k: int = 3, iterations: int = 300,
     it is never worse than the closed-form seed."""
     if k not in (3, 4):
         raise ValueError("certificate search supports k = 3 or 4")
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     t, mu1, _ = _lemma1_parameters(gamma)
     table = product_table(k)
     f = len(table.flags)

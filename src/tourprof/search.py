@@ -27,8 +27,8 @@ import numpy as np
 
 from . import rng
 from .bounds import conjectured_min_c4, lb_flag
-from .core import (BlowupSpec, InternalInvariantError, Tournament, blowup,
-                   random_tournament, transitive)
+from .core import (BlowupSpec, InternalInvariantError, Tournament,
+                   TournamentError, blowup, random_tournament, transitive)
 from .profiles import (FlipState, Profile3Counts, Profile4Counts, profile3,
                        profile4)
 
@@ -68,6 +68,9 @@ def objective(subject, gamma: float, penalty: float = DEFAULT_PENALTY) -> float:
     if isinstance(subject, FlipState):
         c3, c4 = subject.c3_count, subject.c4_count
     elif isinstance(subject, Tournament):
+        if subject.n < 4:
+            raise TournamentError(
+                f"objective needs n >= 4 (got n={subject.n})")
         c3, c4 = profile3(subject).c3_count, profile4(subject).c4_count
     else:
         raise TypeError("objective expects a Tournament or FlipState")

@@ -243,6 +243,21 @@ def test_flags_moment_check(capsys):
     assert all(r.endswith("true") for r in rows[1:])
 
 
+def test_flags_moment_check_needs_input(capsys):
+    code, out, err = run(capsys, "flags", "moment-check")
+    assert code == 2 and out == ""
+    assert "moment-check needs --in" in err
+
+
+def test_flags_search_negative_iterations_is_usage_error(tmp_path, capsys):
+    cert_path = tmp_path / "cert.txt"
+    code, out, err = run(capsys, "flags", "search", "--k", "3",
+                         "--iterations", "-5", "--out", str(cert_path))
+    assert code == 2 and out == ""
+    assert "iterations must be >= 0" in err
+    assert not cert_path.exists()
+
+
 def test_search_csv_schema(capsys):
     code, out, _ = run(capsys, "search", "--gamma", "0.0625", "--n", "16",
                        "--seed", "3", "--moves", "1500")

@@ -1,11 +1,14 @@
+import hashlib
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from tourprof.core import (BlowupSpec, DataFormatError, blowup, cyclic,
+from tourprof.core import (BlowupSpec, DataFormatError, _upper_code, blowup,
+                           canonical_code, cyclic, from_code,
                            random_tournament, transitive)
-from tourprof.flags import (Certificate, certificate_from_text,
+from tourprof.flags import (Certificate, _canonical_map, certificate_from_text,
                             certificate_to_text, enumerate_flags,
                             enumerate_types, flag_index_by_name,
                             lemma1_certificate, moment_consistency_check,
@@ -25,6 +28,23 @@ def test_type_counts_by_order():
         assert sorted(t.code for t in types) == [t.code for t in types]
     with pytest.raises(ValueError):
         enumerate_types(7)
+
+
+def test_canonical_map_matches_brute_force():
+    for k in range(1, 6):
+        canon = _canonical_map(k)
+        assert len(canon) == 1 << (k * (k - 1) // 2)
+        for code, c in enumerate(canon):
+            assert c == canonical_code(from_code(code, k))
+
+
+def test_flag_canonical_map_matches_brute_force():
+    for k in (3, 4):
+        canon = _canonical_map(k, 2)
+        for code, c in enumerate(canon):
+            dense = from_code(code, k).dense().astype(np.uint8)
+            assert c == min(_upper_code(dense, (0, 1) + rest)
+                            for rest in permutations(range(2, k)))
 
 
 def test_types_are_canonical_representatives():
@@ -96,6 +116,15 @@ def test_product_table_k3_values():
                 assert 0 <= mat[i][j] <= 1
 
 
+@pytest.mark.parametrize("k,digest", [
+    (3, "308bf1a232544191ebb87f9dd02099b65dd0fa491d643f92865824e3fd09073a"),
+    (4, "d0baba2635a8d7491d7c0e0b58183d3e2cc6b7e02adc077897daf6b78cb015bb"),
+])
+def test_product_table_golden_text(k, digest):
+    text = table_to_text(product_table(k))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
 def test_product_table_k4_normalization():
     tab = product_table(4)
     assert tab.total == 90 and len(tab.types) == 56
@@ -164,6 +193,13 @@ def test_search_certificate_k4_valid_and_deterministic():
     assert a.lam == b.lam and (a.q == b.q).all()
     with pytest.raises(ValueError):
         search_certificate(0.1, k=5)
+
+
+def test_search_certificate_iterations():
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        search_certificate(0.1, k=3, iterations=-1)
+    cert = search_certificate(0.1, k=3, iterations=0)
+    assert verify_certificate(cert).valid
 
 
 def test_moment_consistency_random_small():

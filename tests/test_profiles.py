@@ -234,21 +234,29 @@ def test_flip_state_tournament_is_a_snapshot():
 
 
 def test_flip_state_tracks_recount_n128():
-    # 10^4 flips at n=128; state must equal an independent matrix-product
-    # recount after every flip, and pass its own audit at checkpoints
+    # 10^4 flips at n=128; c3 must equal a running count kept from the
+    # test's own matrix after every flip, that count must equal an
+    # independent matrix-product recount at checkpoints, and the state
+    # must pass its own audit there
     n = 128
     t = random_tournament(n, seed=77)
     st = FlipState(t)
     stream = rng.Stream(4242)
-    a = t.dense().astype(np.int64).copy()
+    a = t.dense().copy()
+    c3 = brute_counts3_via_matrix(a)
     for i in range(10_000):
         u = stream.next_below(n)
         r = stream.next_below(n - 1)
         v = r if r < u else r + 1
+        src, dst = (u, v) if a[u, v] else (v, u)
+        # reversing src -> dst makes src -> x -> dst cyclic and
+        # dst -> x -> src transitive
+        c3 += int((a[src] & a[:, dst]).sum()) - int((a[dst] & a[:, src]).sum())
         st.flip(u, v)
         a[u, v], a[v, u] = a[v, u], a[u, v]
-        assert st.c3_count == brute_counts3_via_matrix(a)
+        assert st.c3_count == c3
         if (i + 1) % 1000 == 0:
+            assert c3 == brute_counts3_via_matrix(a)
             st.audit()
     p4 = st.counts4()
     b4 = profile4(st.tournament())

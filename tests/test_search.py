@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from tourprof.core import (BlowupSpec, blowup, random_tournament, to_trn_text,
-                           transitive)
+from tourprof.core import (BlowupSpec, TournamentError, blowup,
+                           random_tournament, to_trn_text, transitive)
 from tourprof.profiles import FlipState
 from tourprof.search import (DEFAULT_GAMMAS, AnnealSchedule, anneal,
                              boundary_scan, objective)
@@ -22,6 +22,13 @@ def test_objective_accepts_flip_state():
     assert objective(FlipState(t), 0.1, 5.0) == objective(t, 0.1, 5.0)
     with pytest.raises(TypeError):
         objective("nope", 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_objective_needs_four_vertices(n):
+    with pytest.raises(TournamentError,
+                       match=f"objective needs n >= 4 \\(got n={n}\\)"):
+        objective(transitive(n), 0.1)
 
 
 def test_schedule_validation():
