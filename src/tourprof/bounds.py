@@ -19,8 +19,9 @@ weight pattern can be strictly improved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import factorial, prod, sqrt
+from math import sqrt
+
+import numpy as np
 
 from .core import BlowupSpec, InternalInvariantError
 
@@ -241,61 +242,25 @@ def mix_profile_prediction(c3_1, c4_1, c3_2, c4_2, alpha, p):
     return c3, c4
 
 
-def _is_cyclic3(mat) -> bool:
-    return all(sum(row) == 1 for row in mat)
-
-
-def _is_c4(mat) -> bool:
-    return tuple(sorted(sum(row) for row in mat)) == (1, 1, 2, 2)
-
-
-def _placement_probability(host, parts, test) -> float:
-    """Probability that k vertices placed in the given host parts induce
-    the target type; pairs in a common part are fair coins."""
-    k = len(parts)
-    free = [(i, j) for i in range(k) for j in range(i + 1, k)
-            if parts[i] == parts[j]]
-    fixed = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if parts[i] != parts[j]:
-                fixed[(i, j)] = host.orient(parts[i], parts[j])
-    hits = 0
-    for bits in range(1 << len(free)):
-        mat = [[0] * k for _ in range(k)]
-        for (i, j), fwd in fixed.items():
-            mat[i][j] = int(fwd)
-            mat[j][i] = int(not fwd)
-        for idx, (i, j) in enumerate(free):
-            fwd = (bits >> idx) & 1
-            mat[i][j] = fwd
-            mat[j][i] = 1 - fwd
-        if test(mat):
-            hits += 1
-    return hits / (1 << len(free))
-
-
 def predict_blowup_profile(spec: BlowupSpec) -> tuple:
-    """Asymptotic (c3, c4) of the blow-up T(host; w): average the induced
-    type probability over part multisets (cross pairs follow the host,
-    same-part pairs are fair coins).  For the transitive host this equals
-    (sum w^3 / 4, 3 sum w^4 / 8)."""
-    w = spec.weights
-    m = len(w)
-    out = []
-    for k, test in ((3, _is_cyclic3), (4, _is_c4)):
-        total = 0.0
-        for multiset in combinations_with_replacement(range(m), k):
-            mult = {}
-            for part in multiset:
-                mult[part] = mult.get(part, 0) + 1
-            count = factorial(k)
-            for c in mult.values():
-                count //= factorial(c)
-            mass = count * prod(w[part] for part in multiset)
-            total += mass * _placement_probability(spec.host, multiset, test)
-        out.append(total)
-    return tuple(out)
+    """Asymptotic (c3, c4) of the blow-up T(host; w):
+
+        c3 = 2 tr(M^3),  c4 = 6 tr(M^4),  M = (A + I/2) diag(w),
+
+    with A the host's adjacency matrix.  M[p, q] is the chance that a
+    new vertex falls in part q (probability w_q) and a vertex of part p
+    beats it; the I/2 is the fair coin between two vertices of one
+    part.  The arcs between distinct vertices are independent, so
+    tr(M^j) is the chance that j independent vertices, in the order
+    drawn, form a directed j-cycle.  A 3-set is cyclic iff one of its 2
+    cyclic orders is a directed cycle, and a 4-set induces C4 iff
+    exactly one of its 6 cyclic orders is a directed Hamiltonian cycle;
+    the orders are disjoint events of equal chance.  For the transitive
+    host M is triangular, giving (sum w^3 / 4, 3 sum w^4 / 8)."""
+    w = np.array(spec.weights)
+    m = (spec.host.dense() + 0.5 * np.eye(len(w))) * w
+    m2 = m @ m
+    return 2.0 * float(np.trace(m2 @ m)), 6.0 * float(np.trace(m2 @ m2))
 
 
 @dataclass(frozen=True)

@@ -169,9 +169,9 @@ def _cmd_profile(args) -> int:
 def _cmd_edge_stats(args) -> int:
     t = _make_input(args.input)
     stats = edge_stats(t)
-    _banner()
     if args.moments:
         rep = moments(t, stats).as_floats()
+        _banner()
         print("n,ex,ey,exx,exy,eyy,ezz,var_x")
         print(",".join([str(t.n)] + [_fmt(rep[k]) for k in
                                      ("ex", "ey", "exx", "exy", "eyy",
@@ -179,9 +179,11 @@ def _cmd_edge_stats(args) -> int:
         return 0
     if args.cdf is not None:
         phi = float(x_cdf(t, args.cdf, stats)[0])
+        _banner()
         print("n,x,phi")
         print(f"{t.n},{_fmt(args.cdf)},{_fmt(phi)}")
         return 0
+    _banner()
     print("u,v,cyc,thru,dom_out,dom_in")
     for (u, v), c, h, do, di in zip(stats.edges, stats.cyc, stats.thru,
                                     stats.dom_out, stats.dom_in):
@@ -229,13 +231,11 @@ def _cmd_flags(args) -> int:
             sys.stdout.write(flagmod.table_to_text(table))
         return 0
     if args.action == "search":
-        cert = flagmod.search_certificate(args.gamma, k=args.k,
-                                          iterations=args.iterations,
-                                          seed=args.seed)
+        cert = flagmod.search_certificate(args.gamma, k=args.k)
         if args.out:
             flagmod.write_certificate(cert, args.out)
-            print(f"# tourprof {__version__} seed={args.seed} lambda="
-                  f"{_fmt(cert.lam)} -> {args.out}", file=sys.stderr)
+            print(f"# tourprof {__version__} lambda={_fmt(cert.lam)} "
+                  f"-> {args.out}", file=sys.stderr)
         else:
             sys.stdout.write(flagmod.certificate_to_text(cert))
         return 0
@@ -354,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--k", type=int, default=3,
                     help="type order (enumerate) or flag order (others)")
     fl.add_argument("--gamma", type=float, default=0.0625)
-    fl.add_argument("--iterations", type=int, default=300)
-    fl.add_argument("--seed", type=int, default=0)
     fl.add_argument("--in", dest="input", help="tournament (moment-check)")
     fl.add_argument("--out", default=None)
     fl.set_defaults(func=_cmd_flags)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,6 +173,8 @@ def check_weights(weights: Sequence[float]) -> tuple:
     w = tuple(float(x) for x in weights)
     if len(w) == 0:
         raise TournamentError("weight vector is empty")
+    if not all(isfinite(x) for x in w):
+        raise TournamentError(f"weights must be finite (got {w!r})")
     if any(x <= 0 for x in w):
         raise TournamentError("weights must be strictly positive")
     if abs(sum(w) - 1.0) > 1e-12:

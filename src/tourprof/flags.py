@@ -24,7 +24,10 @@ in the limit: it is valid when Q is positive semidefinite and
 
     kappa_H = d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> - lambda >= 0
 
-for every type H of order 2k - 2.
+for every type H of order 2k - 2.  lemma1_certificate gives the
+closed-form k = 3 certificate; search_certificate returns the better of
+it (lifted to 4-flags at k = 4) and the zero certificate, and does not
+search beyond those two candidates.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
 from .core import (DataFormatError, InternalInvariantError, Tournament,
                    _upper_code, from_code)
 from .profiles import classify4, edge_stats, profile3, profile4
@@ -320,25 +322,20 @@ def _lift_v3_to_k4(t: float) -> np.ndarray:
     return np.array(out)
 
 
-def _project_psd(q: np.ndarray) -> np.ndarray:
-    q = 0.5 * (q + q.T)
-    vals, vecs = np.linalg.eigh(q)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.T
+def search_certificate(gamma: float, k: int = 3) -> Certificate:
+    """Certificate at c3 = gamma for flag order k in {3, 4}.
 
+    Returns the better (larger min_H kappa_H at lambda = 0) of two fixed
+    candidates: Q = 0 with mu = 0, and the Lemma 1 form
+    Q = (6/t^2) v v^T with its mu, where v is t X - Z in the 3-flag
+    basis (k = 3) or its averaged lift to 4-flags (k = 4).  lambda is
+    that min_H kappa_H less 1e-12, so every kappa_H >= 1e-12.
 
-def search_certificate(gamma: float, k: int = 3, iterations: int = 300,
-                       seed: int = 0) -> Certificate:
-    """Best-effort numerical certificate search: projected subgradient
-    ascent on (Q, mu) maximizing min_H kappa_H, warm-started from the
-    closed-form certificate (k = 3) or its averaged lift (k = 4), with
-    seeded random restarts.  Deterministic for fixed arguments; the
-    returned certificate always passes verify_certificate, and at k = 3
-    it is never worse than the closed-form seed."""
+    It does not search or optimise Q, so at both k lambda is
+    lb_flag(gamma) - 1e-12 up to rounding.  The result is deterministic
+    and always passes verify_certificate."""
     if k not in (3, 4):
         raise ValueError("certificate search supports k = 3 or 4")
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
     t, mu1, _ = _lemma1_parameters(gamma)
     table = product_table(k)
     f = len(table.flags)
@@ -349,8 +346,8 @@ def search_certificate(gamma: float, k: int = 3, iterations: int = 300,
     d4 = np.array([float(_type_densities(h.order, h.code)[1])
                    for h in table.types])
 
-    def residuals(q, mu):
-        return d4 - mu * (d3 - gamma) - (p_mats * q).sum(axis=(1, 2))
+    def min_kappa(q, mu):
+        return (d4 - mu * (d3 - gamma) - (p_mats * q).sum(axis=(1, 2))).min()
 
     if k == 3:
         v = np.array([_v3_coeffs(t)[fl.name] for fl in table.flags])
@@ -358,30 +355,9 @@ def search_certificate(gamma: float, k: int = 3, iterations: int = 300,
         v = _lift_v3_to_k4(t)
     candidates = [(np.zeros((f, f)), 0.0),
                   ((6.0 / (t * t)) * np.outer(v, v), mu1)]
-    best_q, best_mu = max(candidates,
-                          key=lambda c: residuals(c[0], c[1]).min())
-    best_lam = residuals(best_q, best_mu).min()
-
-    stream = rng.Stream(rng.derive(seed, 0xCE27))
-    q, mu = best_q.copy(), best_mu
-    scale = 0.05 * (1.0 + float(np.linalg.norm(best_q)))
-    for it in range(iterations):
-        r = residuals(q, mu)
-        h_star = int(np.argmin(r))
-        eta = scale / np.sqrt(it + 1.0)
-        q = _project_psd(q - eta * p_mats[h_star])
-        mu -= eta * (d3[h_star] - gamma)
-        lam = residuals(q, mu).min()
-        if lam > best_lam:
-            best_lam, best_q, best_mu = lam, q.copy(), mu
-        if (it + 1) % 50 == 0:
-            noise = np.array([[stream.next_uniform() - 0.5 for _ in range(f)]
-                              for _ in range(f)])
-            q = _project_psd(best_q + 0.01 * scale * (noise + noise.T))
-            mu = best_mu
-    lam_out = float(residuals(best_q, best_mu).min()) - 1e-12
-    cert = Certificate(k=k, gamma=gamma, mu=float(best_mu), lam=lam_out,
-                       q=best_q)
+    q, mu = max(candidates, key=lambda c: min_kappa(*c))
+    cert = Certificate(k=k, gamma=gamma, mu=float(mu),
+                       lam=float(min_kappa(q, mu)) - 1e-12, q=q)
     if not verify_certificate(cert).valid:
         raise InternalInvariantError("search produced an invalid certificate")
     return cert

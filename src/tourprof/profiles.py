@@ -277,12 +277,14 @@ def moments(t: Tournament, stats: EdgeStats | None = None) -> MomentReport:
 
 def x_cdf(t: Tournament, xs, stats: EdgeStats | None = None) -> np.ndarray:
     """phi(x) = fraction of directed edges with X >= x; nonincreasing,
-    phi(0) = 1."""
+    phi(0) = 1.  A NaN x is a ValueError."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if np.isnan(xs).any():
+        raise ValueError("x must not be NaN")
     if stats is None:
         stats = edge_stats(t)
     cyc_sorted = np.sort(stats.cyc)
     e = len(cyc_sorted)
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     thresholds = xs * (t.n - 2)
     counts = e - np.searchsorted(cyc_sorted, thresholds, side="left")
     return counts / e
@@ -463,36 +465,22 @@ def verify_identities(t: Tournament) -> IdentityReport:
     p3 = profile3(t)
     p4 = profile4(t)
     s = edge_stats(t).sums()
-    checks = [
-        IdentityCheck("four_profile_total",
-                      p4.t4_count + p4.c4_count + p4.w_count + p4.l_count
-                      == comb(n, 4),
-                      p4.t4_count + p4.c4_count + p4.w_count + p4.l_count,
-                      comb(n, 4)),
-        IdentityCheck("t4_minus_c4_density",
-                      (p4.t4_count - p4.c4_count) * comb(n, 3)
-                      == (comb(n, 3) - 4 * p3.c3_count) * comb(n, 4),
-                      (p4.t4_count - p4.c4_count) * comb(n, 3),
-                      (comb(n, 3) - 4 * p3.c3_count) * comb(n, 4)),
-        IdentityCheck("triangle_link",
-                      2 * p4.c4_count + p4.w_count + p4.l_count
-                      == (n - 3) * p3.c3_count,
-                      2 * p4.c4_count + p4.w_count + p4.l_count,
-                      (n - 3) * p3.c3_count),
-        IdentityCheck("sum_cyc", s["cyc"] == 3 * p3.c3_count,
-                      s["cyc"], 3 * p3.c3_count),
-        IdentityCheck("sum_thru", s["thru"] == p3.t3_count,
-                      s["thru"], p3.t3_count),
-        IdentityCheck("sum_comb2_cyc", s["comb2_cyc"] == p4.c4_count,
-                      s["comb2_cyc"], p4.c4_count),
-        IdentityCheck("sum_comb2_thru", s["comb2_thru"] == p4.t4_count,
-                      s["comb2_thru"], p4.t4_count),
-        IdentityCheck("sum_cyc_thru", s["cyc_thru"] == 2 * p4.c4_count,
-                      s["cyc_thru"], 2 * p4.c4_count),
+    c3, t3 = p3.c3_count, p3.t3_count
+    t4, c4, w, l = p4.t4_count, p4.c4_count, p4.w_count, p4.l_count
+    sides = [
+        ("four_profile_total", t4 + c4 + w + l, comb(n, 4)),
+        ("t4_minus_c4_density", (t4 - c4) * comb(n, 3),
+         (comb(n, 3) - 4 * c3) * comb(n, 4)),
+        ("triangle_link", 2 * c4 + w + l, (n - 3) * c3),
+        ("sum_cyc", s["cyc"], 3 * c3),
+        ("sum_thru", s["thru"], t3),
+        ("sum_comb2_cyc", s["comb2_cyc"], c4),
+        ("sum_comb2_thru", s["comb2_thru"], t4),
+        ("sum_cyc_thru", s["cyc_thru"], 2 * c4),
     ]
+    checks = [IdentityCheck(name, lhs == rhs, lhs, rhs)
+              for name, lhs, rhs in sides]
     if n % 2 == 1:
-        checks.append(IdentityCheck(
-            "c3_regular_max",
-            4 * (n - 2) * p3.c3_count <= (n + 1) * comb(n, 3),
-            4 * (n - 2) * p3.c3_count, (n + 1) * comb(n, 3)))
+        lhs, rhs = 4 * (n - 2) * c3, (n + 1) * comb(n, 3)
+        checks.append(IdentityCheck("c3_regular_max", lhs <= rhs, lhs, rhs))
     return IdentityReport(n=n, checks=checks)

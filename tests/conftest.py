@@ -5,8 +5,8 @@ and know nothing about the library's counting kernels; they are the
 ground truth the fast paths are checked against.
 """
 
-from itertools import combinations
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -70,6 +70,49 @@ def brute_counts3_via_matrix(dense: np.ndarray):
     a = dense.astype(np.int64)
     p2 = a @ a
     return int((a * p2.T).sum()) // 3
+
+
+def _placement_probability(host: Tournament, parts, test) -> float:
+    """Probability that k vertices placed in the given host parts induce
+    a tournament passing `test`; pairs in a common part are fair coins."""
+    k = len(parts)
+    free = [(i, j) for i, j in combinations(range(k), 2)
+            if parts[i] == parts[j]]
+    hits = 0
+    for bits in range(1 << len(free)):
+        mat = [[0] * k for _ in range(k)]
+        for i, j in combinations(range(k), 2):
+            if parts[i] != parts[j]:
+                mat[i][j] = int(host.orient(parts[i], parts[j]))
+            else:
+                mat[i][j] = (bits >> free.index((i, j))) & 1
+            mat[j][i] = 1 - mat[i][j]
+        if test(mat):
+            hits += 1
+    return hits / (1 << len(free))
+
+
+def brute_blowup_profile(host: Tournament, weights):
+    """Asymptotic (c3, c4) of the blow-up of `host` with part weights
+    `weights`, by enumerating part multisets of 3 and 4 vertices and
+    every orientation of their same-part pairs."""
+    def is_cyclic3(mat):
+        return all(sum(row) == 1 for row in mat)
+
+    def is_c4(mat):
+        return sorted(sum(row) for row in mat) == [1, 1, 2, 2]
+
+    out = []
+    for k, test in ((3, is_cyclic3), (4, is_c4)):
+        total = 0.0
+        for parts in combinations_with_replacement(range(host.n), k):
+            count = factorial(k)
+            for part in set(parts):
+                count //= factorial(parts.count(part))
+            mass = count * prod(weights[part] for part in parts)
+            total += mass * _placement_probability(host, parts, test)
+        out.append(total)
+    return tuple(out)
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,10 @@ from tourprof.bounds import (REPLACE_THRESHOLD, conjectured_min_c4,
                              min_fourth_power_sum, mix_profile_prediction,
                              predict_blowup_profile, replace_step,
                              ub_c4_from_c3, ub_c4_from_t4, ub_t4_from_t3)
-from tourprof.core import BlowupSpec, cyclic, transitive
+from tourprof.core import BlowupSpec, cyclic, random_tournament, transitive
 from tourprof import rng
+
+from conftest import brute_blowup_profile
 
 
 def test_lower_bound_anchor_values():
@@ -166,6 +168,33 @@ def test_predict_blowup_profile_exact_values():
     spec = BlowupSpec(cyclic(3), (1 / 3, 1 / 3, 1 / 3))
     c3, c4 = predict_blowup_profile(spec)
     assert c3 == pytest.approx(1 / 4, abs=1e-12)
+
+
+def _random_weights(stream, m):
+    w = [0.05 + stream.next_uniform() for _ in range(m)]
+    return tuple(x / sum(w) for x in w)
+
+
+def test_predict_blowup_profile_matches_brute_force():
+    stream = rng.Stream(rng.derive(17, 0xB10))
+    hosts = [random_tournament(m, seed=m + 10 * s)
+             for m in range(1, 7) for s in range(3)]
+    hosts += [cyclic(3), cyclic(5)]
+    for host in hosts:
+        w = _random_weights(stream, host.n)
+        got = predict_blowup_profile(BlowupSpec(host, w))
+        want = brute_blowup_profile(host, w)
+        assert got == pytest.approx(want, abs=1e-14, rel=0)
+
+
+def test_predict_blowup_profile_transitive_closed_form():
+    stream = rng.Stream(rng.derive(19, 0xB10))
+    for m in range(1, 9):
+        w = _random_weights(stream, m)
+        c3, c4 = predict_blowup_profile(BlowupSpec(transitive(m), w))
+        assert c3 == pytest.approx(sum(x**3 for x in w) / 4, abs=1e-15, rel=0)
+        assert c4 == pytest.approx(3 * sum(x**4 for x in w) / 8, abs=1e-15,
+                                   rel=0)
 
 
 def test_curve_dataset_fig4():

@@ -54,6 +54,16 @@ def test_gen_blowup_spec_example(tmp_path, capsys):
     assert abs(profile3(read_trn(path)).c3 - 1 / 16) <= 0.005
 
 
+def test_gen_blowup_non_finite_weights_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "b.trn"
+    code, out, err = run(capsys, "gen", "blowup", "--host", "T2",
+                         "--weights", "nan,0.5", "--n", "10",
+                         "--out", str(path))
+    assert code == 2 and out == ""
+    assert "weights must be finite" in err
+    assert not path.exists()
+
+
 def test_profile_inline_constructions(capsys):
     code, out, _ = run(capsys, "profile", "transitive:10")
     assert code == 0
@@ -163,6 +173,9 @@ def test_edge_stats_moments_and_cdf(capsys):
     code, out, _ = run(capsys, "edge-stats", "cyclic:5", "--cdf", "0")
     row = [ln for ln in out.splitlines() if not ln.startswith("#")][1]
     assert float(row.split(",")[2]) == 1.0
+    code, out, err = run(capsys, "edge-stats", "random:9,1", "--cdf", "nan")
+    assert code == 2 and out == ""
+    assert "x must not be NaN" in err
 
 
 def test_curve_fig4_contains_anchor(tmp_path, capsys):
@@ -200,8 +213,7 @@ def test_flags_table_and_search_verify_cycle(tmp_path, capsys):
 
     cert_path = tmp_path / "cert.txt"
     code, _, _ = run(capsys, "flags", "search", "--gamma", "0.0625",
-                     "--k", "3", "--iterations", "40",
-                     "--out", str(cert_path))
+                     "--k", "3", "--out", str(cert_path))
     assert code == 0
     code, out, _ = run(capsys, "verify", "--cert", str(cert_path))
     assert code == 0
@@ -247,15 +259,6 @@ def test_flags_moment_check_needs_input(capsys):
     code, out, err = run(capsys, "flags", "moment-check")
     assert code == 2 and out == ""
     assert "moment-check needs --in" in err
-
-
-def test_flags_search_negative_iterations_is_usage_error(tmp_path, capsys):
-    cert_path = tmp_path / "cert.txt"
-    code, out, err = run(capsys, "flags", "search", "--k", "3",
-                         "--iterations", "-5", "--out", str(cert_path))
-    assert code == 2 and out == ""
-    assert "iterations must be >= 0" in err
-    assert not cert_path.exists()
 
 
 def test_search_csv_schema(capsys):

@@ -149,6 +149,10 @@ def test_blowup_weight_validation():
         BlowupSpec(host=transitive(2), weights=(0.5,))
     with pytest.raises(TournamentError):
         BlowupSpec(host=transitive(2), weights=(1.1, -0.1))
+    for bad in ((float("nan"), 0.5), (float("inf"), 0.5),
+                (0.5, float("-inf"))):
+        with pytest.raises(TournamentError, match="weights must be finite"):
+            BlowupSpec(host=transitive(2), weights=bad)
 
 
 def test_blowup_c3_blowup_of_triangle():

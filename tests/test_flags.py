@@ -181,25 +181,39 @@ def test_lemma1_finite_slack_against_construction():
 
 def test_search_certificate_not_worse_than_lemma1():
     for g in (1 / 16, 0.25):
-        cert = search_certificate(g, k=3, iterations=80, seed=0)
+        cert = search_certificate(g, k=3)
         assert verify_certificate(cert).valid
         assert cert.lam >= 18 * g * g / (1 + 8 * g) - 1e-4
 
 
 def test_search_certificate_k4_valid_and_deterministic():
-    a = search_certificate(0.1, k=4, iterations=40, seed=5)
-    b = search_certificate(0.1, k=4, iterations=40, seed=5)
+    a = search_certificate(0.1, k=4)
+    b = search_certificate(0.1, k=4)
     assert verify_certificate(a).valid
     assert a.lam == b.lam and (a.q == b.q).all()
     with pytest.raises(ValueError):
         search_certificate(0.1, k=5)
 
 
-def test_search_certificate_iterations():
-    with pytest.raises(ValueError, match="iterations must be >= 0"):
-        search_certificate(0.1, k=3, iterations=-1)
-    cert = search_certificate(0.1, k=3, iterations=0)
-    assert verify_certificate(cert).valid
+# sha256 of certificate_to_text(search_certificate(gamma, k)), recorded
+# while a subgradient search still followed the two candidates; it never
+# changed a byte, so removing it must not either.
+CERT_SHA256 = {
+    (3, 0.03): "a9dd3dca264349b8a916a349be2fc190bfecf673cf600383f3a261be1dadc15a",
+    (4, 0.03): "e12f4fbc37c3f5c409cfec4ded364a062778d98edbc23ca2a192d7739c33ebe8",
+    (3, 1 / 16): "3a30afaf5a5af24d4dc02b585699427f43b4284abbd53ccc29cda75f40032e50",
+    (4, 1 / 16): "79043b2abeb176adba1d19fcefd1841b575214f551d9a8efd4973bd143e5d787",
+    (3, 0.1): "f29117a679e38adf2cd313560b4a05a9dfe7e16c5fcbfcd5a6b15460a22b99ce",
+    (4, 0.1): "097d114432b5371dd413f844f27714c37e1178179a4f08754f9eebd2d813fbb9",
+    (3, 1 / 4): "12d5e3f0953808c59b04c16101c57e9f6f548f258a899fcf1326dfb093792d84",
+    (4, 1 / 4): "6cfac512bb589ceeee299ebc907e908884d81162f35516e45be030e242c43b2b",
+}
+
+
+@pytest.mark.parametrize("k,gamma", sorted(CERT_SHA256))
+def test_search_certificate_golden_text(k, gamma):
+    text = certificate_to_text(search_certificate(gamma, k))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[k, gamma]
 
 
 def test_moment_consistency_random_small():

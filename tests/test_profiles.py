@@ -171,6 +171,9 @@ def test_x_cdf_basic_properties():
     xs = np.linspace(0, 1, 21)
     vals = [x_cdf(t, float(x)) for x in xs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+    for bad in (float("nan"), [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="x must not be NaN"):
+            x_cdf(t, bad)
 
 
 def test_x_cdf_triangle_blowup_step():
