@@ -144,7 +144,6 @@ def _profile_row(t: Tournament, args) -> int:
                 f"exact mode is mandatory for n <= {EXACT_PROFILE_MAX_N}")
         est = sample_profile4(t, samples=args.samples, seed=args.seed)
         dens = tuple(est.estimates[k] for k in ("T4", "C4", "W", "L"))
-        counts4 = None
     else:
         p4 = profile4(t)
         dens = (p4.t4, p4.c4, p4.w, p4.l)
@@ -154,8 +153,6 @@ def _profile_row(t: Tournament, args) -> int:
     print(",".join([str(t.n), _fmt(p3.t3), _fmt(p3.c3)]
                    + [_fmt(x) for x in dens]))
     if args.counts:
-        if counts4 is None:
-            raise ValueError("--counts requires exact mode")
         print("# counts")
         print(",".join(str(x) for x in
                        (t.n, p3.t3_count, p3.c3_count) + counts4))
@@ -163,10 +160,14 @@ def _profile_row(t: Tournament, args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    if args.counts and args.mode == "sample":
+        raise ValueError("--counts requires exact mode")
     return _profile_row(_make_input(args.input), args)
 
 
 def _cmd_edge_stats(args) -> int:
+    if args.moments and args.cdf is not None:
+        raise ValueError("edge-stats takes --moments or --cdf, not both")
     t = _make_input(args.input)
     stats = edge_stats(t)
     if args.moments:
@@ -274,6 +275,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cert and args.input:
+        raise ValueError("verify takes --cert or --in, not both")
     if args.cert:
         cert = flagmod.read_certificate(args.cert)
         report = flagmod.verify_certificate(cert)

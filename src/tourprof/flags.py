@@ -15,26 +15,29 @@ For flag order k the product expansion lives on tournament types of
 order N = 2k - 2.  For a type H, p_H(i, j) is the fraction of
 configurations (directed arc (u, v) of H, ordered split of the other
 N - 2 vertices into two (k-2)-sets) whose halves induce flags i and j.
-Every 4-subset of any tournament carries the same 12 configurations at
-k = 3 (90 at k = 4), which is what makes the finite-n moment
-consistency check exact.
+Every type carries the same number of configurations, 12 at k = 3 and
+90 at k = 4, so product_table stores the exact integer counts behind
+p_H as one int64 array (types, f, f), and p_H = counts[h] / total.  The
+same integers make the finite-n moment consistency check exact.
 
 A certificate (gamma, mu, lambda, Q) proves c4 >= lambda at c3 = gamma
 in the limit: it is valid when Q is positive semidefinite and
 
     kappa_H = d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> - lambda >= 0
 
-for every type H of order 2k - 2.  lemma1_certificate gives the
-closed-form k = 3 certificate; search_certificate returns the better of
-it (lifted to 4-flags at k = 4) and the zero certificate, and does not
-search beyond those two candidates.
+for every type H of order 2k - 2.  One evaluator, _kappas, computes
+every kappa_H + lambda from the counts array, for both
+verify_certificate and search_certificate.  lemma1_certificate gives
+the closed-form k = 3 certificate; search_certificate returns the
+better of it (lifted to 4-flags at k = 4) and the zero certificate, and
+does not search beyond those two candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb, isfinite
 from typing import Optional
@@ -42,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (DataFormatError, InternalInvariantError, Tournament,
-                   _upper_code, from_code)
+                   from_code)
 from .profiles import classify4, edge_stats, profile3, profile4
 
 MAX_TYPE_ORDER = 6
@@ -117,12 +120,6 @@ def enumerate_types(k: int) -> tuple:
     return types
 
 
-def _flag_code(dense: np.ndarray, order: tuple) -> int:
-    """Canonical code of the flag induced on `order` (labeled pair first)
-    of `dense`."""
-    return int(_canonical_map(len(order), 2)[_upper_code(dense, order)])
-
-
 @lru_cache(maxsize=None)
 def enumerate_flags(k: int) -> tuple:
     """All flags of order k in {2, 3, 4} over the edge type, sorted by
@@ -152,6 +149,17 @@ def flag_index_by_name(k: int, name: str) -> int:
     raise ValueError(f"no flag named {name!r} at order {k}")
 
 
+def _induced_codes(dense: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Codes (core.canonical_code bit convention) of the tournaments that
+    each vertex order orders[c] = (o_0, ..., o_{m-1}) induces in dense,
+    one (n, n) matrix or a stack (..., n, n) of them.  One gather reads
+    every order's upper-triangle bits."""
+    m = orders.shape[-1]
+    i, j = np.triu_indices(m, 1)
+    weights = np.int64(1) << np.arange(len(i) - 1, -1, -1, dtype=np.int64)
+    return dense[..., orders[:, i], orders[:, j]].astype(np.int64) @ weights
+
+
 def subtype_density(small: TournamentType, big) -> Fraction:
     """Exact density of type `small` among |small|-subsets of `big` (a
     TournamentType or a Tournament)."""
@@ -159,28 +167,40 @@ def subtype_density(small: TournamentType, big) -> Fraction:
     kin = small.order
     if kin > t.n:
         raise ValueError("subtype larger than the host tournament")
-    canon = _canonical_map(kin)
-    dense = t.dense().astype(np.uint8)
-    hits = 0
-    total = 0
-    for sub in combinations(range(t.n), kin):
-        total += 1
-        if int(canon[_upper_code(dense, sub)]) == small.code:
-            hits += 1
-    return Fraction(hits, total)
+    subsets = np.array(list(combinations(range(t.n), kin)),
+                       dtype=np.intp).reshape(-1, kin)
+    codes = _canonical_map(kin)[_induced_codes(t.dense(), subsets)]
+    return Fraction(int((codes == small.code).sum()), len(subsets))
 
 
 @dataclass(frozen=True)
 class ProductTable:
-    """Exact flag pair expansion over types of order 2k - 2: tables maps
-    a type code to the f x f matrix of Fractions p_H(i, j); each matrix
-    sums to 1 (total configurations: 12 at k = 3, 90 at k = 4)."""
+    """Exact flag pair expansion over the types of order 2k - 2.
+
+    counts[h, i, j] is the number of configurations of type types[h]
+    (an arc u -> v and an ordered split of the other vertices into two
+    (k-2)-sets) whose halves induce flags i and j, so p_H(i, j) =
+    counts[h, i, j] / total (total = 12 at k = 3, 90 at k = 4) and each
+    counts[h] sums to total.  counts is a read-only int64 array of shape
+    (types, f, f); tables is the same data as a dict from type code to
+    an f x f tuple of Fractions, built on first use."""
     k: int
     type_order: int
     flags: tuple
     types: tuple
     total: int
-    tables: dict
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def tables(self) -> dict:
+        return {h.code: tuple(tuple(Fraction(c, self.total) for c in row)
+                              for row in mat)
+                for h, mat in zip(self.types, self.counts.tolist())}
 
 
 @lru_cache(maxsize=None)
@@ -189,40 +209,49 @@ def product_table(k: int) -> ProductTable:
         raise ValueError("product tables support k = 3 or 4")
     n_big = 2 * k - 2
     flags = enumerate_flags(k)
-    fidx = {f.code: f.index for f in flags}
     types = enumerate_types(n_big)
     total = comb(n_big, 2) * comb(n_big - 2, k - 2)
-    tables = {}
-    for h in types:
-        dense = h.rep.dense().astype(np.uint8)
-        counts = [[0] * len(flags) for _ in range(len(flags))]
-        arcs = np.argwhere(h.rep.dense())
-        nconf = 0
-        for u, v in arcs:
-            rest = tuple(w for w in range(n_big) if w not in (int(u), int(v)))
-            for a_side in combinations(rest, k - 2):
-                b_side = tuple(w for w in rest if w not in a_side)
-                i = fidx[_flag_code(dense, (int(u), int(v)) + a_side)]
-                j = fidx[_flag_code(dense, (int(u), int(v)) + b_side)]
-                counts[i][j] += 1
-                nconf += 1
-        if nconf != total:
-            raise InternalInvariantError(
-                f"type {h.code}: {nconf} configurations, expected {total}")
-        tables[h.code] = tuple(tuple(Fraction(c, total) for c in row)
-                               for row in counts)
+    # A configuration is a vertex permutation (u, v, a-side, b-side)
+    # with each side in increasing order; its halves induce the flags of
+    # the vertex orders (u, v, a-side) and (u, v, b-side).
+    perms = np.array(list(permutations(range(n_big))), dtype=np.intp)
+    sides = perms[:, 2:].reshape(len(perms), 2, k - 2)
+    conf = perms[(np.diff(sides, axis=2) > 0).all(axis=(1, 2))]
+    dense = np.stack([h.rep.dense() for h in types])
+    flag_codes = np.array([fl.code for fl in flags])
+    canon = _canonical_map(k, 2)
+    fa = np.searchsorted(flag_codes, canon[_induced_codes(dense, conf[:, :k])])
+    fb = np.searchsorted(flag_codes, canon[_induced_codes(
+        dense, np.concatenate([conf[:, :2], conf[:, k:]], axis=1))])
+    arc = dense[:, conf[:, 0], conf[:, 1]]
+    counts = np.zeros((len(types), len(flags), len(flags)), dtype=np.int64)
+    np.add.at(counts, (np.nonzero(arc)[0], fa[arc], fb[arc]), 1)
+    if (counts.sum(axis=(1, 2)) != total).any():
+        raise InternalInvariantError(
+            f"a type does not have the expected {total} configurations")
     return ProductTable(k=k, type_order=n_big, flags=flags, types=types,
-                        total=total, tables=tables)
+                        total=total, counts=counts)
 
 
 @lru_cache(maxsize=None)
-def _type_densities(order: int, code: int) -> tuple:
-    """(d_C3, d_C4) of a type as exact Fractions."""
-    rep = from_code(code, order)
-    p3 = profile3(rep)
-    d_c3 = Fraction(p3.c3_count, comb(order, 3))
-    d_c4 = Fraction(profile4(rep).c4_count, comb(order, 4))
+def _cycle_densities(order: int, codes: tuple) -> tuple:
+    """(d_C3, d_C4): read-only float arrays of the cyclic triangle and
+    C4 densities of the types with these codes, in the given order."""
+    reps = [from_code(code, order) for code in codes]
+    d_c3 = np.array([profile3(r).c3_count for r in reps]) / comb(order, 3)
+    d_c4 = np.array([profile4(r).c4_count for r in reps]) / comb(order, 4)
+    d_c3.flags.writeable = d_c4.flags.writeable = False
     return d_c3, d_c4
+
+
+def _kappas(table: ProductTable, gamma: float, mu: float,
+            q: np.ndarray) -> np.ndarray:
+    """d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> for every type H of the
+    table, in type order (lambda not yet subtracted)."""
+    d_c3, d_c4 = _cycle_densities(table.type_order,
+                                  tuple(h.code for h in table.types))
+    p = table.counts / table.total
+    return d_c4 - mu * (d_c3 - gamma) - (p * q).sum(axis=(1, 2))
 
 
 # -- certificates ----------------------------------------------------------
@@ -255,23 +284,19 @@ class CertVerification:
     kappas: dict
 
 
-def verify_certificate(cert: Certificate, k: Optional[int] = None) -> CertVerification:
+def verify_certificate(cert: Certificate) -> CertVerification:
     """Check Q >= 0 (eigenvalue tolerance 1e-9 * (1 + ||Q||_F)) and
-    kappa_H >= -1e-9 for every type H of order 2k - 2."""
-    if k is not None and k != cert.k:
-        raise ValueError(f"certificate is for k={cert.k}, not k={k}")
+    kappa_H >= -1e-9 for every type H of order 2k - 2, in floating point:
+    kappas maps each type code to kappa_H = d_C4(H) - mu (d_C3(H) -
+    gamma) - <Q, p_H> - lambda, with p_H read from product_table(k)."""
     table = product_table(cert.k)
     q = cert.q
     eigs = np.linalg.eigvalsh(q)
     min_eig = float(eigs[0])
     psd_ok = min_eig >= -PSD_TOL * (1.0 + float(np.linalg.norm(q)))
-    kappas = {}
-    for h in table.types:
-        d_c3, d_c4 = _type_densities(h.order, h.code)
-        p = np.array(table.tables[h.code], dtype=np.float64)
-        kappa = (float(d_c4) - cert.mu * (float(d_c3) - cert.gamma)
-                 - float((q * p).sum()) - cert.lam)
-        kappas[h.code] = kappa
+    kappas = dict(zip((h.code for h in table.types),
+                      (_kappas(table, cert.gamma, cert.mu, q)
+                       - cert.lam).tolist()))
     min_kappa = min(kappas.values())
     return CertVerification(valid=psd_ok and min_kappa >= -KAPPA_TOL,
                             lam=cert.lam, min_kappa=min_kappa,
@@ -288,11 +313,18 @@ def _lemma1_parameters(gamma: float) -> tuple:
     return t, mu, lam
 
 
-def _v3_coeffs(t: float) -> dict:
-    """Coefficients of t*X - Z in the 3-flag basis.  With the unit
-    1 = cyc + thru + dom_out + dom_in and Z = 1 + 2X - 2Y this is
-    (t - 3) cyc + thru - dom_out - dom_in."""
-    return {"cyc": t - 3.0, "thru": 1.0, "dom_out": -1.0, "dom_in": -1.0}
+def _lemma1_q(t: float, k: int) -> np.ndarray:
+    """Q = (6/t^2) v v^T for the k-flags.  The 3-flag basis expresses
+    t X - Z as (t - 3) cyc + thru - dom_out - dom_in (the unit is
+    1 = cyc + thru + dom_out + dom_in and Z = 1 + 2X - 2Y); v gives each
+    k-flag the mean of those coefficients over its unlabeled vertices w
+    (E_w of the form, written as a k-flag sum)."""
+    # coeff[u -> w, v -> w] = [[dom_in, cyc], [thru, dom_out]]
+    coeff = np.array([[-1.0, t - 3.0], [1.0, -1.0]])
+    reps = np.stack([f.rep.dense() for f in enumerate_flags(k)])
+    v = coeff[reps[:, 0, 2:].astype(np.intp),
+              reps[:, 1, 2:].astype(np.intp)].mean(axis=1)
+    return (6.0 / (t * t)) * np.outer(v, v)
 
 
 def lemma1_certificate(gamma: float) -> Certificate:
@@ -301,25 +333,7 @@ def lemma1_certificate(gamma: float) -> Certificate:
     expresses t X - Z in the 3-flag basis.  Certifies
     lambda = 18 gamma^2 / (1 + 8 gamma) with every kappa_H = 0."""
     t, mu, lam = _lemma1_parameters(gamma)
-    flags = enumerate_flags(3)
-    coeff = _v3_coeffs(t)
-    v = np.array([coeff[f.name] for f in flags])
-    q = (6.0 / (t * t)) * np.outer(v, v)
-    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam, q=q)
-
-
-def _lift_v3_to_k4(t: float) -> np.ndarray:
-    """k=4 warm start: each 4-flag G gets the average of the 3-flag
-    coefficients of its two unlabeled vertices (E_w phi as a 4-flag sum)."""
-    coeff = _v3_coeffs(t)
-    out = []
-    for f in enumerate_flags(4):
-        vals = []
-        for w in (2, 3):
-            pat = (int(f.rep.orient(0, w)), int(f.rep.orient(1, w)))
-            vals.append(coeff[FLAG3_NAMES[pat]])
-        out.append(0.5 * (vals[0] + vals[1]))
-    return np.array(out)
+    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam, q=_lemma1_q(t, 3))
 
 
 def search_certificate(gamma: float, k: int = 3) -> Certificate:
@@ -339,22 +353,11 @@ def search_certificate(gamma: float, k: int = 3) -> Certificate:
     t, mu1, _ = _lemma1_parameters(gamma)
     table = product_table(k)
     f = len(table.flags)
-    p_mats = np.array([[[float(x) for x in row] for row in table.tables[h.code]]
-                       for h in table.types])
-    d3 = np.array([float(_type_densities(h.order, h.code)[0])
-                   for h in table.types])
-    d4 = np.array([float(_type_densities(h.order, h.code)[1])
-                   for h in table.types])
 
     def min_kappa(q, mu):
-        return (d4 - mu * (d3 - gamma) - (p_mats * q).sum(axis=(1, 2))).min()
+        return _kappas(table, gamma, mu, q).min()
 
-    if k == 3:
-        v = np.array([_v3_coeffs(t)[fl.name] for fl in table.flags])
-    else:
-        v = _lift_v3_to_k4(t)
-    candidates = [(np.zeros((f, f)), 0.0),
-                  ((6.0 / (t * t)) * np.outer(v, v), mu1)]
+    candidates = [(np.zeros((f, f)), 0.0), (_lemma1_q(t, k), mu1)]
     q, mu = max(candidates, key=lambda c: min_kappa(*c))
     cert = Certificate(k=k, gamma=gamma, mu=float(mu),
                        lam=float(min_kappa(q, mu)) - 1e-12, q=q)
@@ -374,47 +377,31 @@ class MomentConsistency:
     all_ok: bool
 
 
-def moment_consistency_check(t: Tournament, k: int = 3) -> MomentConsistency:
-    """Exact finite-n check that edge-level flag pair counts match the
-    product-table expansion: for 3-flags i, j,
+def moment_consistency_check(t: Tournament) -> MomentConsistency:
+    """Exact finite-n check that edge-level 3-flag pair counts match the
+    product-table expansion: with N[e, i] the count of flag i at edge e,
 
-        sum_e [N_i(e) N_j(e) - delta_ij N_i(e)]
-            = 12 * sum_H p_H(i, j) * count_H(t)
+        N^T N - diag(sum_e N[e]) = sum_H count_H(t) * counts[H]
 
-    because every 4-subset contributes exactly its 12 configurations.
-    Only k = 3 is implemented (the right side needs the 4-profile)."""
-    if k != 3:
-        raise ValueError("moment consistency is implemented for k = 3 only")
+    because every 4-subset contributes exactly its 12 configurations
+    (the table's total at k = 3), so the right side needs only the
+    4-profile.  Both sides are exact Python integers."""
     if t.n < 6:
         raise ValueError("moment consistency needs n >= 6")
     table = product_table(3)
     stats = edge_stats(t)
-    by_name = {"cyc": stats.cyc, "thru": stats.thru,
-               "dom_out": stats.dom_out, "dom_in": stats.dom_in}
-    counts_by_flag = [by_name[f.name].astype(object) for f in table.flags]
+    n_flag = np.stack([getattr(stats, f.name) for f in table.flags],
+                      axis=1).astype(object)
+    lhs = n_flag.T @ n_flag - np.diag(n_flag.sum(axis=0))
     p4 = profile4(t)
-    type_count = {}
-    for h in table.types:
-        name = classify4(h.rep)
-        type_count[h.code] = getattr(p4, f"{name.lower()}_count")
-    entries = {}
-    ok = True
-    for i in range(len(table.flags)):
-        for j in range(len(table.flags)):
-            ni, nj = counts_by_flag[i], counts_by_flag[j]
-            lhs = int((ni * nj).sum())
-            if i == j:
-                lhs -= int(ni.sum())
-            rhs = 0
-            for h in table.types:
-                contrib = table.tables[h.code][i][j] * 12 * type_count[h.code]
-                rhs += contrib
-            if rhs.denominator != 1:
-                raise InternalInvariantError("non-integer configuration count")
-            rhs = int(rhs)
-            entries[(i, j)] = (lhs, rhs)
-            ok = ok and lhs == rhs
-    return MomentConsistency(n=t.n, k=3, entries=entries, all_ok=ok)
+    type_count = np.array([getattr(p4, f"{classify4(h.rep).lower()}_count")
+                           for h in table.types], dtype=object)
+    rhs = np.tensordot(type_count, table.counts.astype(object), axes=1)
+    f = len(table.flags)
+    entries = {(i, j): (int(lhs[i, j]), int(rhs[i, j]))
+               for i in range(f) for j in range(f)}
+    return MomentConsistency(n=t.n, k=3, entries=entries,
+                             all_ok=all(a == b for a, b in entries.values()))
 
 
 # -- FLAGCERT v1 ------------------------------------------------------------
@@ -514,9 +501,13 @@ def table_from_text(text: str) -> ProductTable:
     if k not in (3, 4) or f != FLAG_COUNTS[k]:
         raise DataFormatError(f"line 1: inconsistent k={k}, f={f}")
     n_big = 2 * k - 2
+    expected_total = comb(n_big, 2) * comb(n_big - 2, k - 2)
+    if total != expected_total:
+        raise DataFormatError(
+            f"line 1: total must be {expected_total} for k={k}, got {total}")
     flags = enumerate_flags(k)
     types = []
-    tables = {}
+    counts = []
 
     def fields(ln):
         if ln >= len(lines):
@@ -541,17 +532,24 @@ def table_from_text(text: str) -> ProductTable:
                 raise DataFormatError(
                     f"line {ln + 1}: expected {f} fractions, got {len(parts)}")
             try:
-                mat.append(tuple(Fraction(x) for x in parts))
+                row = [Fraction(x) * total for x in parts]
             except (ValueError, ZeroDivisionError):
                 raise DataFormatError(f"line {ln + 1}: bad fraction") from None
+            if any(c.denominator != 1 or not 0 <= c <= total for c in row):
+                raise DataFormatError(
+                    f"line {ln + 1}: entries must be multiples of 1/{total} "
+                    f"in [0, 1]")
+            mat.append([int(c) for c in row])
             ln += 1
         types.append(TournamentType(n_big, code, len(types), from_code(code, n_big)))
-        tables[code] = tuple(mat)
-    for code, mat in tables.items():
-        if sum(sum(row) for row in mat) != 1:
-            raise DataFormatError(f"table for type {code} does not sum to 1")
+        counts.append(mat)
+    for h, mat in zip(types, counts):
+        if sum(map(sum, mat)) != total:
+            raise DataFormatError(f"table for type {h.code} does not sum to 1")
     return ProductTable(k=k, type_order=n_big, flags=flags,
-                        types=tuple(types), total=total, tables=tables)
+                        types=tuple(types), total=total,
+                        counts=np.array(counts, dtype=np.int64).reshape(
+                            len(types), f, f))
 
 
 def write_table(table: ProductTable, path) -> None:

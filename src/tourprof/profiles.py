@@ -38,8 +38,6 @@ from .core import InternalInvariantError, Tournament, TournamentError
 
 FOUR_TYPES = ("T4", "C4", "W", "L")
 
-EXACT_MOMENT_MAX_N = 1000
-
 
 def _comb2(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.int64, copy=False)
@@ -239,16 +237,16 @@ def edge_stats(t: Tournament) -> EdgeStats:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Moments of (X, Y, Z) over a uniformly random directed edge.
-    Exact rationals for n <= 1000, floats beyond."""
+    """Moments of (X, Y, Z) over a uniformly random directed edge, as
+    exact Fractions."""
     n: int
-    ex: object
-    ey: object
-    exx: object
-    exy: object
-    eyy: object
-    ezz: object
-    var_x: object
+    ex: Fraction
+    ey: Fraction
+    exx: Fraction
+    exy: Fraction
+    eyy: Fraction
+    ezz: Fraction
+    var_x: Fraction
 
     def as_floats(self) -> dict:
         return {k: float(getattr(self, k))
@@ -264,12 +262,11 @@ def moments(t: Tournament, stats: EdgeStats | None = None) -> MomentReport:
     s = stats.sums()
     m = comb(n, 2)
     k = n - 2
-    num = Fraction if n <= EXACT_MOMENT_MAX_N else float
-    ex = num(s["cyc"]) / (m * k)
-    ey = num(s["thru"]) / (m * k)
-    exx = num(s["cyc"] + 2 * s["comb2_cyc"]) / (m * k * k)
-    eyy = num(s["thru"] + 2 * s["comb2_thru"]) / (m * k * k)
-    exy = num(s["cyc_thru"]) / (m * k * k)
+    ex = Fraction(s["cyc"], m * k)
+    ey = Fraction(s["thru"], m * k)
+    exx = Fraction(s["cyc"] + 2 * s["comb2_cyc"], m * k * k)
+    eyy = Fraction(s["thru"] + 2 * s["comb2_thru"], m * k * k)
+    exy = Fraction(s["cyc_thru"], m * k * k)
     ezz = 1 + 4 * ex - 4 * ey + 4 * exx - 8 * exy + 4 * eyy
     return MomentReport(n=n, ex=ex, ey=ey, exx=exx, exy=exy, eyy=eyy,
                         ezz=ezz, var_x=exx - ex * ex)

@@ -5,13 +5,13 @@ and know nothing about the library's counting kernels; they are the
 ground truth the fast paths are checked against.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 
-from tourprof.core import Tournament
+from tourprof.core import Tournament, _upper_code
 
 
 def brute_profile3(t: Tournament):
@@ -70,6 +70,35 @@ def brute_counts3_via_matrix(dense: np.ndarray):
     a = dense.astype(np.int64)
     p2 = a @ a
     return int((a * p2.T).sum()) // 3
+
+
+def brute_product_counts(k: int) -> np.ndarray:
+    """Flag pair counts (types, f, f) of the order 2k - 2 types, by
+    walking every configuration: an arc u -> v of the type, and an
+    ordered split of the other vertices into an a-side and a b-side.
+    Each side's flag code is the least code over the relabelings of its
+    unlabeled vertices."""
+    from tourprof.flags import enumerate_flags, enumerate_types
+
+    n_big = 2 * k - 2
+    fidx = {f.code: f.index for f in enumerate_flags(k)}
+    types = enumerate_types(n_big)
+    counts = np.zeros((len(types), len(fidx), len(fidx)), dtype=np.int64)
+
+    def flag(dense, u, v, side):
+        return fidx[min(_upper_code(dense, (u, v) + rest)
+                        for rest in permutations(side))]
+
+    for h in types:
+        dense = h.rep.dense()
+        for u, v in zip(*np.nonzero(dense)):
+            u, v = int(u), int(v)
+            rest = tuple(w for w in range(n_big) if w not in (u, v))
+            for a_side in combinations(rest, k - 2):
+                b_side = tuple(w for w in rest if w not in a_side)
+                counts[h.index, flag(dense, u, v, a_side),
+                       flag(dense, u, v, b_side)] += 1
+    return counts
 
 
 def _placement_probability(host: Tournament, parts, test) -> float:

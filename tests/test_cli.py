@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from tourprof import cli, profiles
 from tourprof.cli import main
 from tourprof.core import read_trn
+from tourprof.flags import search_certificate, write_certificate
 from tourprof.profiles import profile3, profile4
 
 
@@ -109,6 +111,10 @@ def test_profile_sample_mode_guard(capsys):
                        "--mode", "sample")
     assert code == 2
     assert "exact mode is mandatory" in err
+    code, out, err = run(capsys, "profile", "random:2001,1", "--mode",
+                         "sample", "--samples", "10", "--counts")
+    assert code == 2 and out == ""
+    assert "--counts requires exact mode" in err
 
 
 def test_profile_malformed_file_is_data_error(tmp_path, capsys):
@@ -176,6 +182,10 @@ def test_edge_stats_moments_and_cdf(capsys):
     code, out, err = run(capsys, "edge-stats", "random:9,1", "--cdf", "nan")
     assert code == 2 and out == ""
     assert "x must not be NaN" in err
+    code, out, err = run(capsys, "edge-stats", "cyclic:5", "--moments",
+                         "--cdf", "0.3")
+    assert code == 2 and out == ""
+    assert "--moments or --cdf, not both" in err
 
 
 def test_curve_fig4_contains_anchor(tmp_path, capsys):
@@ -245,6 +255,41 @@ def test_verify_identities_path(capsys):
 def test_verify_needs_an_argument(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
+
+
+def test_verify_cert_and_in_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    write_certificate(search_certificate(0.1, 3), path)
+    code, out, err = run(capsys, "verify", "--cert", str(path),
+                         "--in", "cyclic:5")
+    assert code == 2 and out == ""
+    assert "--cert or --in, not both" in err
+
+
+# sha256 of the `verify --cert` CSV below the banner for the certificate
+# that search_certificate(gamma, k) writes, recorded while the product
+# tables were still stored as Fractions.
+VERIFY_CSV_SHA256 = {
+    (3, 0.03): "bb6b5dbf4723613cff0256ebca89b39acf286e5f1f618b183d2bd943e20013fa",
+    (3, 1 / 16): "5ffcdadac681b09cd1f3e938f63e7c9f8311e799fc11f9d0d28e475a142a7e33",
+    (3, 0.1): "fed9590d12dc89efef841881e7b9f76e5dc798b1450e7fa6549885a8b6a21313",
+    (3, 1 / 4): "f4b358f68b14b185c8b3df23923528b9d7473c8263bb7b9868806b4dae474fe0",
+    (4, 0.03): "51d3aa72c856cfd6d84a394e87fa36fcbf58d682fc30c555eb082175f3c2f098",
+    (4, 1 / 16): "102109f9649d5643195b0f9e7cce16684b8f3ba6de229fa3021bd034a97079fe",
+    (4, 0.1): "f4c52c37c59961656a40f6bbee680a1eeb72d4b9206143b684c577e04ae38e4a",
+    (4, 1 / 4): "ce8646de9926b4f44b0d56d701d9aa1b3857df4e6ccac8f866594e1433121737",
+}
+
+
+@pytest.mark.parametrize("k,gamma", sorted(VERIFY_CSV_SHA256))
+def test_verify_cert_csv_golden(tmp_path, capsys, k, gamma):
+    path = tmp_path / "cert.txt"
+    write_certificate(search_certificate(gamma, k), path)
+    code, out, _ = run(capsys, "verify", "--cert", str(path))
+    assert code == 0 and out.startswith("# tourprof ")
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        VERIFY_CSV_SHA256[k, gamma]
 
 
 def test_flags_moment_check(capsys):

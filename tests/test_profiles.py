@@ -151,7 +151,7 @@ def test_moments_cyclic5():
 
 
 def test_moment_identities_exact(small_random_tournaments):
-    for t in small_random_tournaments[:10]:
+    for t in small_random_tournaments[:10] + [random_tournament(1001, seed=4)]:
         n = t.n
         rep = moments(t)
         p3, p4 = profile3(t), profile4(t)
