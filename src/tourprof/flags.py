@@ -505,8 +505,10 @@ def table_from_text(text: str) -> ProductTable:
     if total != expected_total:
         raise DataFormatError(
             f"line 1: total must be {expected_total} for k={k}, got {total}")
-    flags = enumerate_flags(k)
-    types = []
+    types = enumerate_types(n_big)
+    if ntypes != len(types):
+        raise DataFormatError(
+            f"line 1: types must be {len(types)} for k={k}, got {ntypes}")
     counts = []
 
     def fields(ln):
@@ -515,7 +517,7 @@ def table_from_text(text: str) -> ProductTable:
         return lines[ln].split()
 
     ln = 1
-    for _ in range(ntypes):
+    for h in types:
         head = fields(ln)
         if len(head) != 2 or head[0] != "type":
             raise DataFormatError(f"line {ln + 1}: expected 'type <code>'")
@@ -524,6 +526,9 @@ def table_from_text(text: str) -> ProductTable:
         except ValueError:
             raise DataFormatError(
                 f"line {ln + 1}: bad type code {head[1]!r}") from None
+        if code != h.code:
+            raise DataFormatError(
+                f"line {ln + 1}: expected type {h.code}, got {code}")
         ln += 1
         mat = []
         for r in range(f):
@@ -541,13 +546,12 @@ def table_from_text(text: str) -> ProductTable:
                     f"in [0, 1]")
             mat.append([int(c) for c in row])
             ln += 1
-        types.append(TournamentType(n_big, code, len(types), from_code(code, n_big)))
         counts.append(mat)
     for h, mat in zip(types, counts):
         if sum(map(sum, mat)) != total:
             raise DataFormatError(f"table for type {h.code} does not sum to 1")
-    return ProductTable(k=k, type_order=n_big, flags=flags,
-                        types=tuple(types), total=total,
+    return ProductTable(k=k, type_order=n_big, flags=enumerate_flags(k),
+                        types=types, total=total,
                         counts=np.array(counts, dtype=np.int64).reshape(
                             len(types), f, f))
 

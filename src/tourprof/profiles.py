@@ -15,11 +15,12 @@ e = (u -> v) and a third vertex w there are four patterns:
 
 These satisfy cyc + thru + dom_out + dom_in = n - 2 per edge, and the
 4-counts fall out of pair sums: sum_e C(cyc, 2) counts C4, sum_e
-C(thru, 2) counts T4.  One matrix product gives all four: with the path
-matrix P2 = A A (a single float32 GEMM, n^3 multiply-adds), cyc(e) =
-P2[v, u] and thru(e) = P2[u, v]; with out-degrees d, dom_out(e) =
-d_u - 1 - thru(e) and dom_in(e) = n - 2 - d_v - thru(e).  No 4-subset
-is ever enumerated.
+C(thru, 2) counts T4.  One matrix product measures the first two: with
+the path matrix P2 = A A (a single float32 GEMM, n^3 multiply-adds),
+cyc(e) = P2[v, u] and thru(e) = P2[u, v], read at the arcs by
+`_arc_paths` alone.  The other two are derived, not measured: with
+out-degrees d, dom_out(e) = d_u - 1 - thru(e) and dom_in(e) =
+n - 2 - d_v - thru(e).  No 4-subset is ever enumerated.
 
 The per-edge random variables are X = cyc/(n-2), Y = thru/(n-2) and
 Z = 1 + 2(X - Y), an edge drawn uniformly.
@@ -39,14 +40,14 @@ from .core import InternalInvariantError, Tournament, TournamentError
 FOUR_TYPES = ("T4", "C4", "W", "L")
 
 
-def _comb2(a: np.ndarray) -> np.ndarray:
+def _sum_comb2(a: np.ndarray) -> int:
     a = a.astype(np.int64, copy=False)
-    return a * (a - 1) // 2
+    return int((a * (a - 1) // 2).sum())
 
 
-def _comb3(a: np.ndarray) -> np.ndarray:
+def _sum_comb3(a: np.ndarray) -> int:
     a = a.astype(np.int64, copy=False)
-    return a * (a - 1) * (a - 2) // 6
+    return int((a * (a - 1) * (a - 2) // 6).sum())
 
 
 # float32 has a 24-bit significand: every partial sum of the GEMM is an
@@ -68,25 +69,13 @@ def paths_matrix(t: Tournament) -> np.ndarray:
     return (a32 @ a32).astype(np.int64)
 
 
-def _arc_pair_sums(p2: np.ndarray, a: np.ndarray) -> tuple[int, int]:
-    """(c4, t4) = (sum C(cyc, 2), sum C(thru, 2)) over the arcs of the
-    adjacency matrix a, read off its path matrix p2."""
-    return int(_comb2(p2.T[a]).sum()), int(_comb2(p2[a]).sum())
-
-
-def _arc_stats(t: Tournament) -> tuple:
-    """(u, v, cyc, thru, dom_out, dom_in) over the arcs u -> v in
-    row-major order.  The other out-neighbours of u split into thru and
-    dom_out, the other in-neighbours of v into thru and dom_in."""
-    n = t.n
-    p2 = paths_matrix(t).ravel()
-    d = t.out_degrees()
-    flat = np.flatnonzero(t.dense())            # u * n + v
-    u = np.repeat(np.arange(n, dtype=np.int64), d)
-    v = flat - u * n
-    thru = p2[flat]
-    return (u, v, p2[v * n + u], thru, np.repeat(d - 1, d) - thru,
-            (n - 2 - d)[v] - thru)
+def _arc_paths(p2: np.ndarray, a: np.ndarray):
+    """Yield cyc = P2[v, u], then thru = P2[u, v], over the arcs u -> v
+    of a in np.argwhere (row-major) order: the one reader of P2 at the
+    arcs, lazy so that a caller can reduce cyc before thru is gathered.
+    The take equals p2[a] at a third of the cost."""
+    yield p2.T[a]
+    yield p2.take(np.flatnonzero(a))
 
 
 @dataclass(frozen=True)
@@ -140,9 +129,6 @@ class Profile4Counts:
     def l(self) -> float:
         return self.l_count / comb(self.n, 4)
 
-    def density(self, name: str) -> float:
-        return getattr(self, name.lower())
-
 
 def profile3(t: Tournament) -> Profile3Counts:
     """Goodman: #C3 = C(n, 3) - sum_v C(outdeg(v), 2)."""
@@ -150,7 +136,7 @@ def profile3(t: Tournament) -> Profile3Counts:
     if n < 3:
         return Profile3Counts(n, 0, 0)
     d = t.out_degrees()
-    c3 = comb(n, 3) - int(_comb2(d).sum())
+    c3 = comb(n, 3) - _sum_comb2(d)
     return Profile3Counts(n, comb(n, 3) - c3, c3)
 
 
@@ -168,10 +154,11 @@ def profile4(t: Tournament) -> Profile4Counts:
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    c4, t4 = _arc_pair_sums(paths_matrix(t), t.dense())
+    # map reduces cyc to c4 before _arc_paths gathers thru
+    c4, t4 = map(_sum_comb2, _arc_paths(paths_matrix(t), t.dense()))
     d = t.out_degrees()
-    l_count = int(_comb3(d).sum()) - t4
-    w_count = int(_comb3(n - 1 - d).sum()) - t4
+    l_count = _sum_comb3(d) - t4
+    w_count = _sum_comb3(n - 1 - d) - t4
     rest = comb(n, 4) - c4 - w_count - l_count
     if rest != t4:
         raise InternalInvariantError(
@@ -200,29 +187,51 @@ def classify4(t: Tournament) -> str:
 
 @dataclass(frozen=True)
 class EdgeStats:
-    """Per-directed-edge third-vertex counts, edges in ascending (u, v)."""
+    """Per-directed-edge third-vertex counts, arcs u -> v in np.argwhere
+    (row-major) order.  Stores what the kernel measures, cyc and thru,
+    next to the tournament's read-only adjacency matrix (shared, not
+    copied); edges, dom_out and dom_in are derived from the out-degrees
+    on each access."""
     n: int
-    edges: np.ndarray      # (E, 2) int64, E = C(n, 2)
-    cyc: np.ndarray        # (E,) int64
-    thru: np.ndarray
-    dom_out: np.ndarray
-    dom_in: np.ndarray
+    cyc: np.ndarray        # (E,) int64, E = C(n, 2)
+    thru: np.ndarray       # (E,) int64
+    a: np.ndarray          # (n, n) bool, read-only
 
     def __post_init__(self):
-        total = self.cyc + self.thru + self.dom_out + self.dom_in
-        if not (total == self.n - 2).all():
+        # cyc + thru + dom_out + dom_in = n - 2, with the dom identities
+        # substituted: cyc - thru = d_v - d_u + 1
+        d = self._out_degrees()
+        gap = self.cyc - self.thru + np.repeat(d, d) - self._at_head(d)
+        if not (gap == 1).all():
             raise InternalInvariantError("cyc+thru+dom_out+dom_in != n-2")
 
-    def x_values(self) -> np.ndarray:
-        return self.cyc / (self.n - 2)
+    def _out_degrees(self) -> np.ndarray:
+        return self.a.sum(axis=1, dtype=np.int64)
+
+    def _at_head(self, x: np.ndarray) -> np.ndarray:
+        """x[v] for each arc u -> v."""
+        return x.take(np.flatnonzero(self.a) % self.n)
+
+    @property
+    def edges(self) -> np.ndarray:        # (E, 2) int64 rows (u, v)
+        return np.argwhere(self.a)
+
+    @property
+    def dom_out(self) -> np.ndarray:
+        d = self._out_degrees()
+        return np.repeat(d - 1, d) - self.thru
+
+    @property
+    def dom_in(self) -> np.ndarray:
+        return self._at_head(self.n - 2 - self._out_degrees()) - self.thru
 
     def sums(self) -> dict:
         """Exact integer pair sums used by the moment identities."""
         return {
             "cyc": int(self.cyc.sum()),
             "thru": int(self.thru.sum()),
-            "comb2_cyc": int(_comb2(self.cyc).sum()),
-            "comb2_thru": int(_comb2(self.thru).sum()),
+            "comb2_cyc": _sum_comb2(self.cyc),
+            "comb2_thru": _sum_comb2(self.thru),
             "cyc_thru": int((self.cyc * self.thru).sum()),
         }
 
@@ -230,9 +239,8 @@ class EdgeStats:
 def edge_stats(t: Tournament) -> EdgeStats:
     if t.n < 3:
         raise TournamentError("edge stats need n >= 3")
-    u, v, cyc, thru, dom_out, dom_in = _arc_stats(t)
-    return EdgeStats(n=t.n, edges=np.stack([u, v], axis=1), cyc=cyc,
-                     thru=thru, dom_out=dom_out, dom_in=dom_in)
+    cyc, thru = _arc_paths(paths_matrix(t), t.dense())
+    return EdgeStats(n=t.n, cyc=cyc, thru=thru, a=t.dense())
 
 
 @dataclass(frozen=True)
@@ -343,8 +351,7 @@ class FlipState:
 
     `flip` adds that delta to the counts and commits the flip as a
     rank-1 update of rows and columns src and dst of P2.  c3 and c4 fix
-    t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4; W and L are
-    recounted on demand (counts4)."""
+    t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
         self.n = t.n
@@ -353,7 +360,7 @@ class FlipState:
         self.a = t.dense().copy()
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
-        self.c4_count = _arc_pair_sums(self.p2, self.a)[0]
+        self.c4_count = _sum_comb2(next(_arc_paths(self.p2, self.a)))
 
     # -- derived views --------------------------------------------------
 
@@ -365,13 +372,6 @@ class FlipState:
     def t4_count(self) -> int:
         n = self.n
         return self.c4_count + (comb(n, 3) - 4 * self.c3_count) * (n - 3) // 4
-
-    def counts4(self) -> Profile4Counts:
-        """Full 4-profile; W/L are recounted from scratch here."""
-        p4 = profile4(self.tournament())
-        if (p4.c4_count, p4.t4_count) != (self.c4_count, self.t4_count):
-            raise InternalInvariantError("incremental c4/t4 drifted from recount")
-        return p4
 
     # -- incremental update ----------------------------------------------
 
@@ -423,7 +423,7 @@ class FlipState:
         p2 = paths_matrix(t)
         if not np.array_equal(p2, self.p2):
             raise InternalInvariantError("P2 matrix drifted")
-        c4, t4 = _arc_pair_sums(p2, t.dense())
+        c4, t4 = map(_sum_comb2, _arc_paths(p2, t.dense()))
         if (profile3(t).c3_count, c4, t4) != \
                 (self.c3_count, self.c4_count, self.t4_count):
             raise InternalInvariantError("incremental counts drifted")

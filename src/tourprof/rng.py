@@ -48,11 +48,6 @@ def values(seed: int, start: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def uniform01(seed: int, index: int) -> float:
-    """Stream value mapped to [0, 1) with 64-bit resolution."""
-    return value(seed, index) / _TWO64
-
-
 def derive(seed: int, tag: int) -> int:
     """A decorrelated child seed; tag distinguishes substreams."""
     return mix64((seed ^ mix64(tag)) & MASK64)

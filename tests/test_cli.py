@@ -188,6 +188,26 @@ def test_edge_stats_moments_and_cdf(capsys):
     assert "--moments or --cdf, not both" in err
 
 
+# sha256 of the per-arc `edge-stats` CSV below the banner (header and
+# every row), recorded while EdgeStats still stored the edges and the
+# dom_out and dom_in arrays.
+EDGE_STATS_CSV_SHA256 = {
+    "cyclic:9": "d03e0a2528362f997bfc188912b092f5e458ec52f56d307d3525fec0df998bb5",
+    "random:40,3": "893efb385911df9b0001f7d25383fbb2a7eb29ce44d46f1633901c452e9fed33",
+    "interval:12,7": "6fa258b6b1463f7c61b0437396541427d1d85957868cb5c167dd397a0d303cdd",
+    "transitive:6": "916219290be031cb8252a36403526dc3eae6b16acb46e76841d1c14a1f732fd0",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EDGE_STATS_CSV_SHA256))
+def test_edge_stats_csv_golden(capsys, spec):
+    code, out, _ = run(capsys, "edge-stats", spec)
+    assert code == 0 and out.startswith("# tourprof ")
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        EDGE_STATS_CSV_SHA256[spec]
+
+
 def test_curve_fig4_contains_anchor(tmp_path, capsys):
     out_path = tmp_path / "c.csv"
     code, _, _ = run(capsys, "curve", "--fig", "4", "--grid", "5",

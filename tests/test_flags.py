@@ -296,6 +296,20 @@ def test_flagtab_errors():
     lines[1] = "type x"
     with pytest.raises(DataFormatError, match="line 2: bad type code 'x'"):
         table_from_text("\n".join(lines) + "\n")
+    # type lines must list the order-4 types 0, 2, 8, 9, once each, in order
+    for row, new, frag in ((6, "type 0", "line 7: expected type 2, got 0"),
+                           (11, "type 77", "line 12: expected type 8, got 77"),
+                           (1, "type 2", "line 2: expected type 0, got 2")):
+        lines = good.splitlines()
+        lines[row] = new
+        with pytest.raises(DataFormatError, match=frag):
+            table_from_text("\n".join(lines) + "\n")
+    for ntypes in ("2", "-1", "5"):
+        lines = good.splitlines()
+        lines[0] = f"FLAGTAB v1 3 4 {ntypes} 12"
+        with pytest.raises(DataFormatError,
+                           match=f"line 1: types must be 4 for k=3, got {ntypes}"):
+            table_from_text("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("edit,frag", [

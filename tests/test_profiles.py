@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -84,6 +85,7 @@ def test_edge_stats_matches_brute(small_random_tournaments,
                                  small_named_tournaments):
     for t in small_random_tournaments + small_named_tournaments:
         st = edge_stats(t)
+        assert st.a is t.dense()
         got = list(zip((int(u) for u, _ in st.edges),
                        (int(v) for _, v in st.edges),
                        st.cyc.tolist(), st.thru.tolist(),
@@ -127,6 +129,15 @@ def test_edge_stats_cyclic5_sums():
     assert s["cyc"] == 15                      # 3 * #C3
     assert s["comb2_cyc"] == 5                 # #C4
     assert (st.cyc + st.thru + st.dom_out + st.dom_in == 3).all()
+
+
+def test_edge_stats_invariant_guard():
+    st = edge_stats(random_tournament(11, seed=6))
+    cyc = st.cyc.copy()
+    cyc[7] += 1
+    with pytest.raises(InternalInvariantError,
+                       match=r"cyc\+thru\+dom_out\+dom_in != n-2"):
+        replace(st, cyc=cyc)
 
 
 def test_edge_stat_identities_on_randoms(small_random_tournaments):
@@ -261,9 +272,6 @@ def test_flip_state_tracks_recount_n128():
         if (i + 1) % 1000 == 0:
             assert c3 == brute_counts3_via_matrix(a)
             st.audit()
-    p4 = st.counts4()
-    b4 = profile4(st.tournament())
-    assert p4 == b4
 
 
 def test_flip_state_c4_t4_track_recount():
