@@ -6,9 +6,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from tourprof.core import (InternalInvariantError, Tournament, TournamentError,
-                           cyclic, from_matrix, interval, random_tournament,
-                           transitive)
+from tourprof.core import (BlowupSpec, InternalInvariantError, Tournament,
+                           TournamentError, blowup, cyclic, from_matrix,
+                           interval, random_tournament, transitive)
 from tourprof.profiles import (EdgeStats, FlipState, Profile4Counts,
                                _check_float32_exact, classify4, edge_stats,
                                moments, paths_matrix, profile3, profile4,
@@ -293,6 +293,31 @@ def test_flip_state_c4_t4_track_recount():
         p4 = profile4(t)
         assert (st.c4_count, st.t4_count) == (p4.c4_count, p4.t4_count)
         assert st.c3_count == profile3(t).c3_count
+
+
+@pytest.mark.parametrize("t", [
+    cyclic(7), transitive(6), interval(9, 6),
+    blowup(BlowupSpec(host=cyclic(3), weights=(0.5, 0.3, 0.2)), 10, seed=5),
+], ids=["cyclic7", "transitive6", "interval9_6", "blowup_c3_10"])
+def test_flip_state_delta_exhaustive(t):
+    # every pair, both argument orders: delta is the change that the
+    # exact profiles measure on the flipped tournament, and flip makes it
+    c3, c4 = profile3(t).c3_count, profile4(t).c4_count
+    for u in range(t.n):
+        for v in range(t.n):
+            if u == v:
+                continue
+            a = t.dense().copy()
+            a[u, v], a[v, u] = a[v, u], a[u, v]
+            flipped = Tournament(a)
+            want = (profile3(flipped).c3_count - c3,
+                    profile4(flipped).c4_count - c4)
+            st = FlipState(t)
+            assert st.delta(u, v) == want, (u, v)
+            st.flip(u, v)
+            assert (st.c3_count - c3, st.c4_count - c4) == want, (u, v)
+            assert st.tournament() == flipped
+            st.audit()
 
 
 @pytest.mark.parametrize("u, v", [(2, 2), (0, 7), (-1, 3)])

@@ -62,6 +62,20 @@ def test_anneal_golden_output():
         (34, 65, 352)
 
 
+def test_anneal_golden_output_n64():
+    # 6 300 proposals and about 18 000 stream draws at n = 64.
+    res = anneal(64, 0.1, seed=7,
+                 schedule=AnnealSchedule(moves=6000, warmup=300))
+    text = to_trn_text(res.tournament)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+        "63eec78893cca74a76650297b022d4e6b793b0c7241f4cc8f6e86a4b449bcc11"
+    assert (res.profile3.c3_count, res.profile4.c4_count, res.accepted) == \
+        (4106, 63457, 1014)
+    assert repr(res.temperature0) == "0.0003172497831098126"
+    assert repr(res.objective) == "0.10092395055838535"
+    assert repr(res.initial_objective) == "0.10780635386365418"
+
+
 def test_anneal_validation():
     with pytest.raises(ValueError):
         anneal(6, 0.1, seed=0)
