@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__, bounds, flags as flagmod, search as searchmod
 from .core import (BlowupSpec, DataFormatError, InternalInvariantError,
                    MixSpec, Tournament, blowup, cyclic, flip_perturb,
@@ -186,10 +188,24 @@ def _cmd_edge_stats(args) -> int:
         return 0
     _banner()
     print("u,v,cyc,thru,dom_out,dom_in")
-    for (u, v), c, h, do, di in zip(stats.edges, stats.cyc, stats.thru,
-                                    stats.dom_out, stats.dom_in):
-        print(f"{u},{v},{c},{h},{do},{di}")
+    _write_rows(sys.stdout, (*stats.edges.T, stats.cyc, stats.thru,
+                             stats.dom_out, stats.dom_in))
     return 0
+
+
+_CSV_CHUNK = 1 << 14
+
+
+def _write_rows(out, columns) -> None:
+    """Write equal-length integer columns as CSV rows, _CSV_CHUNK rows
+    per write: each chunk is formatted by one %-operation over its
+    flattened values, which is far faster than a format per row and
+    keeps the Python objects to one chunk's worth."""
+    row = ",".join(["%d"] * len(columns)) + "\n"
+    fmt = row * _CSV_CHUNK
+    for i in range(0, len(columns[0]), _CSV_CHUNK):
+        block = np.column_stack([c[i:i + _CSV_CHUNK] for c in columns])
+        out.write(fmt[:len(block) * len(row)] % tuple(block.ravel().tolist()))
 
 
 def _cmd_curve(args) -> int:

@@ -339,19 +339,28 @@ class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
-    Keeps the path matrix P2[a, b] = #{w : a -> w -> b}.  `delta` prices
-    reversing the arc src -> dst from P2 without changing any state: with
-    p = P2[src, dst], q = P2[dst, src], F = {x : src -> x -> dst} and
-    B = {x : dst -> x -> src},
+    Keeps the path matrix P2[a, b] = #{w : a -> w -> b}.  `arc_delta`
+    prices reversing the arc src -> dst from P2 without changing any
+    state: with p = P2[src, dst], q = P2[dst, src], F = {x : src -> x ->
+    dst} and B = {x : dst -> x -> src},
 
         dc3 = p - q
         dc4 = C(p, 2) - C(q, 2) + 2q
               - sum_{x in B} (P2[src, x] + P2[x, dst])
               + sum_{x in F} (P2[dst, x] + P2[x, src]).
 
-    `flip` adds that delta to the counts and commits the flip as a
-    rank-1 update of rows and columns src and dst of P2.  c3 and c4 fix
-    t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
+    Both sets are read from rows of A alone: off the diagonal, column x
+    of A is the complement of row x, so B = {x : A[dst, x] > A[src, x]}
+    and F plus dst itself is {x : A[src, x] > A[dst, x]}.  The term of
+    dst in that sum is P2[dst, dst] + P2[dst, src] = q, which turns the
+    2q above into q.
+
+    `commit` adds a priced delta to the counts and reverses the arc as a
+    rank-1 update of rows and columns src and dst of P2; the annealer
+    orients and prices each proposal once and commits what it priced.
+    `delta(u, v)` and `flip(u, v)` do the same for an unordered pair,
+    checked.  c3 and c4 fix t4 through
+    t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
         self.n = t.n
@@ -381,22 +390,25 @@ class FlipState:
             raise TournamentError(f"bad pair ({u}, {v})")
         return (u, v) if self.a[u, v] else (v, u)
 
-    def delta(self, u: int, v: int) -> tuple[int, int]:
-        """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
-        src, dst = self._arc(u, v)
-        a, p2 = self.a, self.p2
-        p, q = int(p2[src, dst]), int(p2[dst, src])
-        fwd = a[src, :] & a[:, dst]
-        back = a[dst, :] & a[:, src]
-        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2 + 2 * q
-               - int((p2[src, :] + p2[:, dst]) @ back)
-               + int((p2[dst, :] + p2[:, src]) @ fwd))
+    def arc_delta(self, src: int, dst: int) -> tuple[int, int]:
+        """(dc3, dc4) of reversing src -> dst, which must be a current
+        arc (not checked); the state is unchanged."""
+        p2 = self.p2
+        p2s, p2d = p2[src], p2[dst]
+        p, q = int(p2s[dst]), int(p2d[src])
+        rs, rd = self.a[src], self.a[dst]
+        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2 + q
+               - int((p2s + p2[:, dst]) @ (rd > rs))
+               + int((p2d + p2[:, src]) @ (rs > rd)))
         return p - q, dc4
 
-    def flip(self, u: int, v: int) -> None:
-        """Reverse the orientation of pair {u, v}."""
-        dc3, dc4 = self.delta(u, v)
-        src, dst = self._arc(u, v)
+    def delta(self, u: int, v: int) -> tuple[int, int]:
+        """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
+        return self.arc_delta(*self._arc(u, v))
+
+    def commit(self, src: int, dst: int, dc3: int, dc4: int) -> None:
+        """Reverse the current arc src -> dst (not checked) and add its
+        delta, as priced by arc_delta, to the counts."""
         a, p2 = self.a, self.p2
 
         # P2 updates for A[src,dst]: 1 -> 0 and A[dst,src]: 0 -> 1, using
@@ -416,17 +428,34 @@ class FlipState:
         self.c3_count += dc3
         self.c4_count += dc4
 
+    def flip(self, u: int, v: int) -> None:
+        """Reverse the orientation of pair {u, v}."""
+        src, dst = self._arc(u, v)
+        self.commit(src, dst, *self.arc_delta(src, dst))
+
     def audit(self) -> None:
-        """Recount P2, c3, c4 and t4 from scratch; raise on any drift
-        (t4 checks the identity that derives it from c3 and c4)."""
+        """Recount P2, c3, c4 and t4 from scratch; raise on any drift,
+        naming what drifted, n and both values (t4 checks the identity
+        that derives it from c3 and c4)."""
+        n = self.n
         t = self.tournament()
         p2 = paths_matrix(t)
         if not np.array_equal(p2, self.p2):
-            raise InternalInvariantError("P2 matrix drifted")
+            r, c = (int(i) for i in np.argwhere(p2 != self.p2)[0])
+            raise InternalInvariantError(
+                f"P2 matrix drifted at n={n}: first difference at "
+                f"({r}, {c}), tracked {int(self.p2[r, c])} vs recount "
+                f"{int(p2[r, c])}")
         c4, t4 = map(_sum_comb2, _arc_paths(p2, t.dense()))
-        if (profile3(t).c3_count, c4, t4) != \
-                (self.c3_count, self.c4_count, self.t4_count):
-            raise InternalInvariantError("incremental counts drifted")
+        recount = {"c3": profile3(t).c3_count, "c4": c4, "t4": t4}
+        tracked = {"c3": self.c3_count, "c4": self.c4_count,
+                   "t4": self.t4_count}
+        drifted = [f"{k} tracked {tracked[k]} vs recount {recount[k]}"
+                   for k in recount if tracked[k] != recount[k]]
+        if drifted:
+            raise InternalInvariantError(
+                f"incremental counts drifted at n={n}: "
+                + "; ".join(drifted))
 
 
 @dataclass(frozen=True)

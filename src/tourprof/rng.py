@@ -11,6 +11,11 @@ constructions assign stream index k to the k-th vertex pair in ascending
 lexicographic order (u, v), u < v, so edge draws always read the stream
 in ascending pair order and are bit-for-bit reproducible across platforms
 and numpy versions.
+
+`Stream` reads the same values sequentially.  It computes them BLOCK at
+a time with the vectorized `values` and hands them out one by one, so a
+draw costs a list read instead of a pure-Python mix64; which value the
+k-th draw returns does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
 _TWO64 = float(2**64)
+BLOCK = 512
 
 
 def mix64(z: int) -> int:
@@ -54,7 +60,10 @@ def derive(seed: int, tag: int) -> int:
 
 
 class Stream:
-    """Sequential cursor over the stream (used by the annealer).
+    """Sequential cursor over the stream (used by the annealer): the k-th
+    draw returns value(seed, start + k), and `cursor` is the index of the
+    next value.  Values are computed BLOCK at a time by `values` and
+    buffered; assigning `cursor` drops the buffer and moves the stream.
 
     Draw order is part of the reproducibility contract: callers document
     how many draws each step consumes.
@@ -64,10 +73,24 @@ class Stream:
         self.seed = seed & MASK64
         self.cursor = start
 
+    @property
+    def cursor(self) -> int:
+        return self._base + self._pos
+
+    @cursor.setter
+    def cursor(self, index: int) -> None:
+        self._base = index     # stream index of _buf[0]
+        self._buf = []
+        self._pos = 0
+
     def next_value(self) -> int:
-        v = value(self.seed, self.cursor)
-        self.cursor += 1
-        return v
+        pos = self._pos
+        if pos == len(self._buf):
+            self._base += pos
+            self._buf = values(self.seed, self._base, BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
 
     def next_uniform(self) -> float:
         return self.next_value() / _TWO64

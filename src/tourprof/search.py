@@ -5,8 +5,10 @@ objective
 
     c4 + penalty * (c3 - gamma)^2
 
-priced per proposal by FlipState.delta, which changes no state; only an
-accepted proposal is made with FlipState.flip.  The default penalty of 500
+Each proposal draws a pair, orients it once as its current arc and is
+priced by FlipState.arc_delta, which changes no state; an accepted
+proposal commits that same priced delta with FlipState.commit, so no
+delta is computed twice.  The default penalty of 500
 keeps the equilibrium drift |c3 - gamma| near sqrt(step)/(2*penalty),
 well under the 0.003 target at n = 64; small penalties let the chain
 buy quadratic penalty for linear c4 gain and collapse toward the
@@ -56,10 +58,14 @@ class AnnealSchedule:
             raise ValueError("audit_every must be positive")
 
 
-def _penalized(n: int, c3: int, c4: int, gamma: float,
-               penalty: float) -> float:
-    """c4 + penalty*(c3 - gamma)^2 at the densities of these counts."""
-    return c4 / comb(n, 4) + penalty * (c3 / comb(n, 3) - gamma) ** 2
+def _penalizer(n: int, gamma: float, penalty: float):
+    """The function (c3, c4) -> c4 + penalty*(c3 - gamma)^2 at the
+    densities of these counts on n vertices."""
+    c3_total, c4_total = comb(n, 3), comb(n, 4)
+
+    def penalized(c3: int, c4: int) -> float:
+        return c4 / c4_total + penalty * (c3 / c3_total - gamma) ** 2
+    return penalized
 
 
 def objective(subject, gamma: float, penalty: float = DEFAULT_PENALTY) -> float:
@@ -74,7 +80,7 @@ def objective(subject, gamma: float, penalty: float = DEFAULT_PENALTY) -> float:
         c3, c4 = profile3(subject).c3_count, profile4(subject).c4_count
     else:
         raise TypeError("objective expects a Tournament or FlipState")
-    return _penalized(subject.n, c3, c4, gamma, penalty)
+    return _penalizer(subject.n, gamma, penalty)(c3, c4)
 
 
 @dataclass(frozen=True)
@@ -128,27 +134,27 @@ def anneal(n: int, gamma: float, seed: int,
     schedule = schedule or AnnealSchedule()
 
     state = FlipState(_warm_start(n, gamma, seed))
-    cur = objective(state, gamma, penalty)
+    penalized = _penalizer(n, gamma, penalty)
+    cur = penalized(state.c3_count, state.c4_count)
     initial = cur
     stream = rng.Stream(rng.derive(seed, 0x5EED))
+    below, a = stream.next_below, state.a
 
     def propose():
         # Exactly two draws per proposal: second draw picks among the
-        # n - 1 vertices other than u.
-        u = stream.next_below(n)
-        r = stream.next_below(n - 1)
-        return u, r if r < u else r + 1
-
-    def price(u, v):
-        dc3, dc4 = state.delta(u, v)
-        return _penalized(n, state.c3_count + dc3, state.c4_count + dc4,
-                          gamma, penalty)
+        # n - 1 vertices other than u.  Returns the pair as its current
+        # arc (src, dst).
+        u = below(n)
+        r = below(n - 1)
+        v = r if r < u else r + 1
+        return (u, v) if a[u, v] else (v, u)
 
     # Warmup: price random proposals, without making them, to set T0 so
     # the median uphill move starts at acceptance probability 1/2.
     uphill = []
     for _ in range(schedule.warmup):
-        delta = price(*propose()) - cur
+        dc3, dc4 = state.arc_delta(*propose())
+        delta = penalized(state.c3_count + dc3, state.c4_count + dc4) - cur
         if delta > 0:
             uphill.append(delta)
     if uphill:
@@ -163,15 +169,16 @@ def anneal(n: int, gamma: float, seed: int,
     best_t = state.tournament()
     accepted = 0
     for _ in range(schedule.moves):
-        u, v = propose()
-        new = price(u, v)
+        src, dst = propose()
+        dc3, dc4 = state.arc_delta(src, dst)
+        new = penalized(state.c3_count + dc3, state.c4_count + dc4)
         delta = new - cur
         if delta <= 0.0:
             accept = True
         else:
             accept = stream.next_uniform() < math.exp(-delta / temp)
         if accept:
-            state.flip(u, v)
+            state.commit(src, dst, dc3, dc4)
             cur = new
             accepted += 1
             if cur < best - 1e-15:
@@ -183,9 +190,11 @@ def anneal(n: int, gamma: float, seed: int,
     state.audit()
 
     p3, p4 = profile3(best_t), profile4(best_t)
-    best_exact = _penalized(n, p3.c3_count, p4.c4_count, gamma, penalty)
+    best_exact = penalized(p3.c3_count, p4.c4_count)
     if abs(best_exact - best) > 1e-9:
-        raise InternalInvariantError("best-state bookkeeping diverged from recount")
+        raise InternalInvariantError(
+            f"best-state bookkeeping diverged from recount at n={n}: "
+            f"tracked objective {best!r} vs recount {best_exact!r}")
     # Sanity floor: no tournament can beat the Cauchy-Schwarz bound by
     # more than the finite-n correction; a violation means miscounting.
     c3f = min(p3.c3, 0.25)

@@ -320,6 +320,26 @@ def test_flip_state_delta_exhaustive(t):
             st.audit()
 
 
+def test_flip_state_audit_names_the_drift():
+    st = FlipState(random_tournament(12, seed=4))
+    c4, t4 = st.c4_count, st.t4_count
+    st.c4_count += 1
+    with pytest.raises(InternalInvariantError,
+                       match=rf"drifted at n=12: c4 tracked {c4 + 1} vs "
+                             rf"recount {c4}; t4 tracked {t4 + 1} vs "
+                             rf"recount {t4}$"):
+        st.audit()
+    st.c4_count -= 1
+    st.audit()
+    entry = int(st.p2[0, 1])
+    st.p2[0, 1] += 1
+    with pytest.raises(InternalInvariantError,
+                       match=rf"P2 matrix drifted at n=12: first difference "
+                             rf"at \(0, 1\), tracked {entry + 1} vs "
+                             rf"recount {entry}$"):
+        st.audit()
+
+
 @pytest.mark.parametrize("u, v", [(2, 2), (0, 7), (-1, 3)])
 def test_flip_state_bad_pair(u, v):
     st = FlipState(random_tournament(7, seed=2))

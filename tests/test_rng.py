@@ -12,6 +12,7 @@ def test_stream_reads_the_counter_stream_in_order():
     # Interleaved draw kinds from a nonzero start, far enough to cross
     # several buffer refills: draw i is always value(seed, start + i).
     seed, start, n = rng.derive(11, 0x5EED), 1_000_003, 37
+    assert 5000 > 3 * rng.BLOCK
     stream = rng.Stream(seed, start)
     assert stream.cursor == start
     for i in range(5000):
@@ -24,3 +25,15 @@ def test_stream_reads_the_counter_stream_in_order():
         else:
             assert stream.next_uniform() == want / 2.0**64
         assert stream.cursor == start + i + 1
+
+
+def test_stream_cursor_assignment_moves_the_stream():
+    seed = rng.derive(2, 0x5EED)
+    stream = rng.Stream(seed)
+    for _ in range(3):
+        stream.next_value()
+    stream.cursor = 10 * rng.BLOCK + 5
+    assert stream.next_value() == rng.value(seed, 10 * rng.BLOCK + 5)
+    stream.cursor = 1
+    assert stream.next_value() == rng.value(seed, 1)
+    assert stream.cursor == 2

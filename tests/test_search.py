@@ -1,10 +1,12 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
-from tourprof.core import (BlowupSpec, TournamentError, blowup,
-                           random_tournament, to_trn_text, transitive)
-from tourprof.profiles import FlipState
+from tourprof import search
+from tourprof.core import (BlowupSpec, InternalInvariantError, TournamentError,
+                           blowup, random_tournament, to_trn_text, transitive)
+from tourprof.profiles import FlipState, profile4
 from tourprof.search import (DEFAULT_GAMMAS, AnnealSchedule, anneal,
                              boundary_scan, objective)
 
@@ -74,6 +76,20 @@ def test_anneal_golden_output_n64():
     assert repr(res.temperature0) == "0.0003172497831098126"
     assert repr(res.objective) == "0.10092395055838535"
     assert repr(res.initial_objective) == "0.10780635386365418"
+
+
+def test_anneal_best_state_divergence_names_both_objectives(monkeypatch):
+    # a recount that disagrees with the tracked best by one 4-cycle
+    def off_by_one(t):
+        p4 = profile4(t)
+        return replace(p4, c4_count=p4.c4_count + 1,
+                       t4_count=p4.t4_count - 1)
+    monkeypatch.setattr(search, "profile4", off_by_one)
+    with pytest.raises(InternalInvariantError,
+                       match=r"diverged from recount at n=16: tracked "
+                             r"objective \S+ vs recount \S+$"):
+        anneal(16, 1 / 16, seed=3,
+               schedule=AnnealSchedule(moves=200, warmup=20))
 
 
 def test_anneal_validation():
