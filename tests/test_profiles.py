@@ -222,6 +222,8 @@ def test_sample_profile4_deterministic():
     a = sample_profile4(t, samples=500, seed=9)
     b = sample_profile4(t, samples=500, seed=9)
     assert a.counts == b.counts
+    # the draw order (redraw on a duplicate) and the classifier fix these
+    assert a.counts == {"T4": 195, "C4": 175, "W": 66, "L": 64}
 
 
 def test_profile4_counts_invariant_guard():
@@ -318,6 +320,34 @@ def test_flip_state_delta_exhaustive(t):
             assert (st.c3_count - c3, st.c4_count - c4) == want, (u, v)
             assert st.tournament() == flipped
             st.audit()
+
+
+def test_flip_state_delta_on_tied_warm_start():
+    # The n = 64 gamma = 1/16 warm start is a transitive blow-up, full of
+    # equal degrees and equal path counts.  500 seeded pairs, every third
+    # one committed: each delta is the change the exact profiles measure.
+    from tourprof.search import _warm_start
+    n = 64
+    t = _warm_start(n, 1 / 16, 0)
+    st = FlipState(t)
+    stream = rng.Stream(1616)
+    a = t.dense().copy()
+    c3, c4 = profile3(t).c3_count, profile4(t).c4_count
+    for i in range(500):
+        u = stream.next_below(n)
+        r = stream.next_below(n - 1)
+        v = r if r < u else r + 1
+        a[u, v], a[v, u] = a[v, u], a[u, v]
+        flipped = Tournament(a)
+        new3, new4 = profile3(flipped).c3_count, profile4(flipped).c4_count
+        assert st.delta(u, v) == (new3 - c3, new4 - c4), (i, u, v)
+        if i % 3 == 2:
+            st.flip(u, v)
+            c3, c4 = new3, new4
+        else:
+            a[u, v], a[v, u] = a[v, u], a[u, v]
+    assert (st.c3_count, st.c4_count) == (c3, c4)
+    st.audit()
 
 
 def test_flip_state_audit_names_the_drift():
