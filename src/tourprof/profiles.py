@@ -314,24 +314,29 @@ class SampleProfile4:
 def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     """Estimate the 4-profile by sampling `samples` uniform 4-subsets.
     Draw order: stream values are consumed sequentially; each vertex is
-    value * n >> 64, redrawn on duplicates within the current 4-set."""
+    value * n >> 64, redrawn on duplicates within the current 4-set.
+    The 4-sets are drawn first, then gathered and classified together
+    by their sorted score sequences."""
     if t.n < 4:
         raise TournamentError("sampling needs n >= 4")
     if samples < 1:
         raise TournamentError("samples must be >= 1")
     stream = rng.Stream(seed)
-    counts = dict.fromkeys(FOUR_TYPES, 0)
-    a = t.dense()
-    n = t.n
+    below, n = stream.next_below, t.n
+    picked = []
     for _ in range(samples):
-        picked = []
-        while len(picked) < 4:
-            v = stream.next_below(n)
-            if v not in picked:
-                picked.append(v)
-        sub = a[np.ix_(picked, picked)]
-        key = tuple(sorted(int(x) for x in sub.sum(axis=1)))
-        counts[_SCORES_TO_TYPE[key]] += 1
+        four = []
+        while len(four) < 4:
+            v = below(n)
+            if v not in four:
+                four.append(v)
+        picked.append(four)
+    p = np.array(picked, dtype=np.intp)
+    sub = t.dense()[p[:, :, None], p[:, None, :]]
+    scores = np.sort(sub.sum(axis=2), axis=1)
+    counts = dict.fromkeys(FOUR_TYPES, 0)
+    for key, k in zip(*np.unique(scores, axis=0, return_counts=True)):
+        counts[_SCORES_TO_TYPE[tuple(key.tolist())]] += int(k)
     return SampleProfile4(n=n, samples=samples, counts=counts)
 
 
@@ -339,37 +344,50 @@ class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
-    Keeps the path matrix P2[a, b] = #{w : a -> w -> b}.  `arc_delta`
-    prices reversing the arc src -> dst from P2 without changing any
-    state: with p = P2[src, dst], q = P2[dst, src], F = {x : src -> x ->
-    dst} and B = {x : dst -> x -> src},
+    Keeps A as an int64 matrix, the out-degree vector deg and the path
+    matrix P2[a, b] = #{w : a -> w -> b}.  For an arc u -> v, the n - 2
+    other vertices split into cyc = P2[v, u], thru = P2[u, v] and the
+    dominated counts deg[u] - 1 - thru and n - 2 - deg[v] - thru, which
+    sum to the degree identity
 
-        dc3 = p - q
-        dc4 = C(p, 2) - C(q, 2) + 2q
+        P2[v, u] = P2[u, v] + 1 + deg[v] - deg[u].
+
+    `arc_delta` prices reversing the arc src -> dst without changing any
+    state.  With p = P2[src, dst], q = P2[dst, src], F = {x : src -> x ->
+    dst} and B = {x : dst -> x -> src}, dc3 = p - q and
+
+        dc4 = C(p, 2) - C(q, 2) + q
               - sum_{x in B} (P2[src, x] + P2[x, dst])
-              + sum_{x in F} (P2[dst, x] + P2[x, src]).
+              + sum_{x in F + dst} (P2[dst, x] + P2[x, src]),
 
-    Both sets are read from rows of A alone: off the diagonal, column x
-    of A is the complement of row x, so B = {x : A[dst, x] > A[src, x]}
-    and F plus dst itself is {x : A[src, x] > A[dst, x]}.  The term of
-    dst in that sum is P2[dst, dst] + P2[dst, src] = q, which turns the
-    2q above into q.
+    where the term of dst itself is P2[dst, dst] + P2[dst, src] = q.
+    Each column entry there sits at an arc: dst -> x for x in B and
+    src -> x for x in F + dst, so the identity turns it into a row entry
+    plus 1 + deg[x] - deg[dst] or 1 + deg[x] - deg[src].  Since
+    |F + dst| = p + 1, |B| = q and the indicator of F + dst minus that
+    of B is the integer row difference A[src] - A[dst],
 
-    `commit` adds a priced delta to the counts and reverses the arc as a
-    rank-1 update of rows and columns src and dst of P2; the annealer
-    orients and prices each proposal once and commits what it priced.
-    `delta(u, v)` and `flip(u, v)` do the same for an unordered pair,
-    checked.  c3 and c4 fix t4 through
-    t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
+        dc4 = C(p, 2) - C(q, 2) + (p + 1)(1 - deg[src]) + q deg[dst]
+              + (P2[src] + P2[dst] + deg) . (A[src] - A[dst]):
+
+    two contiguous rows of P2 and of A, and one dot product.
+
+    `commit` adds a priced delta to the counts, moves one unit of
+    out-degree from src to dst and reverses the arc as a rank-1 update
+    of rows and columns src and dst of P2; the annealer orients and
+    prices each proposal once and commits what it priced.  `delta(u, v)`
+    and `flip(u, v)` do the same for an unordered pair, checked.  c3 and
+    c4 fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
         self.n = t.n
         if self.n < 4:
             raise TournamentError("FlipState needs n >= 4")
-        self.a = t.dense().copy()
+        self.a = t.dense().astype(np.int64)
+        self.deg = t.out_degrees()
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
-        self.c4_count = _sum_comb2(next(_arc_paths(self.p2, self.a)))
+        self.c4_count = _sum_comb2(next(_arc_paths(self.p2, t.dense())))
 
     # -- derived views --------------------------------------------------
 
@@ -393,13 +411,13 @@ class FlipState:
     def arc_delta(self, src: int, dst: int) -> tuple[int, int]:
         """(dc3, dc4) of reversing src -> dst, which must be a current
         arc (not checked); the state is unchanged."""
-        p2 = self.p2
-        p2s, p2d = p2[src], p2[dst]
-        p, q = int(p2s[dst]), int(p2d[src])
-        rs, rd = self.a[src], self.a[dst]
-        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2 + q
-               - int((p2s + p2[:, dst]) @ (rd > rs))
-               + int((p2d + p2[:, src]) @ (rs > rd)))
+        p2, deg, a = self.p2, self.deg, self.a
+        p, q = p2.item(src, dst), p2.item(dst, src)
+        w = p2[src] + p2[dst]
+        w += deg
+        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2
+               + (p + 1) * (1 - deg.item(src)) + q * deg.item(dst)
+               + int(w.dot(a[src] - a[dst])))
         return p - q, dc4
 
     def delta(self, u: int, v: int) -> tuple[int, int]:
@@ -422,8 +440,10 @@ class FlipState:
         p2[src, src] = 0
         p2[dst, dst] = 0
 
-        a[src, dst] = False
-        a[dst, src] = True
+        a[src, dst] = 0
+        a[dst, src] = 1
+        self.deg[src] -= 1
+        self.deg[dst] += 1
 
         self.c3_count += dc3
         self.c4_count += dc4
@@ -434,9 +454,9 @@ class FlipState:
         self.commit(src, dst, *self.arc_delta(src, dst))
 
     def audit(self) -> None:
-        """Recount P2, c3, c4 and t4 from scratch; raise on any drift,
-        naming what drifted, n and both values (t4 checks the identity
-        that derives it from c3 and c4)."""
+        """Recount P2, deg, c3, c4 and t4 from scratch; raise on any
+        drift, naming what drifted, n and both values (t4 checks the
+        identity that derives it from c3 and c4)."""
         n = self.n
         t = self.tournament()
         p2 = paths_matrix(t)
@@ -446,6 +466,13 @@ class FlipState:
                 f"P2 matrix drifted at n={n}: first difference at "
                 f"({r}, {c}), tracked {int(self.p2[r, c])} vs recount "
                 f"{int(p2[r, c])}")
+        deg = t.out_degrees()
+        if not np.array_equal(deg, self.deg):
+            x = int(np.flatnonzero(deg != self.deg)[0])
+            raise InternalInvariantError(
+                f"degree vector drifted at n={n}: first difference at "
+                f"vertex {x}, tracked {int(self.deg[x])} vs recount "
+                f"{int(deg[x])}")
         c4, t4 = map(_sum_comb2, _arc_paths(p2, t.dense()))
         recount = {"c3": profile3(t).c3_count, "c4": c4, "t4": t4}
         tracked = {"c3": self.c3_count, "c4": self.c4_count,

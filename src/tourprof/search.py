@@ -6,13 +6,14 @@ objective
     c4 + penalty * (c3 - gamma)^2
 
 Each proposal draws a pair, orients it once as its current arc and is
-priced by FlipState.arc_delta, which changes no state; an accepted
-proposal commits that same priced delta with FlipState.commit, so no
-delta is computed twice.  The default penalty of 500
-keeps the equilibrium drift |c3 - gamma| near sqrt(step)/(2*penalty),
-well under the 0.003 target at n = 64; small penalties let the chain
-buy quadratic penalty for linear c4 gain and collapse toward the
-transitive tournament.
+priced by FlipState.arc_delta, which changes no state and reads only
+two rows of P2, two rows of A and the out-degree vector (one dot
+product); an accepted proposal commits that same priced delta with
+FlipState.commit, so no delta is computed twice.  The default penalty
+of 500 keeps the equilibrium drift |c3 - gamma| near
+sqrt(step)/(2*penalty), well under the 0.003 target at n = 64; small
+penalties let the chain buy quadratic penalty for linear c4 gain and
+collapse toward the transitive tournament.
 
 boundary_scan compares annealed minima against the conjectured lower
 envelope and flags any point that lands more than a margin below it.

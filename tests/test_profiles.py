@@ -368,6 +368,15 @@ def test_flip_state_audit_names_the_drift():
                              rf"at \(0, 1\), tracked {entry + 1} vs "
                              rf"recount {entry}$"):
         st.audit()
+    st.p2[0, 1] -= 1
+    st.audit()
+    d3 = int(st.deg[3])
+    st.deg[3] += 1
+    with pytest.raises(InternalInvariantError,
+                       match=rf"degree vector drifted at n=12: first "
+                             rf"difference at vertex 3, tracked {d3 + 1} vs "
+                             rf"recount {d3}$"):
+        st.audit()
 
 
 @pytest.mark.parametrize("u, v", [(2, 2), (0, 7), (-1, 3)])
