@@ -4,12 +4,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from tourprof import rng
 from tourprof.core import (BlowupSpec, DataFormatError, MixSpec, Tournament,
-                           TournamentError, blowup, canonical_code, cyclic,
-                           flip_perturb, from_code, from_matrix, from_trn_text,
-                           interval, mix, pair_index, part_sizes,
-                           random_tournament, read_trn, to_trn_text,
-                           transitive, write_trn)
+                           TournamentError, _upper_code, blowup,
+                           canonical_code, cyclic, flip_perturb, from_code,
+                           from_matrix, from_trn_text, interval, mix,
+                           pair_index, part_sizes, random_tournament,
+                           read_trn, to_trn_text, transitive, write_trn)
 from tourprof.profiles import profile3, profile4
 
 from conftest import brute_profile3
@@ -233,11 +234,77 @@ def test_trn_text_golden_hashes():
         "12fad2bd6bf286c42037fc920448dded338c21d8d8d73e8dc86ceecc7e83ccdb":
             blowup(BlowupSpec(host=cyclic(3), weights=(0.5, 0.3, 0.2)), 40,
                    seed=5),
+        "e1c5e73a002091f0aee694ead60209889184b947dda05578681a86b7d6c2ea41":
+            flip_perturb(random_tournament(211, 2), 0.3, 5),
+        "63b5d9214e8a456b19235aba20583e17e4ff296eddd9447c22cb1e1a9d7d68da":
+            mix(cyclic(7), random_tournament(50, 1), MixSpec(0.5, 0.4), 4),
+        # parts of 18, 15, 12, 14 and 1 vertices over a random host
+        "fee73e1d82a72628c7cdbdd2cfd0613a83bd7a224af2a098fbdb332b7b112860":
+            blowup(BlowupSpec(host=random_tournament(5, 3),
+                              weights=(0.3, 0.25, 0.2, 0.24, 0.01)), 60,
+                   seed=7),
+        "32b6bb06b1b27f926a14305dd281d82e87b8434eaacb18e3ad3830b7b8945199":
+            transitive(1),
+        "5f0cf735bb08e6cfe6446dc38018875e9e5e26531bdbd095b85db523dc15ac69":
+            transitive(2),
+        "eb38ccc3c2be462613d1eece1a240fc8d91f7ea53aeb911cb61a9c7f4cea7c10":
+            transitive(9),
+        "44f37ae1243e10de303cd0b0f1334b11700870bc47e455a24831a66b45ad2d46":
+            transitive(64),
+        "5f11bcfec380c795454da0dfacb091be479a9098a3ebc85e550895bc7cb66d6e":
+            interval(3, 2),
+        "d87aa34d1728d19fc5e08dcffa3677f1bdcccd378828670d0422f9892b6be70f":
+            interval(10, 10),
+        "4166b131a8c6438e3cbb2cdaf739fbe255bdf80595033862a7b930ec74052fdf":
+            interval(45, 23),
     }
     for digest, t in golden.items():
         text = to_trn_text(t)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
         assert from_trn_text(text) == t
+
+
+def test_from_code_round_trips_every_code():
+    for n in range(1, 6):
+        for code in range(2 ** (n * (n - 1) // 2)):
+            t = from_code(code, n)
+            assert_tournament_valid(t)
+            assert _upper_code(t.dense(), range(n)) == code
+
+
+def _top_bit_zero(seed, u, v, n):
+    return rng.value(seed, pair_index(u, v, n)) >> 63 == 0
+
+
+def _below(seed, u, v, n, p):
+    return rng.value(seed, pair_index(u, v, n)) / 2**64 < p
+
+
+def test_constructions_follow_the_seed_contract_pair_by_pair():
+    # each stream-driven pair (u, v), u < v, reads stream value
+    # pair_index(u, v, n) of its seed, whatever the fill order
+    n, seed = 13, 21
+    t = random_tournament(n, seed)
+    base = cyclic(n)
+    flipped = flip_perturb(base, 0.3, seed)
+    host = cyclic(3)
+    blown = blowup(BlowupSpec(host=host, weights=(0.5, 0.4, 0.1)), n, seed)
+    owner = np.repeat(np.arange(3), part_sizes((0.5, 0.4, 0.1), n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert t.orient(u, v) == _top_bit_zero(seed, u, v, n)
+            assert (flipped.orient(u, v) != base.orient(u, v)) \
+                == _below(seed, u, v, n, 0.3)
+            a, b = owner[u], owner[v]
+            assert blown.orient(u, v) == (_top_bit_zero(seed, u, v, n)
+                                          if a == b else host.orient(a, b))
+    t1, t2 = transitive(4), random_tournament(6, 2)
+    m = mix(t1, t2, MixSpec(0.4, 0.6), seed)
+    assert m.subtournament(range(4)) == t1
+    assert m.subtournament(range(4, 10)) == t2
+    for u in range(4):
+        for v in range(4, 10):
+            assert m.orient(u, v) == _below(seed, u, v, 10, 0.6)
 
 
 def test_trn_accepts_crlf_blanks_and_trailing_lines():
