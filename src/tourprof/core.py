@@ -6,9 +6,10 @@ once built.
 
 Constructions: transitive, cyclic (odd order), interval tournaments,
 uniformly random, blow-ups with largest-remainder part sizes, random
-edge-flip perturbations, and the two-block random mix.  All randomness
-comes from the counter-based stream in `rng`, addressed at each pair's
-lexicographic index.
+edge-flip perturbations, and the two-block random mix.  Each states only
+its strict upper triangle; `_complete` sets the lower one.  Randomness
+comes from the counter-based stream in `rng` at each pair's lexicographic
+index, read row by row: pairs (u, lo..hi-1) are one contiguous run.
 """
 
 from __future__ import annotations
@@ -121,13 +122,30 @@ def from_matrix(matrix: Iterable[Iterable[int]]) -> Tournament:
 
 # -- constructions -------------------------------------------------------
 
+# An n x n bool matrix is n**2 bytes, 1 GiB at this order; a construction
+# peaks below 6 n**2 traced bytes, so below 6 GiB.
+_MAX_ORDER = 2**15
+
+
+def _check_order(n: int) -> None:
+    """Every construction calls this before it allocates."""
+    if n < 1:
+        raise TournamentError("n must be >= 1")
+    if n > _MAX_ORDER:
+        raise TournamentError(f"n={n} is over the limit of {_MAX_ORDER}")
+
+
+def _complete(upper: np.ndarray) -> Tournament:
+    """Tournament of `upper`'s strict upper triangle; overwrites the rest."""
+    np.copyto(upper, ~upper.T, where=np.tri(len(upper), k=-1, dtype=bool))
+    np.fill_diagonal(upper, False)
+    return Tournament(upper)
+
 
 def transitive(n: int) -> Tournament:
     """The transitive order: u -> v iff u < v."""
-    if n < 1:
-        raise TournamentError("n must be >= 1")
-    d = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return Tournament(d)
+    _check_order(n)
+    return _complete(np.tri(n, n, n, dtype=bool))
 
 
 def cyclic(n: int) -> Tournament:
@@ -136,9 +154,8 @@ def cyclic(n: int) -> Tournament:
     vertices, hence transitive, so these have no 4-vertex W/L patterns."""
     if n < 3 or n % 2 == 0:
         raise TournamentError("cyclic tournaments need odd n >= 3")
-    diff = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    d = (diff >= 1) & (diff <= (n - 1) // 2)
-    return Tournament(d)
+    _check_order(n)
+    return _complete(np.tri(n, n, (n - 1) // 2, dtype=bool))
 
 
 def interval(n: int, s: int) -> Tournament:
@@ -149,24 +166,19 @@ def interval(n: int, s: int) -> Tournament:
         raise TournamentError("n must be >= 3")
     if not (2 * s >= n and s <= n):
         raise TournamentError(f"interval needs ceil(n/2) <= s <= n, got s={s}")
-    gap = np.arange(n)[None, :] - np.arange(n)[:, None]
-    d = (gap >= 1) & (gap <= s) | (gap <= -(s + 1))
-    return Tournament(d)
+    _check_order(n)
+    return _complete(np.tri(n, n, s, dtype=bool))
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random orientation.  Pair k (lexicographic order) is
     oriented u -> v iff stream value k has top bit 0."""
-    if n < 1:
-        raise TournamentError("n must be >= 1")
-    npairs = n * (n - 1) // 2
-    vals = rng.values(seed, 0, npairs)
-    forward = ~(vals >> np.uint64(63)).astype(bool)
-    d = np.zeros((n, n), dtype=bool)
-    iu, ju = np.triu_indices(n, k=1)
-    d[iu, ju] = forward
-    d[ju, iu] = ~forward
-    return Tournament(d)
+    _check_order(n)
+    upper = np.zeros((n, n), dtype=bool)
+    for u in range(n - 1):
+        upper[u, u + 1:] = rng.values(seed, pair_index(u, u + 1, n),
+                                      n - u - 1) < 2**63
+    return _complete(upper)
 
 
 def check_weights(weights: Sequence[float]) -> tuple:
@@ -213,23 +225,19 @@ def blowup(spec: BlowupSpec, n: int, seed: int) -> Tournament:
     """Blow-up T(H; w) sampled at n vertices: part i gets part_sizes()[i]
     consecutive vertices; cross-part pairs follow the host arc; pairs
     inside a part are oriented by the stream draw at their pair index."""
+    _check_order(n)
     sizes = part_sizes(spec.weights, n)
     if min(sizes) == 0:
         k = sizes.index(0)
         raise TournamentError(
             f"part {k} is empty at n={n}; weight {spec.weights[k]} too small")
     owner = np.repeat(np.arange(spec.host.n), sizes)
-    host = spec.host.dense()
-    d = host[np.ix_(owner, owner)].copy()
-    same = owner[:, None] == owner[None, :]
-    d[same] = False
-    iu, ju = np.triu_indices(n, k=1)
-    intra = same[iu, ju]
-    vals = rng.values(seed, 0, len(iu))
-    forward = ~(vals >> np.uint64(63)).astype(bool)
-    d[iu[intra], ju[intra]] = forward[intra]
-    d[ju[intra], iu[intra]] = ~forward[intra]
-    return Tournament(d)
+    upper = spec.host.dense()[np.ix_(owner, owner)]
+    part_end = np.repeat(np.cumsum(sizes), sizes).tolist()
+    for u in range(n - 1):
+        upper[u, u + 1:part_end[u]] = rng.values(
+            seed, pair_index(u, u + 1, n), part_end[u] - u - 1) < 2**63
+    return _complete(upper)
 
 
 def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
@@ -238,13 +246,12 @@ def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
     if not 0.0 <= p <= 1.0:
         raise TournamentError("p must be in [0, 1]")
     n = t.n
-    iu, ju = np.triu_indices(n, k=1)
-    vals = rng.values(seed, 0, len(iu))
-    flip = (vals.astype(np.float64) / 2.0**64) < p
-    d = t.dense().copy()
-    fu, fv = iu[flip], ju[flip]
-    d[fu, fv], d[fv, fu] = d[fv, fu], d[fu, fv].copy()
-    return Tournament(d)
+    _check_order(n)
+    upper = t.dense().copy()
+    for u in range(n - 1):
+        vals = rng.values(seed, pair_index(u, u + 1, n), n - u - 1)
+        upper[u, u + 1:] ^= vals.astype(np.float64) / 2.0**64 < p
+    return _complete(upper)
 
 
 @dataclass(frozen=True)
@@ -266,18 +273,15 @@ def mix(t1: Tournament, t2: Tournament, spec: MixSpec, seed: int) -> Tournament:
     """Disjoint union of t1 (vertices 0..n1-1) and t2 (shifted by n1) with
     every cross pair oriented t1-side -> t2-side with probability spec.p,
     drawn at the pair's index in the combined vertex order."""
-    n1, n2 = t1.n, t2.n
-    n = n1 + n2
-    d = np.zeros((n, n), dtype=bool)
-    d[:n1, :n1] = t1.dense()
-    d[n1:, n1:] = t2.dense()
-    iu, ju = np.triu_indices(n, k=1)
-    cross = (iu < n1) & (ju >= n1)
-    vals = rng.values(seed, 0, len(iu))
-    forward = (vals.astype(np.float64) / 2.0**64) < spec.p
-    d[iu[cross], ju[cross]] = forward[cross]
-    d[ju[cross], iu[cross]] = ~forward[cross]
-    return Tournament(d)
+    n1, n = t1.n, t1.n + t2.n
+    _check_order(n)
+    upper = np.zeros((n, n), dtype=bool)
+    upper[:n1, :n1] = t1.dense()
+    upper[n1:, n1:] = t2.dense()
+    for u in range(n1):
+        vals = rng.values(seed, pair_index(u, n1, n), n - n1)
+        upper[u, n1:] = vals.astype(np.float64) / 2.0**64 < spec.p
+    return _complete(upper)
 
 
 # -- canonical codes ------------------------------------------------------
@@ -311,16 +315,11 @@ def canonical_code(t: Tournament) -> int:
 
 def from_code(code: int, n: int) -> Tournament:
     """Inverse of the upper-triangle coding for the identity labeling."""
-    d = np.zeros((n, n), dtype=bool)
-    nbits = n * (n - 1) // 2
-    k = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            bit = (code >> (nbits - 1 - k)) & 1
-            d[a, b] = bool(bit)
-            d[b, a] = not bit
-            k += 1
-    return Tournament(d)
+    _check_order(n)
+    bits = [code >> k & 1 for k in reversed(range(n * (n - 1) // 2))]
+    upper = np.zeros((n, n), dtype=bool)
+    upper[~np.tri(n, dtype=bool)] = bits    # row-major order is pair-lex order
+    return _complete(upper)
 
 
 # -- TRN v1 ---------------------------------------------------------------

@@ -106,6 +106,32 @@ def test_gen_flip_and_mix_take_n_from_inputs(tmp_path, capsys):
     assert read_trn(out_path).n == 22
 
 
+@pytest.mark.parametrize("n,argv", [
+    (10**8, ("gen", "random", "--n", "100000000")),
+    (2**15 + 1, ("gen", "transitive", "--n", "32769")),
+    (40000, ("gen", "blowup", "--host", "T2", "--weights", "0.5,0.5",
+             "--n", "40000")),
+    (10**8, ("profile", "random:100000000,1")),
+])
+def test_orders_over_the_limit_fail_before_allocating(n, argv, tmp_path,
+                                                      capsys):
+    if argv[0] == "gen":
+        argv += ("--out", str(tmp_path / "t.trn"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"n={n} is over the limit of 32768" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["-4", "0"])
+def test_blowup_of_no_vertices_is_a_usage_error(n, tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "blowup", "--host", "T2",
+                         "--weights", "0.5,0.5", "--n", n,
+                         "--out", str(tmp_path / "b.trn"))
+    assert code == 2 and out == ""
+    assert "n must be >= 1" in err
+
+
 def test_profile_sample_mode_guard(capsys):
     code, _, err = run(capsys, "profile", "transitive:100",
                        "--mode", "sample")

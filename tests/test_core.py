@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -123,6 +124,30 @@ def test_random_tournament_deterministic_and_fair():
     t = random_tournament(4001, seed=1)
     mean = t.out_degrees().mean()
     assert abs(mean - 2000) < 15
+
+
+def test_constructions_peak_below_six_n_squared_bytes():
+    n = 2000
+    base = random_tournament(n, 1)
+    halves = cyclic(999), random_tournament(1001, 2)
+    spec = BlowupSpec(host=transitive(4), weights=(0.3, 0.3, 0.3, 0.1))
+    builds = {
+        "transitive": lambda: transitive(n),
+        "cyclic": lambda: cyclic(n - 1),
+        "interval": lambda: interval(n, 1200),
+        "random": lambda: random_tournament(n, 3),
+        "blowup": lambda: blowup(spec, n, 4),
+        "flip": lambda: flip_perturb(base, 0.3, 5),
+        "mix": lambda: mix(*halves, MixSpec(0.5, 0.4), 6),
+    }
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n, (name, peak / n**2)
 
 
 def test_part_sizes_largest_remainder():
