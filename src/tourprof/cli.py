@@ -126,8 +126,7 @@ def _cmd_gen(args) -> int:
         if not args.in1 or not args.in2 or args.p is None:
             raise ValueError("mix needs --in1, --in2 and --p")
         t1, t2 = _load(args.in1), _load(args.in2)
-        alpha = t1.n / (t1.n + t2.n)
-        t = mix(t1, t2, MixSpec(alpha=alpha, p=args.p), seed)
+        t = mix(t1, t2, MixSpec(p=args.p), seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown construction {name!r}")
     write_trn(t, args.out)

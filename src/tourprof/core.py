@@ -256,15 +256,11 @@ def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """Two-block mix parameters.  alpha records the intended first-block
-    share (informational: the actual split is |t1| vs |t2|); p is the
-    probability a cross pair points from the t1 block to the t2 block."""
-    alpha: float
+    """Two-block mix parameter: p is the probability a cross pair points
+    from the t1 block to the t2 block.  The split is |t1| against |t2|."""
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise TournamentError("alpha must be in (0, 1)")
         if not 0.0 <= self.p <= 1.0:
             raise TournamentError("p must be in [0, 1]")
 

@@ -75,7 +75,7 @@ def corpus():
     entries.append(("flip:cyclic201", flip_perturb(cyclic(201), 0.3, 1)))
     entries.append(("mix:random60s", mix(random_tournament(60, 1),
                                          random_tournament(60, 2),
-                                         MixSpec(0.5, 0.5), 4)))
+                                         MixSpec(0.5), 4)))
     return entries
 
 
@@ -214,7 +214,7 @@ def test_criterion_08_mixing_prediction():
         b1 = blowup(BlowupSpec(transitive(2), (0.5, 0.5)), 300, 7)
         b2 = interval(300, 251)
         p = (1 - math.sqrt(0.75)) / 2
-        m = mix(b1, b2, MixSpec(0.5, p), 11)
+        m = mix(b1, b2, MixSpec(p), 11)
         assert abs(profile3(m).c3 - 1 / 16) <= 0.005
         _, pred_c4 = mix_profile_prediction(
             profile3(b1).c3, profile4(b1).c4,

@@ -138,7 +138,7 @@ def test_constructions_peak_below_six_n_squared_bytes():
         "random": lambda: random_tournament(n, 3),
         "blowup": lambda: blowup(spec, n, 4),
         "flip": lambda: flip_perturb(base, 0.3, 5),
-        "mix": lambda: mix(*halves, MixSpec(0.5, 0.4), 6),
+        "mix": lambda: mix(*halves, MixSpec(0.4), 6),
     }
     for name, build in builds.items():
         tracemalloc.start()
@@ -207,7 +207,7 @@ def test_flipped_cyclic_halves_c3():
 
 def test_mix_keeps_blocks_and_flips_cross_arcs():
     t1, t2 = cyclic(5), transitive(4)
-    m = mix(t1, t2, MixSpec(alpha=5 / 9, p=1.0), seed=1)
+    m = mix(t1, t2, MixSpec(1.0), seed=1)
     assert m.n == 9
     assert m.subtournament(range(5)) == t1
     assert m.subtournament(range(5, 9)) == t2
@@ -215,7 +215,7 @@ def test_mix_keeps_blocks_and_flips_cross_arcs():
     for u in range(5):
         for v in range(5, 9):
             assert m.orient(u, v)
-    m0 = mix(t1, t2, MixSpec(alpha=5 / 9, p=0.0), seed=1)
+    m0 = mix(t1, t2, MixSpec(0.0), seed=1)
     for u in range(5):
         for v in range(5, 9):
             assert m0.orient(v, u)
@@ -262,7 +262,7 @@ def test_trn_text_golden_hashes():
         "e1c5e73a002091f0aee694ead60209889184b947dda05578681a86b7d6c2ea41":
             flip_perturb(random_tournament(211, 2), 0.3, 5),
         "63b5d9214e8a456b19235aba20583e17e4ff296eddd9447c22cb1e1a9d7d68da":
-            mix(cyclic(7), random_tournament(50, 1), MixSpec(0.5, 0.4), 4),
+            mix(cyclic(7), random_tournament(50, 1), MixSpec(0.4), 4),
         # parts of 18, 15, 12, 14 and 1 vertices over a random host
         "fee73e1d82a72628c7cdbdd2cfd0613a83bd7a224af2a098fbdb332b7b112860":
             blowup(BlowupSpec(host=random_tournament(5, 3),
@@ -324,7 +324,7 @@ def test_constructions_follow_the_seed_contract_pair_by_pair():
             assert blown.orient(u, v) == (_top_bit_zero(seed, u, v, n)
                                           if a == b else host.orient(a, b))
     t1, t2 = transitive(4), random_tournament(6, 2)
-    m = mix(t1, t2, MixSpec(0.4, 0.6), seed)
+    m = mix(t1, t2, MixSpec(0.6), seed)
     assert m.subtournament(range(4)) == t1
     assert m.subtournament(range(4, 10)) == t2
     for u in range(4):
