@@ -5,6 +5,7 @@ and know nothing about the library's counting kernels; they are the
 ground truth the fast paths are checked against.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, prod
 
@@ -101,47 +102,106 @@ def brute_product_counts(k: int) -> np.ndarray:
     return counts
 
 
-def _placement_probability(host: Tournament, parts, test) -> float:
+def _is_cyclic3(mat):
+    return all(sum(row) == 1 for row in mat)
+
+
+def _is_c4(mat):
+    return sorted(sum(row) for row in mat) == [1, 1, 2, 2]
+
+
+def _interior_probability(sub, c3, c4):
+    """Chance that r vertices drawn from one part with densities (c3, c4)
+    induce the labeled tournament `sub`.  Drawing is exchangeable, so each
+    isomorphism type spreads evenly over its labelings: 2 cyclic and 6
+    transitive triples, 24 labeled C4 among the 64 on four vertices.
+    Only the C4 test reads r = 4, so the other 40 share 1 - c4 evenly."""
+    r = len(sub)
+    if r == 1:
+        return 1
+    if r == 2:
+        return Fraction(1, 2)
+    if r == 3:
+        return c3 / 2 if _is_cyclic3(sub) else (1 - c3) / 6
+    return c4 / 24 if _is_c4(sub) else (1 - c4) / 40
+
+
+def _placement_probability(host, parts, test, interiors) -> float:
     """Probability that k vertices placed in the given host parts induce
-    a tournament passing `test`; pairs in a common part are fair coins."""
+    a tournament passing `test`, by enumerating all 2^C(k,2) labeled
+    orientations: a cross pair follows the host's arc probability, and
+    the vertices inside each part follow that part's interior."""
     k = len(parts)
-    free = [(i, j) for i, j in combinations(range(k), 2)
-            if parts[i] == parts[j]]
-    hits = 0
-    for bits in range(1 << len(free)):
+    pairs = list(combinations(range(k), 2))
+    total = 0
+    for bits in range(1 << len(pairs)):
         mat = [[0] * k for _ in range(k)]
-        for i, j in combinations(range(k), 2):
-            if parts[i] != parts[j]:
-                mat[i][j] = int(host.orient(parts[i], parts[j]))
-            else:
-                mat[i][j] = (bits >> free.index((i, j))) & 1
+        for b, (i, j) in enumerate(pairs):
+            mat[i][j] = (bits >> b) & 1
             mat[j][i] = 1 - mat[i][j]
-        if test(mat):
-            hits += 1
-    return hits / (1 << len(free))
+        if not test(mat):
+            continue
+        chance = 1
+        for i, j in pairs:
+            if parts[i] != parts[j]:
+                pi, pj = (parts[i], parts[j]) if mat[i][j] else (parts[j], parts[i])
+                chance *= host[pi][pj]
+        for part in set(parts):
+            idx = [i for i in range(k) if parts[i] == part]
+            sub = [[mat[i][j] for j in idx] for i in idx]
+            chance *= _interior_probability(sub, *interiors[part])
+        total += chance
+    return total
 
 
-def brute_blowup_profile(host: Tournament, weights):
+def brute_blowup_profile(host, weights, interiors=None):
     """Asymptotic (c3, c4) of the blow-up of `host` with part weights
     `weights`, by enumerating part multisets of 3 and 4 vertices and
-    every orientation of their same-part pairs."""
-    def is_cyclic3(mat):
-        return all(sum(row) == 1 for row in mat)
-
-    def is_c4(mat):
-        return sorted(sum(row) for row in mat) == [1, 1, 2, 2]
-
+    every orientation of their pairs.  `host` is a Tournament or a square
+    matrix of arc probabilities P with P + P^T = J - I; `interiors` gives
+    each part's (c3, c4), uniformly random parts (1/4, 3/8) by default.
+    Plain arithmetic, so Fraction inputs give exact results."""
+    if isinstance(host, Tournament):
+        host = host.dense().astype(int).tolist()
+    if interiors is None:
+        interiors = [(Fraction(1, 4), Fraction(3, 8))] * len(weights)
     out = []
-    for k, test in ((3, is_cyclic3), (4, is_c4)):
-        total = 0.0
-        for parts in combinations_with_replacement(range(host.n), k):
+    for k, test in ((3, _is_cyclic3), (4, _is_c4)):
+        total = 0
+        for parts in combinations_with_replacement(range(len(weights)), k):
             count = factorial(k)
             for part in set(parts):
                 count //= factorial(parts.count(part))
             mass = count * prod(weights[part] for part in parts)
-            total += mass * _placement_probability(host, parts, test)
+            total += mass * _placement_probability(host, parts, test,
+                                                   interiors)
         out.append(total)
     return tuple(out)
+
+
+def brute_mix_profile(c3_1, c4_1, c3_2, c4_2, alpha, p):
+    """Asymptotic (c3, c4) of two blocks of relative sizes alpha and
+    1 - alpha with profiles (c3_i, c4_i), cross pairs oriented block 1 ->
+    block 2 with probability p, expanded by hand.  Grouping 3- and 4-sets
+    by how they split between the blocks (all in one, 2+2, 3+1):
+
+        c3 = a^3 c3_1 + b^3 c3_2 + 3 a b q
+        c4 = a^4 c4_1 + b^4 c4_2
+             + 6 a^2 b^2 (q + 2 q^2)
+             + 4 a^3 b (3 c3_1 q + (1 - c3_1) q)
+             + 4 a b^3 (3 c3_2 q + (1 - c3_2) q)
+
+    with a = alpha, b = 1 - alpha, q = p (1 - p).  Plain arithmetic, so
+    Fraction inputs give exact results."""
+    a = alpha
+    b = 1 - alpha
+    q = p * (1 - p)
+    c3 = a**3 * c3_1 + b**3 * c3_2 + 3 * a * b * q
+    c4 = (a**4 * c4_1 + b**4 * c4_2
+          + 6 * a**2 * b**2 * (q + 2 * q * q)
+          + 4 * a**3 * b * (c3_1 * 3 * q + (1 - c3_1) * q)
+          + 4 * a * b**3 * (c3_2 * 3 * q + (1 - c3_2) * q))
+    return c3, c4
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,12 @@ from tourprof.bounds import (REPLACE_THRESHOLD, conjectured_min_c4,
                              min_fourth_power_sum, mix_profile_prediction,
                              predict_blowup_profile, replace_step,
                              ub_c4_from_c3, ub_c4_from_t4, ub_t4_from_t3)
-from tourprof.core import BlowupSpec, cyclic, random_tournament, transitive
+from tourprof.core import (BlowupSpec, MixSpec, Tournament, cyclic, mix,
+                           random_tournament, transitive)
+from tourprof.profiles import profile3, profile4
 from tourprof import rng
 
-from conftest import brute_blowup_profile
+from conftest import brute_blowup_profile, brute_mix_profile
 
 
 def test_lower_bound_anchor_values():
@@ -158,6 +160,92 @@ def test_mix_prediction_trivial_cross():
     c3, c4 = mix_profile_prediction(Fraction(0), Fraction(0), Fraction(0),
                                     Fraction(0), Fraction(1, 2), Fraction(0))
     assert c3 == 0 and c4 == 0
+
+
+def _fraction(stream, lo, hi):
+    return lo + (hi - lo) * Fraction(stream.next_below(1001), 1000)
+
+
+def _mix_args(stream, draw):
+    """(c3_1, c4_1, c3_2, c4_2, alpha, p) with c3_i in [0, 1/4], c4_i in
+    [0, 2 c3_i], alpha in (0, 1) and p in [0, 1]; draw(lo, hi) picks one."""
+    quarter = Fraction(1, 4)
+    c3_1, c3_2 = draw(0, quarter), draw(0, quarter)
+    alpha = draw(0, 1)
+    while not 0 < alpha < 1:
+        alpha = draw(0, 1)
+    return (c3_1, draw(0, 2 * c3_1), c3_2, draw(0, 2 * c3_2), alpha,
+            draw(0, 1))
+
+
+_MIX_EDGE_CASES = [
+    (Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(3, 8),
+     Fraction(1, 3), Fraction(1, 2)),
+    (Fraction(0), Fraction(0), Fraction(0), Fraction(0), Fraction(1, 2),
+     Fraction(0)),
+    (Fraction(1, 16), Fraction(3, 64), Fraction(1, 4), Fraction(1, 2),
+     Fraction(2, 7), Fraction(1)),
+]
+
+
+def test_mix_prediction_equals_polynomial_oracle():
+    stream = rng.Stream(rng.derive(23, 0xB10))
+    exact = [_mix_args(stream, lambda lo, hi: _fraction(stream, lo, hi))
+             for _ in range(2000)]
+    for args in _MIX_EDGE_CASES + exact:
+        got = mix_profile_prediction(*args)
+        assert got == brute_mix_profile(*args)
+        assert all(type(x) is Fraction for x in got)
+    for _ in range(2000):
+        args = _mix_args(stream,
+                         lambda lo, hi: lo + (hi - lo) * stream.next_uniform())
+        got = mix_profile_prediction(*args)
+        want = brute_mix_profile(*args)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
+
+def test_mix_prediction_equals_placement_oracle():
+    # the hand-expanded mix is the two-part blow-up of the probability
+    # host [[0, p], [1 - p, 0]] with interiors (c3_i, c4_i)
+    stream = rng.Stream(rng.derive(29, 0xB10))
+    draws = [_mix_args(stream, lambda lo, hi: _fraction(stream, lo, hi))
+             for _ in range(200)]
+    for c3_1, c4_1, c3_2, c4_2, alpha, p in _MIX_EDGE_CASES + draws:
+        want = brute_blowup_profile([[0, p], [1 - p, 0]], (alpha, 1 - alpha),
+                                    ((c3_1, c4_1), (c3_2, c4_2)))
+        assert mix_profile_prediction(c3_1, c4_1, c3_2, c4_2, alpha,
+                                      p) == want
+
+
+@pytest.mark.parametrize("s", [150, 300, 600])
+@pytest.mark.parametrize("p", [0.3, 0.8])
+def test_mix_prediction_tracks_sampled_mix(s, p):
+    # fed the blocks' own finite-n densities, the prediction is off by
+    # O(1/n); 5/n was fixed before the single blow-up formula existed
+    t1, t2 = transitive(s), cyclic(s + 1)
+    t = mix(t1, t2, MixSpec(p), seed=s)
+    want = mix_profile_prediction(profile3(t1).c3, profile4(t1).c4,
+                                  profile3(t2).c3, profile4(t2).c4,
+                                  s / t.n, p)
+    assert abs(profile3(t).c3 - want[0]) <= 5 / t.n
+    assert abs(profile4(t).c4 - want[1]) <= 5 / t.n
+
+
+def test_placement_oracle_tracks_sampled_blowup_with_structured_parts():
+    # a cyclic(3)-host blow-up with transitive, cyclic and random parts
+    parts = [transitive(300), cyclic(301), random_tournament(300, 5)]
+    sizes = [q.n for q in parts]
+    n = sum(sizes)
+    owner = np.repeat(np.arange(3), sizes)
+    dense = cyclic(3).dense()[np.ix_(owner, owner)]
+    for q, start in zip(parts, np.cumsum([0] + sizes)):
+        dense[start:start + q.n, start:start + q.n] = q.dense()
+    t = Tournament(dense)
+    want = brute_blowup_profile(cyclic(3), [k / n for k in sizes],
+                                [(profile3(q).c3, profile4(q).c4)
+                                 for q in parts])
+    assert abs(profile3(t).c3 - want[0]) <= 5 / n
+    assert abs(profile4(t).c4 - want[1]) <= 5 / n
 
 
 def test_predict_blowup_profile_exact_values():
