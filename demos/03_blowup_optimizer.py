@@ -7,12 +7,13 @@ The conjectured minimal c4 at a given c3 comes from blowing up a
 transitive tournament with carefully chosen part weights.  This demo
 walks the two ingredients: the constrained power-sum optimizer and the
 local replacement move that powers its optimality argument, then checks
-a prediction against a sampled blow-up.
+the one blow-up formula against a sampled blow-up and a two-block mix.
 """
 import math
 
-from tourprof import (BlowupSpec, blowup, conjectured_min_c4,
-                      min_fourth_power_sum, predict_blowup_profile,
+from tourprof import (BlowupSpec, MixSpec, blowup, conjectured_min_c4,
+                      cyclic, min_fourth_power_sum, mix,
+                      mix_profile_prediction, predict_blowup_profile,
                       profile3, profile4, replace_step, transitive)
 
 # A transitive blow-up with weights w has (asymptotically)
@@ -64,3 +65,17 @@ t = blowup(spec, 600, seed=7)
 print(f"\npredicted  c3 = {pc3:.6f}  c4 = {pc4:.6f}")
 print(f"measured   c3 = {profile3(t).c3:.6f}  c4 = {profile4(t).c4:.6f}"
       f"   (n = 600)")
+
+# %%
+# The same formula predicts a two-block mix: the host [[0, p], [1 - p, 0]]
+# with the blocks' own densities as part interiors.  Here a transitive
+# block of 300 and a cyclic block of 301, cross pairs 1 -> 2 with p = 0.3.
+
+b1, b2 = transitive(300), cyclic(301)
+t = mix(b1, b2, MixSpec(0.3), seed=7)
+pc3, pc4 = mix_profile_prediction(profile3(b1).c3, profile4(b1).c4,
+                                  profile3(b2).c3, profile4(b2).c4,
+                                  b1.n / t.n, 0.3)
+print(f"\nmix prediction  c3 = {pc3:.6f}  c4 = {pc4:.6f}")
+print(f"mix measured    c3 = {profile3(t).c3:.6f}  c4 = {profile4(t).c4:.6f}"
+      f"   (n = {t.n})")

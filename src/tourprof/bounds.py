@@ -8,6 +8,14 @@ Lower bounds for the 4-cycle density at given triangle density c3:
 Upper boundary: c4 <= 2 c3 (equivalently t4 >= 2 t3 - 1, and
 c4 <= min{t4, 1 - t4} on the (t4, c4) plane).
 
+One formula predicts every blow-up: part i has weight w_i and interior
+densities (g_i, f_i), P_ij is the chance that a cross pair points i -> j,
+and M = (P + I/2) diag(w).  Random parts, (1/4, 3/8), zero the corrections.
+
+    c3 = 2 tr(M^3) + sum_i w_i^3 (g_i - 1/4)
+    c4 = 6 tr(M^4) + sum_i w_i^4 (f_i - 3/8)
+                   + 8 sum_ij w_i^3 w_j P_ij P_ji (g_i - 1/4)
+
 The conjectured minimum at c3 is attained by blow-ups of transitive
 tournaments with m - 1 equal weights a and one smaller weight b, where m
 is the smallest part count that can realize sum w_i^3 = 4 c3.  The same
@@ -19,6 +27,7 @@ weight pattern can be strictly improved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
@@ -216,51 +225,41 @@ def replace_step(x: float, y: float) -> ReplacementResult:
     return result
 
 
-def mix_profile_prediction(c3_1, c4_1, c3_2, c4_2, alpha, p):
-    """Asymptotic (c3, c4) of the two-block mix: blocks of relative sizes
-    alpha and 1 - alpha with profiles (c3_i, c4_i), cross pairs oriented
-    block-1 -> block-2 with probability p.  Plain arithmetic, so exact
-    types (Fraction) pass through.
-
-    Grouping quadruples by the block split (4+0, 2+2, 3+1):
-
-        c3 = a^3 c3_1 + b^3 c3_2 + 3 a b q
-        c4 = a^4 c4_1 + b^4 c4_2
-             + 6 a^2 b^2 (q + 2 q^2)
-             + 4 a^3 b (3 c3_1 q + (1 - c3_1) q)
-             + 4 a b^3 (3 c3_2 q + (1 - c3_2) q)
-
-    with a = alpha, b = 1 - alpha, q = p (1 - p)."""
-    a = alpha
-    b = 1 - alpha
-    q = p * (1 - p)
-    c3 = a**3 * c3_1 + b**3 * c3_2 + 3 * a * b * q
-    c4 = (a**4 * c4_1 + b**4 * c4_2
-          + 6 * a**2 * b**2 * (q + 2 * q * q)
-          + 4 * a**3 * b * (c3_1 * 3 * q + (1 - c3_1) * q)
-          + 4 * a * b**3 * (c3_2 * 3 * q + (1 - c3_2) * q))
+def _blowup_profile(host, weights, interiors=None) -> tuple:
+    """The formula of the module docstring, in object arrays so Fraction
+    inputs stay exact; `interiors` None means random parts.  M[p, q] is
+    the chance that a new vertex lands in part q and one of part p beats
+    it.  Arcs are independent, so tr(M^j) is the chance that j vertices
+    in drawn order form a directed j-cycle: 2 orders of a C3 do, 1 of a
+    C4's 6.  A drawn pair is a fair coin in any part, so only sets with
+    3 or 4 vertices in part i see (g_i, f_i); with a vertex of part j, a
+    triple is C4 with chance 3 P_ij P_ji if cyclic, P_ij P_ji if not."""
+    p = np.array(host, dtype=object)
+    w = np.array(weights, dtype=object)
+    m = (p + np.diag([Fraction(1, 2)] * len(w))) * w
+    c3 = 2 * np.trace(np.linalg.matrix_power(m, 3))
+    c4 = 6 * np.trace(np.linalg.matrix_power(m, 4))
+    if interiors is not None:
+        g, f = (np.array(col, dtype=object) for col in zip(*interiors))
+        dg = w**3 * (g - Fraction(1, 4))
+        c3 += dg.sum()
+        c4 += (w**4 * (f - Fraction(3, 8))).sum() + 8 * dg @ (p * p.T) @ w
     return c3, c4
 
 
+def mix_profile_prediction(c3_1, c4_1, c3_2, c4_2, alpha, p):
+    """Asymptotic (c3, c4) of blocks of weights alpha and 1 - alpha with
+    profiles (c3_i, c4_i) and cross pairs 1 -> 2 with chance p: the blow-up
+    formula on the host [[0, p], [1 - p, 0]], exact for Fraction inputs."""
+    return _blowup_profile([[0, p], [1 - p, 0]], (alpha, 1 - alpha),
+                           ((c3_1, c4_1), (c3_2, c4_2)))
+
+
 def predict_blowup_profile(spec: BlowupSpec) -> tuple:
-    """Asymptotic (c3, c4) of the blow-up T(host; w):
-
-        c3 = 2 tr(M^3),  c4 = 6 tr(M^4),  M = (A + I/2) diag(w),
-
-    with A the host's adjacency matrix.  M[p, q] is the chance that a
-    new vertex falls in part q (probability w_q) and a vertex of part p
-    beats it; the I/2 is the fair coin between two vertices of one
-    part.  The arcs between distinct vertices are independent, so
-    tr(M^j) is the chance that j independent vertices, in the order
-    drawn, form a directed j-cycle.  A 3-set is cyclic iff one of its 2
-    cyclic orders is a directed cycle, and a 4-set induces C4 iff
-    exactly one of its 6 cyclic orders is a directed Hamiltonian cycle;
-    the orders are disjoint events of equal chance.  For the transitive
-    host M is triangular, giving (sum w^3 / 4, 3 sum w^4 / 8)."""
-    w = np.array(spec.weights)
-    m = (spec.host.dense() + 0.5 * np.eye(len(w))) * w
-    m2 = m @ m
-    return 2.0 * float(np.trace(m2 @ m)), 6.0 * float(np.trace(m2 @ m2))
+    """Asymptotic (c3, c4) of T(host; w) with uniformly random parts: the
+    blow-up formula on the host's adjacency matrix, c3 = 2 tr(M^3) and
+    c4 = 6 tr(M^4).  A transitive host gives (sum w^3 / 4, 3 sum w^4 / 8)."""
+    return _blowup_profile(spec.host.dense(), spec.weights)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 from math import isclose, sqrt
 
 import numpy as np
 import pytest
 
-from tourprof.bounds import (REPLACE_THRESHOLD, conjectured_min_c4,
+from tourprof.bounds import (REPLACE_THRESHOLD, _blowup_profile,
+                             conjectured_min_c4,
                              curve_dataset, lb_flag, lb_variance,
                              min_fourth_power_sum, mix_profile_prediction,
                              predict_blowup_profile, replace_step,
@@ -246,6 +248,30 @@ def test_placement_oracle_tracks_sampled_blowup_with_structured_parts():
                                  for q in parts])
     assert abs(profile3(t).c3 - want[0]) <= 5 / n
     assert abs(profile4(t).c4 - want[1]) <= 5 / n
+
+
+def test_blowup_formula_equals_placement_oracle():
+    # probability hosts with per-part interiors, exactly in Fractions
+    stream = rng.Stream(rng.derive(31, 0xB10))
+    for m in (1, 2, 3, 4):
+        for _ in range(4):
+            host = [[0] * m for _ in range(m)]
+            for i, j in combinations(range(m), 2):
+                host[i][j] = _fraction(stream, 0, 1)
+                host[j][i] = 1 - host[i][j]
+            raw = [_fraction(stream, Fraction(1, 20), 1) for _ in range(m)]
+            w = [x / sum(raw) for x in raw]
+            g = [_fraction(stream, 0, Fraction(1, 4)) for _ in range(m)]
+            interiors = [(x, _fraction(stream, 0, 2 * x)) for x in g]
+            got = _blowup_profile(host, w, interiors)
+            assert got == brute_blowup_profile(host, w, interiors)
+            assert all(type(x) is Fraction for x in got)
+    # the cyclic(3) host with transitive, cyclic and random parts, as in
+    # the sampled blow-up above
+    w, interiors = (0.3, 0.5, 0.2), ((0.0, 0.0), (0.25, 0.5), (0.25, 0.375))
+    got = _blowup_profile(cyclic(3).dense(), w, interiors)
+    want = brute_blowup_profile(cyclic(3), w, interiors)
+    assert got == pytest.approx(want, abs=1e-15, rel=0)
 
 
 def test_predict_blowup_profile_exact_values():
