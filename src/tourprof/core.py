@@ -403,7 +403,9 @@ def write_trn(t: Tournament, path) -> None:
         fh.write(_trn_bytes(t))
 
 
-def read_trn(path) -> Tournament:
+def _read_ascii(path) -> str:
+    """The text of an ASCII file (TRN, FLAGCERT, FLAGTAB); the first
+    non-ASCII byte is a DataFormatError that names its line and column."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
@@ -413,4 +415,8 @@ def read_trn(path) -> Tournament:
         raise DataFormatError(
             f"line {len(where)}: non-ASCII byte 0x{data[pos]:02x} "
             f"at column {len(where[-1])}")
-    return from_trn_text(data.decode("ascii"))
+    return data.decode("ascii")
+
+
+def read_trn(path) -> Tournament:
+    return from_trn_text(_read_ascii(path))

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (DataFormatError, InternalInvariantError, Tournament,
-                   from_code)
+                   _read_ascii, from_code)
 from .profiles import classify4, edge_stats, profile3, profile4
 
 MAX_TYPE_ORDER = 6
@@ -468,8 +468,7 @@ def write_certificate(cert: Certificate, path) -> None:
 
 
 def read_certificate(path) -> Certificate:
-    with open(path, "r", encoding="ascii") as fh:
-        return certificate_from_text(fh.read())
+    return certificate_from_text(_read_ascii(path))
 
 
 # -- FLAGTAB v1 -------------------------------------------------------------
@@ -562,5 +561,4 @@ def write_table(table: ProductTable, path) -> None:
 
 
 def read_table(path) -> ProductTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return table_from_text(fh.read())
+    return table_from_text(_read_ascii(path))

@@ -291,6 +291,15 @@ def test_verify_non_finite_certificate_is_data_error(tmp_path, capsys, lam,
     assert "must be finite" in err
 
 
+def test_verify_non_ascii_certificate_is_data_error(tmp_path, capsys):
+    path = tmp_path / "cert.txt"
+    path.write_bytes(b"FLAGCERT v1 3 4\n0.0\xc3\xa9625\n0.0\n0.0\n"
+                     + b"0 0 0 0\n" * 4)
+    code, out, err = run(capsys, "verify", "--cert", str(path))
+    assert code == 3 and out == ""
+    assert "line 2: non-ASCII byte 0xc3 at column 4" in err
+
+
 def test_verify_identities_path(capsys):
     code, out, _ = run(capsys, "verify", "--in", "cyclic:25")
     assert code == 0

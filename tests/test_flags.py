@@ -283,6 +283,14 @@ def test_flagtab_round_trip(tmp_path):
         assert [h.code for h in back.types] == [h.code for h in tab.types]
 
 
+def test_read_table_non_ascii_names_the_line(tmp_path):
+    path = tmp_path / "tab.txt"
+    path.write_bytes(b"FLAGTAB v1 3 4 2 6\r\ntype 0\r\n1/6 \xff\r\n")
+    with pytest.raises(DataFormatError) as info:
+        read_table(path)
+    assert str(info.value) == "line 3: non-ASCII byte 0xff at column 5"
+
+
 def test_flagtab_errors():
     with pytest.raises(DataFormatError, match="line 1"):
         table_from_text("FLAGTAB v1 3 4\n")
