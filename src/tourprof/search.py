@@ -110,14 +110,16 @@ class AnnealResult:
 
 def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
     """Blowup of the conjectured optimal transitive pattern when its
-    parts survive rounding at this n; uniformly random otherwise."""
+    parts survive rounding at this n; uniformly random otherwise.  More
+    parts than vertices leave one empty, so no host is built then."""
     try:
         opt = conjectured_min_c4(min(max(gamma, 1e-9), 0.25))
-        spec = BlowupSpec(host=transitive(opt.m), weights=opt.weights)
-        t = blowup(spec, n, seed=rng.derive(seed, 0xB10))
-        return t
+        if opt.m <= n:
+            spec = BlowupSpec(host=transitive(opt.m), weights=opt.weights)
+            return blowup(spec, n, seed=rng.derive(seed, 0xB10))
     except ValueError:
-        return random_tournament(n, seed=rng.derive(seed, 0xA17))
+        pass
+    return random_tournament(n, seed=rng.derive(seed, 0xA17))
 
 
 def anneal(n: int, gamma: float, seed: int,

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from tourprof import search
+from tourprof import rng, search
 from tourprof.core import (BlowupSpec, InternalInvariantError, TournamentError,
                            blowup, random_tournament, to_trn_text, transitive)
 from tourprof.profiles import FlipState, profile4
@@ -90,6 +90,17 @@ def test_anneal_best_state_divergence_names_both_objectives(monkeypatch):
                              r"objective \S+ vs recount \S+$"):
         anneal(16, 1 / 16, seed=3,
                schedule=AnnealSchedule(moves=200, warmup=20))
+
+
+def test_warm_start_at_tiny_gamma_builds_no_host_larger_than_n(monkeypatch):
+    # gamma = 1e-9 asks for 15 811 parts; at n = 64 one must be empty, so
+    # the start is the random fallback and no such host is built
+    built = []
+    monkeypatch.setattr(search, "transitive",
+                        lambda m: built.append(m) or transitive(m))
+    t = search._warm_start(64, 1e-9, 0)
+    assert t == random_tournament(64, rng.derive(0, 0xA17))
+    assert all(m <= 64 for m in built)
 
 
 def test_anneal_validation():
