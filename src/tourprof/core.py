@@ -323,21 +323,22 @@ def from_code(code: int, n: int) -> Tournament:
 _ZERO, _ONE, _DASH, _NEWLINE = (ord(c) for c in "01-\n")
 
 
-def _trn_bytes(t: Tournament) -> bytes:
-    """TRN v1 as bytes: the rows are one (n, n + 1) uint8 buffer."""
+def _trn_rows(t: Tournament) -> np.ndarray:
+    """The TRN v1 rows, newlines included, as one (n, n + 1) uint8
+    buffer."""
     n = t.n
     buf = np.empty((n, n + 1), dtype=np.uint8)
     body = buf[:, :n]
     np.add(t.dense(), _ZERO, out=body, dtype=np.uint8)
     np.fill_diagonal(body, _DASH)
     buf[:, n] = _NEWLINE
-    return f"TRN v1 {n}\n".encode("ascii") + buf.tobytes()
+    return buf
 
 
 def to_trn_text(t: Tournament) -> str:
     """Serialize as TRN v1: header line, then one row of {0,1,-} per
     vertex; char j of line i is 1 iff i -> j, '-' on the diagonal."""
-    return _trn_bytes(t).decode("ascii")
+    return f"TRN v1 {t.n}\n" + _trn_rows(t).tobytes().decode("ascii")
 
 
 def _first_true(mask: np.ndarray):
@@ -399,8 +400,10 @@ def from_trn_text(text: str) -> Tournament:
 
 
 def write_trn(t: Tournament, path) -> None:
+    """Write to_trn_text(t) as bytes, straight from the row buffer."""
     with open(path, "wb") as fh:
-        fh.write(_trn_bytes(t))
+        fh.write(f"TRN v1 {t.n}\n".encode("ascii"))
+        fh.write(_trn_rows(t))
 
 
 def _read_ascii(path) -> str:

@@ -247,6 +247,20 @@ def test_trn_file_io(tmp_path):
     assert read_trn(path) == t
 
 
+def test_write_trn_holds_one_copy_of_the_body(tmp_path):
+    n = 2000
+    t = random_tournament(n, seed=1)
+    path = tmp_path / "t.trn"
+    tracemalloc.start()
+    try:
+        write_trn(t, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n, peak / n**2
+    assert path.read_bytes() == to_trn_text(t).encode("ascii")
+
+
 def test_trn_text_golden_hashes():
     # sha256 of to_trn_text, frozen from the character-by-character writer
     golden = {
