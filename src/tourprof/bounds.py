@@ -256,9 +256,8 @@ def mix_profile_prediction(c3_1, c4_1, c3_2, c4_2, alpha, p):
 
 
 def predict_blowup_profile(spec: BlowupSpec) -> tuple:
-    """Asymptotic (c3, c4) of T(host; w) with uniformly random parts: the
-    blow-up formula on the host's adjacency matrix, c3 = 2 tr(M^3) and
-    c4 = 6 tr(M^4).  A transitive host gives (sum w^3 / 4, 3 sum w^4 / 8)."""
+    """Asymptotic (c3, c4) = (2 tr(M^3), 6 tr(M^4)) of T(host; w) with
+    random parts: the blow-up formula on the host's adjacency matrix."""
     return _blowup_profile(spec.host.dense(), spec.weights)
 
 

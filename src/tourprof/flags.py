@@ -468,7 +468,7 @@ def write_certificate(cert: Certificate, path) -> None:
 
 
 def read_certificate(path) -> Certificate:
-    return certificate_from_text(_read_ascii(path))
+    return certificate_from_text(_read_ascii(path).decode("ascii"))
 
 
 # -- FLAGTAB v1 -------------------------------------------------------------
@@ -561,4 +561,4 @@ def write_table(table: ProductTable, path) -> None:
 
 
 def read_table(path) -> ProductTable:
-    return table_from_text(_read_ascii(path))
+    return table_from_text(_read_ascii(path).decode("ascii"))

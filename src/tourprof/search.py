@@ -109,9 +109,8 @@ class AnnealResult:
 
 
 def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
-    """Blowup of the conjectured optimal transitive pattern when its
-    parts survive rounding at this n; uniformly random otherwise.  More
-    parts than vertices leave one empty, so no host is built then."""
+    """Blowup of the conjectured optimal transitive pattern when its m <= n
+    parts survive rounding at this n; uniformly random otherwise."""
     try:
         opt = conjectured_min_c4(min(max(gamma, 1e-9), 0.25))
         if opt.m <= n:
