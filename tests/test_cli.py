@@ -234,6 +234,38 @@ def test_edge_stats_csv_golden(capsys, spec):
         EDGE_STATS_CSV_SHA256[spec]
 
 
+# sha256 of the `edge-stats --moments` and `edge-stats --cdf 0.3` CSV
+# below the banner, recorded while `moments` still summed the per-arc
+# arrays and `x_cdf` took the EdgeStats built by the command.
+EDGE_STATS_SUMMARY_SHA256 = {
+    ("--moments", "transitive:3"): "e170e657bb8fd676656eeb59e933220db4c6a995bd9671d67185b98480d8fc8a",
+    ("--moments", "cyclic:3"): "5202a3a52fb643925231d72875d394635fa536a5751e130e42bef3c4e4169157",
+    ("--moments", "random:40,3"): "25d3febaf2c6ebff2a3a840dc6b9979af36e3c43a9c1b3d46c56eb641f96d6c4",
+    ("--moments", "interval:12,7"): "c529ef5b32fb9b594180565e0102ea42ce9ad1fe24ee6c93f6ea8e148b2cffd5",
+    ("--moments", "cyclic:201"): "06f22e5f3011e6db768e1517a4f85774911ba16f7976df8a17dcbd26e55e7a50",
+    ("--cdf", "transitive:3"): "68c3e7a7833f436068e1a20cb27fc1f386ee924824e0bdb60ec13492ab12a4f7",
+    ("--cdf", "cyclic:3"): "5c23641e85b2e05018cf30860bc3e5ef0f573eaccbcdf096320f6965786455cd",
+    ("--cdf", "random:40,3"): "7cdefc426e43d9ae83660c8388a087a504d8f7948c270e2e1bf5c876753b5e78",
+    ("--cdf", "interval:12,7"): "c0097e153eb8045eb4be426f2ef66c1b46e6636bb983e5285818beb6f35c8323",
+    ("--cdf", "cyclic:201"): "47094e59fea67f85351d007994464631c7da428d2b044fd9302261755daf3a3e",
+}
+
+
+@pytest.mark.parametrize("mode,spec", sorted(EDGE_STATS_SUMMARY_SHA256))
+def test_edge_stats_summary_golden(capsys, mode, spec):
+    extra = ["--cdf", "0.3"] if mode == "--cdf" else [mode]
+    code, out, _ = run(capsys, "edge-stats", spec, *extra)
+    assert code == 0 and out.startswith("# tourprof ")
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        EDGE_STATS_SUMMARY_SHA256[mode, spec]
+
+
+def test_edge_stats_moments_need_three_vertices(capsys):
+    code, out, err = run(capsys, "edge-stats", "transitive:2", "--moments")
+    assert (code, out, err) == (2, "", "tourprof: edge stats need n >= 3\n")
+
+
 def test_curve_fig4_contains_anchor(tmp_path, capsys):
     out_path = tmp_path / "c.csv"
     code, _, _ = run(capsys, "curve", "--fig", "4", "--grid", "5",
