@@ -40,11 +40,11 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _banner(out=None) -> None:
-    """The reproducibility comment line.  `out=None` prints to
-    sys.stdout as it is at call time, so a redirect made after import
-    still catches it."""
-    print(f"# tourprof {__version__} " + " ".join(sys.argv[1:]), file=out)
+def _banner(args, out=None) -> None:
+    """The reproducibility comment line, naming the arguments that main
+    parsed.  `out=None` prints to sys.stdout as it is at call time, so a
+    redirect made after import still catches it."""
+    print(f"# tourprof {__version__} " + " ".join(args.argv), file=out)
 
 
 def _load(path: str) -> Tournament:
@@ -149,7 +149,7 @@ def _profile_row(t: Tournament, args) -> int:
         p4 = profile4(t)
         dens = (p4.t4, p4.c4, p4.w, p4.l)
         counts4 = (p4.t4_count, p4.c4_count, p4.w_count, p4.l_count)
-    _banner()
+    _banner(args)
     print("n,t3,c3,t4,c4,w,l")
     print(",".join([str(t.n), _fmt(p3.t3), _fmt(p3.c3)]
                    + [_fmt(x) for x in dens]))
@@ -170,22 +170,20 @@ def _cmd_edge_stats(args) -> int:
     if args.moments and args.cdf is not None:
         raise ValueError("edge-stats takes --moments or --cdf, not both")
     t = _make_input(args.input)
-    stats = edge_stats(t)
     if args.moments:
-        rep = moments(t, stats).as_floats()
-        _banner()
-        print("n,ex,ey,exx,exy,eyy,ezz,var_x")
-        print(",".join([str(t.n)] + [_fmt(rep[k]) for k in
-                                     ("ex", "ey", "exx", "exy", "eyy",
-                                      "ezz", "var_x")]))
+        rep = moments(t).as_floats()
+        _banner(args)
+        print("n," + ",".join(rep))
+        print(",".join([str(t.n)] + [_fmt(x) for x in rep.values()]))
         return 0
     if args.cdf is not None:
-        phi = float(x_cdf(t, args.cdf, stats)[0])
-        _banner()
+        phi = float(x_cdf(t, args.cdf)[0])
+        _banner(args)
         print("n,x,phi")
         print(f"{t.n},{_fmt(args.cdf)},{_fmt(phi)}")
         return 0
-    _banner()
+    stats = edge_stats(t)
+    _banner(args)
     print("u,v,cyc,thru,dom_out,dom_in")
     _write_rows(sys.stdout, (*stats.edges.T, stats.cyc, stats.thru,
                              stats.dom_out, stats.dom_in))
@@ -215,7 +213,7 @@ def _cmd_curve(args) -> int:
     table = bounds.curve_dataset(grid, which=f"fig{args.fig}")
     out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
     try:
-        _banner(out)
+        _banner(args, out)
         print(f"{table.abscissa},upper,lb_variance,lb_flag,conjectured,m",
               file=out)
         for row in table.rows:
@@ -231,7 +229,7 @@ def _cmd_curve(args) -> int:
 def _cmd_flags(args) -> int:
     if args.action == "enumerate":
         types = flagmod.enumerate_types(args.k)
-        _banner()
+        _banner(args)
         print("index,code,c3_count")
         for ty in types:
             print(f"{ty.index},{ty.code},{profile3(ty.rep).c3_count}")
@@ -260,7 +258,7 @@ def _cmd_flags(args) -> int:
             raise ValueError("moment-check needs --in")
         t = _make_input(args.input)
         report = flagmod.moment_consistency_check(t)
-        _banner()
+        _banner(args)
         print("i,j,lhs,rhs,ok")
         for (i, j), (lhs, rhs) in sorted(report.entries.items()):
             print(f"{i},{j},{lhs},{rhs},{str(lhs == rhs).lower()}")
@@ -280,7 +278,7 @@ def _cmd_search(args) -> int:
     points = searchmod.boundary_scan(gammas, n=args.n, seeds=seeds,
                                      penalty=args.penalty,
                                      schedule=schedule)
-    _banner()
+    _banner(args)
     print("gamma,n,seed,c3,c4,objective,discovery_flag")
     for p in points:
         print(",".join([_fmt(p.gamma), str(p.n), str(p.seed), _fmt(p.c3),
@@ -295,7 +293,7 @@ def _cmd_verify(args) -> int:
     if args.cert:
         cert = flagmod.read_certificate(args.cert)
         report = flagmod.verify_certificate(cert)
-        _banner()
+        _banner(args)
         print("valid,lambda,min_kappa,min_eigenvalue")
         print(",".join([str(report.valid).lower(), _fmt(report.lam),
                         _fmt(report.min_kappa),
@@ -304,7 +302,7 @@ def _cmd_verify(args) -> int:
     if args.input:
         t = _make_input(args.input)
         report = verify_identities(t)
-        _banner()
+        _banner(args)
         print("name,ok,lhs,rhs")
         for chk in report.checks:
             print(f"{chk.name},{str(chk.ok).lower()},{chk.lhs},{chk.rhs}")
@@ -355,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     es = sub.add_parser("edge-stats", help="per-edge statistics")
     es.add_argument("input")
     es.add_argument("--moments", action="store_true",
-                    help="print the X/Y moment summary instead")
+                    help="print the X/Y/Z moments instead, a closed "
+                         "form in the c3, t3, c4 and t4 counts")
     es.add_argument("--cdf", type=float, default=None,
                     help="print the upper tail phi(x) of X instead")
     es.set_defaults(func=_cmd_edge_stats)
@@ -400,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     if getattr(args, "needs_n", False) and args.n is None \
             and args.construction not in ("mix", "flip"):
         ap.error(f"gen {args.construction} needs --n")

@@ -13,17 +13,18 @@ e = (u -> v) and a third vertex w there are four patterns:
     dom_out(e) #w with u -> w and v -> w
     dom_in(e)  #w with w -> u and w -> v
 
-These satisfy cyc + thru + dom_out + dom_in = n - 2 per edge, and the
-4-counts fall out of pair sums: sum_e C(cyc, 2) counts C4, sum_e
-C(thru, 2) counts T4.  One matrix product measures the first two: with
-the path matrix P2 = A A (a single float32 GEMM, n^3 multiply-adds),
-cyc(e) = P2[v, u] and thru(e) = P2[u, v], read at the arcs by
-`_arc_paths` alone.  The other two are derived, not measured: with
-out-degrees d, dom_out(e) = d_u - 1 - thru(e) and dom_in(e) =
-n - 2 - d_v - thru(e).  No 4-subset is ever enumerated.
-
-The per-edge random variables are X = cyc/(n-2), Y = thru/(n-2) and
-Z = 1 + 2(X - Y), an edge drawn uniformly.
+which sum to n - 2 per edge.  One float32 GEMM, P2 = A A, measures the
+first two: cyc(e) = P2[v, u] and thru(e) = P2[u, v], read at the arcs
+by `_arc_paths` for two callers only.  `profile4` sums them into c4 =
+sum_e C(cyc, 2) and t4 = sum_e C(thru, 2); `edge_stats` keeps them for
+per-arc answers (the edge-stats CSV, `x_cdf`, `verify_identities`, the
+flag moment check).  The rest follows by identities from the counts
+and the out-degrees d, and no 4-subset is enumerated: dom_out(e) =
+d_u - 1 - thru(e), dom_in(e) = n - 2 - d_v - thru(e), c3 by Goodman,
+w and l as in `profile4`, and the moments of X = cyc/(n-2), Y =
+thru/(n-2) and Z = 1 + 2(X - Y), an edge drawn uniformly, from sum_e
+cyc = 3 c3, sum_e thru = t3 and sum_e cyc * thru = 2 c4, which
+`verify_identities` checks at the arcs.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class Profile3Counts:
     c3_count: int
 
     def __post_init__(self):
-        if self.t3_count < 0 or self.c3_count < 0 \
-                or self.t3_count + self.c3_count != comb(self.n, 3):
+        counts = (self.t3_count, self.c3_count)
+        if min(counts) < 0 or sum(counts) != comb(self.n, 3):
             raise InternalInvariantError(
-                f"3-profile {self.t3_count}+{self.c3_count} != C({self.n},3)")
+                f"3-profile t3 + c3 = C(n,3), all >= 0, fails at n={self.n}: "
+                f"sum{counts} = {sum(counts)} vs {comb(self.n, 3)}")
 
     @property
     def t3(self) -> float:
@@ -111,7 +113,8 @@ class Profile4Counts:
         counts = (self.t4_count, self.c4_count, self.w_count, self.l_count)
         if min(counts) < 0 or sum(counts) != comb(self.n, 4):
             raise InternalInvariantError(
-                f"4-profile {counts} does not sum to C({self.n},4)")
+                f"4-profile t4 + c4 + w + l = C(n,4), all >= 0, fails at n="
+                f"{self.n}: sum{counts} = {sum(counts)} vs {comb(self.n, 4)}")
 
     @property
     def t4(self) -> float:
@@ -148,9 +151,9 @@ def profile4(t: Tournament) -> Profile4Counts:
 
     with out-degrees d and in-degrees e = n - 1 - d: sum_v C(d_v, 3)
     counts the 4-sets with a source, which are the T4 and L sets, and
-    sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Cross-checked
-    against C(n, 4) and the triangle-link identity
-    2*c4 + w + l = (n - 3)*c3 before returning."""
+    sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Checked
+    against the triangle-link identity 2*c4 + w + l = (n - 3)*c3, and
+    by Profile4Counts against t4 + c4 + w + l = C(n, 4)."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
@@ -159,13 +162,11 @@ def profile4(t: Tournament) -> Profile4Counts:
     d = t.out_degrees()
     l_count = _sum_comb3(d) - t4
     w_count = _sum_comb3(n - 1 - d) - t4
-    rest = comb(n, 4) - c4 - w_count - l_count
-    if rest != t4:
-        raise InternalInvariantError(
-            f"t4 mismatch: pair-sum {t4} vs complement {rest}")
     c3 = profile3(t).c3_count
     if 2 * c4 + w_count + l_count != (n - 3) * c3:
-        raise InternalInvariantError("2*c4 + w + l != (n-3)*c3")
+        raise InternalInvariantError(
+            f"2*c4 + w + l != (n-3)*c3 at n={n}: "
+            f"{2 * c4 + w_count + l_count} vs {(n - 3) * c3}")
     return Profile4Counts(n, t4, c4, w_count, l_count)
 
 
@@ -198,12 +199,15 @@ class EdgeStats:
     a: np.ndarray          # (n, n) bool, read-only
 
     def __post_init__(self):
-        # cyc + thru + dom_out + dom_in = n - 2, with the dom identities
-        # substituted: cyc - thru = d_v - d_u + 1
+        # by the dom identities, cyc + thru + dom_out + dom_in = gap + n - 3
         d = self._out_degrees()
         gap = self.cyc - self.thru + np.repeat(d, d) - self._at_head(d)
-        if not (gap == 1).all():
-            raise InternalInvariantError("cyc+thru+dom_out+dom_in != n-2")
+        bad = np.flatnonzero(gap != 1)
+        if len(bad):
+            (u, v), n = self.edges[bad[0]], self.n
+            raise InternalInvariantError(
+                f"cyc+thru+dom_out+dom_in != n-2 at n={n}: first failing "
+                f"arc {u} -> {v} sums to {gap[bad[0]] + n - 3} vs {n - 2}")
 
     def _out_degrees(self) -> np.ndarray:
         return self.a.sum(axis=1, dtype=np.int64)
@@ -257,42 +261,37 @@ class MomentReport:
     var_x: Fraction
 
     def as_floats(self) -> dict:
-        return {k: float(getattr(self, k))
-                for k in ("ex", "ey", "exx", "exy", "eyy", "ezz", "var_x")}
+        return {k: float(v) for k, v in vars(self).items() if k != "n"}
 
 
-def moments(t: Tournament, stats: EdgeStats | None = None) -> MomentReport:
+def moments(t: Tournament) -> MomentReport:
     """E[X], E[Y], E[X^2], E[XY], E[Y^2], E[Z^2], Var(X) with
-    Z = 1 + 2(X - Y).  Uses sum cyc^2 = sum cyc + 2 sum C(cyc, 2)."""
-    if stats is None:
-        stats = edge_stats(t)
+    Z = 1 + 2(X - Y), from the counts alone: over the C(n, 2) arcs, sum
+    cyc = 3 c3, sum thru = t3, sum C(cyc, 2) = c4, sum C(thru, 2) = t4,
+    sum cyc * thru = 2 c4, and sum cyc^2 = sum cyc + 2 sum C(cyc, 2)."""
     n = t.n
-    s = stats.sums()
-    m = comb(n, 2)
-    k = n - 2
-    ex = Fraction(s["cyc"], m * k)
-    ey = Fraction(s["thru"], m * k)
-    exx = Fraction(s["cyc"] + 2 * s["comb2_cyc"], m * k * k)
-    eyy = Fraction(s["thru"] + 2 * s["comb2_thru"], m * k * k)
-    exy = Fraction(s["cyc_thru"], m * k * k)
+    if n < 3:
+        raise TournamentError("edge stats need n >= 3")
+    p3, p4 = profile3(t), profile4(t)
+    c3, t3, c4, t4 = p3.c3_count, p3.t3_count, p4.c4_count, p4.t4_count
+    d = comb(n, 2) * (n - 2)        # arcs times n - 2
+    ex, ey = Fraction(3 * c3, d), Fraction(t3, d)
+    exx, exy, eyy = (Fraction(s, d * (n - 2))    # sum cyc^2, cyc thru, thru^2
+                     for s in (3 * c3 + 2 * c4, 2 * c4, t3 + 2 * t4))
     ezz = 1 + 4 * ex - 4 * ey + 4 * exx - 8 * exy + 4 * eyy
     return MomentReport(n=n, ex=ex, ey=ey, exx=exx, exy=exy, eyy=eyy,
                         ezz=ezz, var_x=exx - ex * ex)
 
 
-def x_cdf(t: Tournament, xs, stats: EdgeStats | None = None) -> np.ndarray:
+def x_cdf(t: Tournament, xs) -> np.ndarray:
     """phi(x) = fraction of directed edges with X >= x; nonincreasing,
     phi(0) = 1.  A NaN x is a ValueError."""
+    cyc_sorted = np.sort(edge_stats(t).cyc)    # checks n >= 3 before x
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
-    if stats is None:
-        stats = edge_stats(t)
-    cyc_sorted = np.sort(stats.cyc)
     e = len(cyc_sorted)
-    thresholds = xs * (t.n - 2)
-    counts = e - np.searchsorted(cyc_sorted, thresholds, side="left")
-    return counts / e
+    return (e - np.searchsorted(cyc_sorted, xs * (t.n - 2), side="left")) / e
 
 
 @dataclass(frozen=True)
@@ -387,7 +386,7 @@ class FlipState:
         self.deg = t.out_degrees()
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
-        self.c4_count = _sum_comb2(next(_arc_paths(self.p2, t.dense())))
+        self.c4_count = profile4(t).c4_count
 
     # -- derived views --------------------------------------------------
 
@@ -473,8 +472,9 @@ class FlipState:
                 f"degree vector drifted at n={n}: first difference at "
                 f"vertex {x}, tracked {int(self.deg[x])} vs recount "
                 f"{int(deg[x])}")
-        c4, t4 = map(_sum_comb2, _arc_paths(p2, t.dense()))
-        recount = {"c3": profile3(t).c3_count, "c4": c4, "t4": t4}
+        p4 = profile4(t)
+        recount = {"c3": profile3(t).c3_count, "c4": p4.c4_count,
+                   "t4": p4.t4_count}
         tracked = {"c3": self.c3_count, "c4": self.c4_count,
                    "t4": self.t4_count}
         drifted = [f"{k} tracked {tracked[k]} vs recount {recount[k]}"

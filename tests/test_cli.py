@@ -173,20 +173,36 @@ def test_banner_goes_to_the_current_stdout():
     assert buf.getvalue().startswith("# tourprof ")
 
 
+def test_banner_names_the_parsed_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["prog", "--bogus"])
+    code, out, _ = run(capsys, "profile", "transitive:5")
+    assert code == 0
+    assert out.splitlines()[0] == \
+        f"# tourprof {cli.__version__} profile transitive:5"
+    monkeypatch.setattr(sys, "argv", ["prog", "profile", "cyclic:5"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"# tourprof {cli.__version__} profile cyclic:5"
+
+
 def test_edge_stats_computed_once(monkeypatch, capsys):
+    """Each edge-stats mode and `profile --counts` runs the path-matrix
+    kernel exactly once."""
     calls = []
-    real = profiles.edge_stats
+    real = profiles.paths_matrix
 
     def counting(t):
         calls.append(t.n)
         return real(t)
 
-    monkeypatch.setattr(cli, "edge_stats", counting)
-    monkeypatch.setattr(profiles, "edge_stats", counting)
-    for extra in (["--moments"], ["--cdf", "0.5"]):
+    monkeypatch.setattr(profiles, "paths_matrix", counting)
+    for argv in (["edge-stats", "cyclic:7"],
+                 ["edge-stats", "cyclic:7", "--moments"],
+                 ["edge-stats", "cyclic:7", "--cdf", "0.5"],
+                 ["profile", "cyclic:7", "--counts"]):
         calls.clear()
-        code, _, _ = run(capsys, "edge-stats", "cyclic:7", *extra)
-        assert code == 0 and calls == [7]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [7], argv
 
 
 def test_edge_stats_row_count(capsys):

@@ -9,11 +9,12 @@ import pytest
 from tourprof.core import (BlowupSpec, InternalInvariantError, Tournament,
                            TournamentError, blowup, cyclic, from_matrix,
                            interval, random_tournament, transitive)
-from tourprof.profiles import (EdgeStats, FlipState, Profile4Counts,
-                               _check_float32_exact, classify4, edge_stats,
-                               moments, paths_matrix, profile3, profile4,
-                               sample_profile4, verify_identities, x_cdf)
-from tourprof import rng
+from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
+                               Profile4Counts, _check_float32_exact,
+                               classify4, edge_stats, moments, paths_matrix,
+                               profile3, profile4, sample_profile4,
+                               verify_identities, x_cdf)
+from tourprof import profiles, rng
 
 from conftest import (brute_counts3_via_matrix, brute_edge_stats,
                       brute_profile3, brute_profile4)
@@ -135,8 +136,11 @@ def test_edge_stats_invariant_guard():
     st = edge_stats(random_tournament(11, seed=6))
     cyc = st.cyc.copy()
     cyc[7] += 1
+    u, v = st.edges[7]
     with pytest.raises(InternalInvariantError,
-                       match=r"cyc\+thru\+dom_out\+dom_in != n-2"):
+                       match=rf"cyc\+thru\+dom_out\+dom_in != n-2 at n=11: "
+                             rf"first failing arc {u} -> {v} sums to 10 "
+                             rf"vs 9$"):
         replace(st, cyc=cyc)
 
 
@@ -159,6 +163,26 @@ def test_moments_cyclic5():
     assert rep.var_x == rep.exx - rep.ex ** 2
     # E[Z^2] = (1+8c3)/3 * n/(n-2) exactly
     assert rep.ezz == Fraction(5, 3) * Fraction(5, 3)
+
+
+def test_moments_match_brute_edge_rows(small_random_tournaments,
+                                       small_named_tournaments):
+    # moments come from the counts; the oracle sums X and Y over the
+    # brute-force arcs, so the per-edge meaning stays checked
+    for t in small_random_tournaments + small_named_tournaments:
+        k, rows = t.n - 2, brute_edge_stats(t)
+        xs = [Fraction(r[2], k) for r in rows]
+        ys = [Fraction(r[3], k) for r in rows]
+        e = len(xs)
+        ex, ey = sum(xs) / e, sum(ys) / e
+        exx = sum(x * x for x in xs) / e
+        rep = moments(t)
+        assert (rep.ex, rep.ey, rep.exx, rep.var_x) == \
+            (ex, ey, exx, exx - ex * ex)
+        assert rep.exy == sum(x * y for x, y in zip(xs, ys)) / e
+        assert rep.eyy == sum(y * y for y in ys) / e
+        assert rep.ezz == sum((1 + 2 * (x - y)) ** 2
+                              for x, y in zip(xs, ys)) / e
 
 
 def test_moment_identities_exact(small_random_tournaments):
@@ -227,8 +251,34 @@ def test_sample_profile4_deterministic():
 
 
 def test_profile4_counts_invariant_guard():
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError,
+                       match=r"^4-profile t4 \+ c4 \+ w \+ l = C\(n,4\), all "
+                             r">= 0, fails at n=5: sum\(1, 1, 1, 1\) = 4 "
+                             r"vs 5$"):
         Profile4Counts(5, 1, 1, 1, 1)
+    with pytest.raises(InternalInvariantError,
+                       match=r"n=5: sum\(6, -1, 0, 0\) = 5 vs 5$"):
+        Profile4Counts(5, 6, -1, 0, 0)
+
+
+def test_profile3_counts_invariant_guard():
+    with pytest.raises(InternalInvariantError,
+                       match=r"^3-profile t3 \+ c3 = C\(n,3\), all >= 0, "
+                             r"fails at n=5: sum\(1, 1\) = 2 vs 10$"):
+        Profile3Counts(5, 1, 1)
+
+
+def test_profile4_triangle_link_guard(monkeypatch):
+    # a c3 off by one breaks only the triangle link, which names both sides
+    t = random_tournament(9, seed=2)
+    p3, p4 = profile3(t), profile4(t)
+    monkeypatch.setattr(profiles, "profile3", lambda t: Profile3Counts(
+        t.n, p3.t3_count - 1, p3.c3_count + 1))
+    link = 2 * p4.c4_count + p4.w_count + p4.l_count
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^2\*c4 \+ w \+ l != \(n-3\)\*c3 at n=9: "
+                             rf"{link} vs {6 * (p3.c3_count + 1)}$"):
+        profile4(t)
 
 
 def test_flip_state_transitive_top_edge():
