@@ -65,6 +65,14 @@ def brute_edge_stats(t: Tournament):
     return rows
 
 
+def brute_two_paths(t: Tournament):
+    """Nested lists P[a][b] = #{w : a -> w -> b}, by walking every
+    triple."""
+    a = t.dense()
+    return [[sum(1 for w in range(t.n) if a[x, w] and a[w, y])
+             for y in range(t.n)] for x in range(t.n)]
+
+
 def brute_counts3_via_matrix(dense: np.ndarray):
     """c3 count from an int64 path matrix product, independent of the
     float32 kernel and of FlipState (exact in int64 for n < 2^20)."""

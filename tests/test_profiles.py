@@ -17,7 +17,7 @@ from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
 from tourprof import profiles, rng
 
 from conftest import (brute_counts3_via_matrix, brute_edge_stats,
-                      brute_profile3, brute_profile4)
+                      brute_profile3, brute_profile4, brute_two_paths)
 
 
 def test_profile3_matches_brute_force(small_random_tournaments):
@@ -116,6 +116,14 @@ def test_paths_matrix_is_the_integer_product():
         p2 = paths_matrix(t)
         assert p2.dtype == np.int64
         assert np.array_equal(p2, a @ a)
+
+
+def test_paths_matrix_matches_brute_force(small_random_tournaments,
+                                          small_named_tournaments):
+    for t in small_random_tournaments + small_named_tournaments:
+        p2 = paths_matrix(t)
+        assert p2.dtype == np.int64
+        assert p2.tolist() == brute_two_paths(t)
 
 
 def test_paths_matrix_float32_bound():
