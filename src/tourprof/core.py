@@ -57,6 +57,15 @@ class Tournament:
         self.n = d.shape[0]
         self._dense = d
 
+    @classmethod
+    def _adopt(cls, d: np.ndarray) -> "Tournament":
+        """Tournament of a freshly built n x n bool matrix that nothing
+        else holds: made read-only in place instead of copied."""
+        t = cls.__new__(cls)
+        d.flags.writeable = False
+        t.n, t._dense = d.shape[0], d
+        return t
+
     # -- views ---------------------------------------------------------
 
     def dense(self) -> np.ndarray:
@@ -123,7 +132,7 @@ def from_matrix(matrix: Iterable[Iterable[int]]) -> Tournament:
 # -- constructions -------------------------------------------------------
 
 # An n x n bool matrix is n**2 bytes, 1 GiB at this order; a construction
-# peaks below 6 n**2 traced bytes, so below 6 GiB.
+# peaks below 2 n**2 traced bytes, so below 2 GiB.
 _MAX_ORDER = 2**15
 
 
@@ -135,11 +144,22 @@ def _check_order(n: int) -> None:
         raise TournamentError(f"n={n} is over the limit of {_MAX_ORDER}")
 
 
+_BLOCK = 256
+
+
 def _complete(upper: np.ndarray) -> Tournament:
-    """Tournament of `upper`'s strict upper triangle; overwrites the rest."""
-    np.copyto(upper, ~upper.T, where=np.tri(len(upper), k=-1, dtype=bool))
+    """Tournament of `upper`'s strict upper triangle; overwrites the rest
+    and adopts `upper`, which the caller must not keep.  The lower
+    triangle is set _BLOCK rows at a time, so its temporaries stay near
+    2 * _BLOCK * n bytes."""
+    n = len(upper)
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        # row r in i..j-1 gets not upper[c, r] at each column c < r
+        np.copyto(upper[i:j, :j], ~upper[:j, i:j].T,
+                  where=np.tri(j - i, j, i - 1, dtype=bool))
     np.fill_diagonal(upper, False)
-    return Tournament(upper)
+    return Tournament._adopt(upper)
 
 
 def transitive(n: int) -> Tournament:
@@ -394,7 +414,7 @@ def from_trn_text(text: str) -> Tournament:
         raise DataFormatError(
             f"line {i + 2}: pair ({i}, {j}) is "
             + ("oriented both ways" if d[i, j] else "unoriented"))
-    return Tournament(d)
+    return Tournament._adopt(d)
 
 
 def write_trn(t: Tournament, path) -> None:

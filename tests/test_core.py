@@ -150,6 +150,28 @@ def test_constructions_peak_below_six_n_squared_bytes():
         assert peak < 6 * n * n, (name, peak / n**2)
 
 
+def test_constructions_adopt_their_own_matrix(tmp_path):
+    # the construction's scratch matrix becomes the tournament's: the peak
+    # is that matrix plus a block of rows, not 3 n**2 as with a full-size
+    # lower-triangle mask and a copy
+    n = 2000
+    tracemalloc.start()
+    try:
+        t = random_tournament(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n, peak / n**2
+    assert not t.dense().flags.writeable
+    path = tmp_path / "t.trn"
+    write_trn(t, path)
+    assert not read_trn(path).dense().flags.writeable
+    # a matrix the caller passes in is still copied
+    d = t.dense().copy()
+    u = Tournament(d)
+    assert u.dense() is not d and d.flags.writeable
+
+
 def test_part_sizes_largest_remainder():
     assert part_sizes((0.5, 0.5), 7) == [4, 3]
     assert part_sizes((1 / 3, 1 / 3, 1 / 3), 10) == [4, 3, 3]
