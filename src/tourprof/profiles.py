@@ -5,26 +5,35 @@ the 4-types are T4 (transitive), C4 (strongly connected), W (cyclic
 triangle plus a vertex beaten by all of it) and L (cyclic triangle plus
 a vertex beating all of it).  Densities are counts over C(n, k).
 
-All 4-counting goes through per-edge statistics.  For a directed edge
-e = (u -> v) and a third vertex w there are four patterns:
+For a directed edge e = (u -> v) and a third vertex w there are four
+patterns:
 
     cyc(e)     #w with v -> w -> u      (w completes a cyclic triangle)
     thru(e)    #w with u -> w -> v      (w lies on a 2-path u -> w -> v)
     dom_out(e) #w with u -> w and v -> w
     dom_in(e)  #w with w -> u and w -> v
 
-which sum to n - 2 per edge.  One float32 GEMM, P2 = A A, measures the
-first two: cyc(e) = P2[v, u] and thru(e) = P2[u, v], read at the arcs
-by `_arc_paths` for two callers only.  `profile4` sums them into c4 =
-sum_e C(cyc, 2) and t4 = sum_e C(thru, 2); `edge_stats` keeps them for
-per-arc answers (the edge-stats CSV, `x_cdf`, `verify_identities`, the
-flag moment check).  The rest follows by identities from the counts
-and the out-degrees d, and no 4-subset is enumerated: dom_out(e) =
-d_u - 1 - thru(e), dom_in(e) = n - 2 - d_v - thru(e), c3 by Goodman,
-w and l as in `profile4`, and the moments of X = cyc/(n-2), Y =
-thru/(n-2) and Z = 1 + 2(X - Y), an edge drawn uniformly, from sum_e
-cyc = 3 c3, sum_e thru = t3 and sum_e cyc * thru = 2 c4, which
-`verify_identities` checks at the arcs.
+which sum to n - 2 per edge.  The one kernel is the Gram matrix
+G = A A^T, a single float32 product (`gram_matrix`): G[u, v] = #{w :
+u -> w, v -> w} counts common out-neighbours and G[u, u] = d_u, the
+out-degree.  It measures dom_out(e) = G[u, v]; with the degrees d the
+rest follow by identities, and no 4-subset is enumerated:
+
+    thru(e) = d_u - 1 - G[u, v]       cyc(e) = thru(e) + 1 + d_v - d_u
+    dom_in(e) = n - 2 - d_v - thru(e).
+
+`profile4` reads G only through its second moment: the T4 sets are the
+4-sets with a pair beating the other pair, so t4 = sum_{u<v} C(G[u,v],
+2).  c3 follows from the degrees (Goodman), c4 from t4 - c4 = (C(n, 3)
+- 4 c3)(n - 3)/4, and w and l from the degree sums.  `edge_stats`
+gathers G at the arcs for the per-arc answers (the edge-stats CSV,
+`x_cdf`, `verify_identities`, the flag moment check).  `moments` of X =
+cyc/(n-2), Y = thru/(n-2) and Z = 1 + 2(X - Y), an edge drawn
+uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc = 3 c3,
+sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4 and sum_e
+cyc * thru = 2 c4), which `verify_identities` checks at the arcs.
+`FlipState` keeps the path matrix P2 = A A = d 1^T - A - G
+(`paths_matrix`).
 """
 
 from __future__ import annotations
@@ -51,32 +60,45 @@ def _sum_comb3(a: np.ndarray) -> int:
     return int((a * (a - 1) * (a - 2) // 6).sum())
 
 
-# float32 has a 24-bit significand: every partial sum of the GEMM is an
-# integer below n, so the product is exact while n < 2**24.
-FLOAT32_EXACT_N = 1 << 24
-
-
-def _check_float32_exact(n: int) -> None:
-    if n >= FLOAT32_EXACT_N:
+def _check_exact(n: int) -> None:
+    """The kernel's exactness precondition, checked before it allocates.
+    G's entries are integers below n, exact in float32 (24-bit
+    significand) while n < 2**24; the float64 row sums of G**2 reach
+    n (n - 1)**2 and are exact below 2**53, which binds first."""
+    if not (n < 2**24 and n * (n - 1) ** 2 < 2**53):
         raise TournamentError(
-            f"paths_matrix is exact only for n < 2**24 (got n={n})")
+            "the Gram kernel is exact only for n < 2**24 and "
+            f"n*(n-1)**2 < 2**53, so n <= 208064 (got n={n})")
+
+
+def gram_matrix(t: Tournament) -> np.ndarray:
+    """G = A A^T as float32, the package's one matrix product (numpy
+    sends it to SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] =
+    d_u.  Symmetric, with exact integer entries."""
+    _check_exact(t.n)
+    a32 = t.dense().astype(np.float32)
+    return a32 @ a32.T
 
 
 def paths_matrix(t: Tournament) -> np.ndarray:
-    """P2[a, b] = #{w : a -> w -> b}, as int64.  Note cyc(u -> v) =
-    P2[v, u] and thru(u -> v) = P2[u, v]."""
-    _check_float32_exact(t.n)
-    a32 = t.dense().astype(np.float32)
-    return (a32 @ a32).astype(np.int64)
+    """P2[a, b] = #{w : a -> w -> b}, as int64.  Since A^T = J - I - A,
+    P2 = A A = d 1^T - A - G.  Note cyc(u -> v) = P2[v, u] and
+    thru(u -> v) = P2[u, v]."""
+    p2 = gram_matrix(t).astype(np.int64)
+    np.subtract(t.out_degrees()[:, None], p2, out=p2)
+    p2 -= t.dense()
+    return p2
 
 
-def _arc_paths(p2: np.ndarray, a: np.ndarray):
-    """Yield cyc = P2[v, u], then thru = P2[u, v], over the arcs u -> v
-    of a in np.argwhere (row-major) order: the one reader of P2 at the
-    arcs, lazy so that a caller can reduce cyc before thru is gathered.
-    The take equals p2[a] at a third of the cost."""
-    yield p2.T[a]
-    yield p2.take(np.flatnonzero(a))
+def _exact_total(rows: np.ndarray) -> int:
+    """Sum of float64 row sums that are exact integers, as a Python int:
+    the total may pass 2**63 where no row does."""
+    return sum(rows.astype(np.int64).tolist())
+
+
+def _t4_minus_c4(n: int, c3: int) -> int:
+    """t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4: c3 fixes the difference."""
+    return (comb(n, 3) - 4 * c3) * (n - 3) // 4
 
 
 @dataclass(frozen=True)
@@ -144,29 +166,44 @@ def profile3(t: Tournament) -> Profile3Counts:
 
 
 def profile4(t: Tournament) -> Profile4Counts:
-    """Exact 4-profile via the per-edge kernel:
+    """Exact 4-profile from the second moment of the Gram matrix G:
 
-        c4 = sum_e C(cyc(e), 2)        t4 = sum_e C(thru(e), 2)
+        t4 = sum_{u<v} C(G[u,v], 2) = (sum_{u!=v} G^2 - sum_{u!=v} G) / 4
+        c4 = t4 - (C(n, 3) - 4 c3)(n - 3)/4
         l  = sum_v C(d_v, 3) - t4      w  = sum_v C(e_v, 3) - t4
 
-    with out-degrees d and in-degrees e = n - 1 - d: sum_v C(d_v, 3)
-    counts the 4-sets with a source, which are the T4 and L sets, and
-    sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Checked
-    against the triangle-link identity 2*c4 + w + l = (n - 3)*c3, and
-    by Profile4Counts against t4 + c4 + w + l = C(n, 4)."""
+    with out-degrees d and in-degrees e = n - 1 - d.  A T4 has one pair
+    beating the other pair, its top two, and a C4, W or L set has none.
+    sum_v C(d_v, 3) counts the 4-sets with a source, the T4 and L sets,
+    and sum_v C(e_v, 3) those with a sink, the T4 and W sets.  G is
+    checked against two identities of its own: diag G = d, and
+    sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
+    of each ordered pair of its in-neighbours."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    # map reduces cyc to c4 before _arc_paths gathers thru
-    c4, t4 = map(_sum_comb2, _arc_paths(paths_matrix(t), t.dense()))
+    g = gram_matrix(t)
     d = t.out_degrees()
+    diag = g.diagonal()
+    if not np.array_equal(diag, d):
+        u = int(np.flatnonzero(diag != d)[0])
+        raise InternalInvariantError(
+            f"Gram diagonal G[u,u] = d_u fails at n={n}: first at vertex "
+            f"{u}, G {int(diag[u])} vs d {int(d[u])}")
+    comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
+    sum_g = _exact_total(g.sum(axis=1, dtype=np.float64)) - pairs
+    links = 2 * _sum_comb2(n - 1 - d)
+    if sum_g != links:
+        raise InternalInvariantError(
+            f"Gram sum sum_(u!=v) G = 2 sum_w C(n-1-d_w, 2) fails at n={n}: "
+            f"{sum_g} vs {links}")
+    # sum_v d_v^2 = 2 sum_v C(d_v, 2) + sum_v d_v
+    sum_g2 = (_exact_total(np.einsum("ij,ij->i", g, g, dtype=np.float64))
+              - 2 * comb2_d - pairs)
+    t4 = (sum_g2 - sum_g) // 4
+    c4 = t4 - _t4_minus_c4(n, comb(n, 3) - comb2_d)
     l_count = _sum_comb3(d) - t4
     w_count = _sum_comb3(n - 1 - d) - t4
-    c3 = profile3(t).c3_count
-    if 2 * c4 + w_count + l_count != (n - 3) * c3:
-        raise InternalInvariantError(
-            f"2*c4 + w + l != (n-3)*c3 at n={n}: "
-            f"{2 * c4 + w_count + l_count} vs {(n - 3) * c3}")
     return Profile4Counts(n, t4, c4, w_count, l_count)
 
 
@@ -201,7 +238,10 @@ class EdgeStats:
     def __post_init__(self):
         # by the dom identities, cyc + thru + dom_out + dom_in = gap + n - 3
         d = self._out_degrees()
-        gap = self.cyc - self.thru + np.repeat(d, d) - self._at_head(d)
+        gap = self._at_head(d)
+        np.subtract(self.cyc, gap, out=gap)
+        gap -= self.thru
+        gap += np.repeat(d, d)
         bad = np.flatnonzero(gap != 1)
         if len(bad):
             (u, v), n = self.edges[bad[0]], self.n
@@ -214,7 +254,9 @@ class EdgeStats:
 
     def _at_head(self, x: np.ndarray) -> np.ndarray:
         """x[v] for each arc u -> v."""
-        return x.take(np.flatnonzero(self.a) % self.n)
+        heads = np.flatnonzero(self.a)
+        heads %= self.n
+        return x.take(heads)
 
     @property
     def edges(self) -> np.ndarray:        # (E, 2) int64 rows (u, v)
@@ -241,10 +283,22 @@ class EdgeStats:
 
 
 def edge_stats(t: Tournament) -> EdgeStats:
-    if t.n < 3:
+    """cyc and thru at every arc u -> v from one gather of the Gram
+    matrix: cyc = d_v - G[u, v] and thru = d_u - 1 - G[u, v]."""
+    n, a = t.n, t.dense()
+    if n < 3:
         raise TournamentError("edge stats need n >= 3")
-    cyc, thru = _arc_paths(paths_matrix(t), t.dense())
-    return EdgeStats(n=t.n, cyc=cyc, thru=thru, a=t.dense())
+    d = t.out_degrees()
+    arcs = np.flatnonzero(a)
+    g = gram_matrix(t).take(arcs).astype(np.int64)
+    arcs %= n                                   # the head v of each arc
+    cyc = d.take(arcs)
+    cyc -= g
+    del arcs
+    thru = np.repeat(d - 1, d)
+    thru -= g
+    del g
+    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a)
 
 
 @dataclass(frozen=True)
@@ -285,11 +339,14 @@ def moments(t: Tournament) -> MomentReport:
 
 def x_cdf(t: Tournament, xs) -> np.ndarray:
     """phi(x) = fraction of directed edges with X >= x; nonincreasing,
-    phi(0) = 1.  A NaN x is a ValueError."""
-    cyc_sorted = np.sort(edge_stats(t).cyc)    # checks n >= 3 before x
+    phi(0) = 1.  n < 3 is a TournamentError and a NaN x a ValueError,
+    both raised before the kernel runs."""
+    if t.n < 3:
+        raise TournamentError("edge stats need n >= 3")
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
+    cyc_sorted = np.sort(edge_stats(t).cyc)
     e = len(cyc_sorted)
     return (e - np.searchsorted(cyc_sorted, xs * (t.n - 2), side="left")) / e
 
@@ -344,7 +401,8 @@ class FlipState:
     counts across single-pair flips in O(n) time per flip.
 
     Keeps A as an int64 matrix, the out-degree vector deg and the path
-    matrix P2[a, b] = #{w : a -> w -> b}.  For an arc u -> v, the n - 2
+    matrix P2[a, b] = #{w : a -> w -> b}, built from the Gram matrix as
+    P2 = deg 1^T - A - G (`paths_matrix`); c4 starts from `profile4`.  For an arc u -> v, the n - 2
     other vertices split into cyc = P2[v, u], thru = P2[u, v] and the
     dominated counts deg[u] - 1 - thru and n - 2 - deg[v] - thru, which
     sum to the degree identity
@@ -396,8 +454,7 @@ class FlipState:
 
     @property
     def t4_count(self) -> int:
-        n = self.n
-        return self.c4_count + (comb(n, 3) - 4 * self.c3_count) * (n - 3) // 4
+        return self.c4_count + _t4_minus_c4(self.n, self.c3_count)
 
     # -- incremental update ----------------------------------------------
 

@@ -186,16 +186,16 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 
 
 def test_edge_stats_computed_once(monkeypatch, capsys):
-    """Each edge-stats mode and `profile --counts` runs the path-matrix
-    kernel exactly once."""
+    """Each edge-stats mode and `profile --counts` runs the Gram kernel
+    exactly once."""
     calls = []
-    real = profiles.paths_matrix
+    real = profiles.gram_matrix
 
     def counting(t):
         calls.append(t.n)
         return real(t)
 
-    monkeypatch.setattr(profiles, "paths_matrix", counting)
+    monkeypatch.setattr(profiles, "gram_matrix", counting)
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],
                  ["edge-stats", "cyclic:7", "--cdf", "0.5"],

@@ -10,7 +10,7 @@ from tourprof.core import (BlowupSpec, InternalInvariantError, Tournament,
                            TournamentError, blowup, cyclic, from_matrix,
                            interval, random_tournament, transitive)
 from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
-                               Profile4Counts, _check_float32_exact,
+                               Profile4Counts, _check_exact,
                                classify4, edge_stats, moments, paths_matrix,
                                profile3, profile4, sample_profile4,
                                verify_identities, x_cdf)
@@ -127,9 +127,25 @@ def test_paths_matrix_matches_brute_force(small_random_tournaments,
 
 
 def test_paths_matrix_float32_bound():
-    _check_float32_exact(2 ** 24 - 1)
-    with pytest.raises(TournamentError, match=r"n < 2\*\*24 \(got n=16777216\)"):
-        _check_float32_exact(2 ** 24)
+    # float32 entries need n < 2**24; the float64 row sums of G**2 need
+    # n*(n-1)**2 < 2**53, which binds first, at n = 208064
+    _check_exact(208064)
+    for n in (208065, 2 ** 24 - 1, 2 ** 24):
+        with pytest.raises(TournamentError,
+                           match=rf"n\*\(n-1\)\*\*2 < 2\*\*53, so n <= "
+                                 rf"208064 \(got n={n}\)"):
+            _check_exact(n)
+
+
+def test_gram_matrix_checks_before_it_allocates():
+    class Huge:          # a tournament too large to build
+        n = 208065
+
+        def dense(self):
+            raise AssertionError("the kernel allocated before its check")
+
+    with pytest.raises(TournamentError, match=r"got n=208065"):
+        profiles.gram_matrix(Huge())
 
 
 def test_edge_stats_cyclic5_sums():
@@ -219,6 +235,25 @@ def test_x_cdf_basic_properties():
             x_cdf(t, bad)
 
 
+def test_x_cdf_checks_before_the_kernel(monkeypatch):
+    calls = []
+    real = profiles.gram_matrix
+
+    def counting(t):
+        calls.append(t.n)
+        return real(t)
+
+    monkeypatch.setattr(profiles, "gram_matrix", counting)
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        x_cdf(random_tournament(200, 1), float("nan"))
+    # n < 3 is named first, even with a NaN x
+    with pytest.raises(TournamentError, match="edge stats need n >= 3"):
+        x_cdf(transitive(2), float("nan"))
+    assert calls == []
+    x_cdf(random_tournament(200, 1), 0.5)
+    assert calls == [200]
+
+
 def test_x_cdf_triangle_blowup_step():
     # balanced blow-up of the directed triangle: X concentrates at 1/3
     from tourprof.core import BlowupSpec, blowup
@@ -276,17 +311,49 @@ def test_profile3_counts_invariant_guard():
         Profile3Counts(5, 1, 1)
 
 
-def test_profile4_triangle_link_guard(monkeypatch):
-    # a c3 off by one breaks only the triangle link, which names both sides
+def test_profile4_gram_guard(monkeypatch):
+    # a wrong Gram matrix breaks one of its own identities, named with n
+    # and both sides, before any count is derived from it
     t = random_tournament(9, seed=2)
-    p3, p4 = profile3(t), profile4(t)
-    monkeypatch.setattr(profiles, "profile3", lambda t: Profile3Counts(
-        t.n, p3.t3_count - 1, p3.c3_count + 1))
-    link = 2 * p4.c4_count + p4.w_count + p4.l_count
+    real = profiles.gram_matrix
+    d = t.out_degrees()
+    links = 2 * sum(comb(8 - int(x), 2) for x in d)
+
+    def off_pair(t):
+        g = real(t).copy()
+        g[0, 1] += 1
+        g[1, 0] += 1
+        return g
+
+    def off_diagonal(t):
+        g = real(t).copy()
+        g[3, 3] += 1
+        return g
+
+    monkeypatch.setattr(profiles, "gram_matrix", off_pair)
     with pytest.raises(InternalInvariantError,
-                       match=rf"^2\*c4 \+ w \+ l != \(n-3\)\*c3 at n=9: "
-                             rf"{link} vs {6 * (p3.c3_count + 1)}$"):
+                       match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
+                             rf"C\(n-1-d_w, 2\) fails at n=9: "
+                             rf"{links + 2} vs {links}$"):
         profile4(t)
+    monkeypatch.setattr(profiles, "gram_matrix", off_diagonal)
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^Gram diagonal G\[u,u\] = d_u fails at n=9: "
+                             rf"first at vertex 3, G {d[3] + 1} vs d {d[3]}$"):
+        profile4(t)
+
+
+def test_gram_second_moment_is_t4(small_random_tournaments,
+                                  small_named_tournaments):
+    # a T4 is the one 4-type with a pair beating the other pair
+    for t in small_random_tournaments + small_named_tournaments:
+        g = profiles.gram_matrix(t)
+        assert g.dtype == np.float32 and np.array_equal(g, g.T)
+        a = t.dense().astype(np.int64)
+        assert np.array_equal(g, a @ a.T)
+        second = sum(comb(int(g[u, v]), 2)
+                     for u in range(t.n) for v in range(u + 1, t.n))
+        assert second == brute_profile4(t)["T4"]
 
 
 def test_flip_state_transitive_top_edge():
