@@ -19,8 +19,8 @@ u -> w, v -> w} counts common out-neighbours and G[u, u] = d_u, the
 out-degree.  It measures dom_out(e) = G[u, v]; with the degrees d the
 rest follow by identities, and no 4-subset is enumerated:
 
-    thru(e) = d_u - 1 - G[u, v]       cyc(e) = thru(e) + 1 + d_v - d_u
-    dom_in(e) = n - 2 - d_v - thru(e).
+    thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
+    dom_in(e) = n - 2 - d_v - thru(e)
 
 `profile4` reads G only through its second moment: the T4 sets are the
 4-sets with a pair beating the other pair, so t4 = sum_{u<v} C(G[u,v],
@@ -72,8 +72,8 @@ def _check_exact(n: int) -> None:
 
 
 def gram_matrix(t: Tournament) -> np.ndarray:
-    """G = A A^T as float32, the package's one matrix product (numpy
-    sends it to SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] =
+    """G = A A^T as float32, the one product of a tournament's matrix
+    in the package (numpy sends it to SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] =
     d_u.  Symmetric, with exact integer entries."""
     _check_exact(t.n)
     a32 = t.dense().astype(np.float32)
@@ -201,7 +201,7 @@ def profile4(t: Tournament) -> Profile4Counts:
     sum_g2 = (_exact_total(np.einsum("ij,ij->i", g, g, dtype=np.float64))
               - 2 * comb2_d - pairs)
     t4 = (sum_g2 - sum_g) // 4
-    c4 = t4 - _t4_minus_c4(n, comb(n, 3) - comb2_d)
+    c4 = t4 - _t4_minus_c4(n, comb(n, 3) - comb2_d)     # c3 by Goodman
     l_count = _sum_comb3(d) - t4
     w_count = _sum_comb3(n - 1 - d) - t4
     return Profile4Counts(n, t4, c4, w_count, l_count)
@@ -288,13 +288,14 @@ def edge_stats(t: Tournament) -> EdgeStats:
     n, a = t.n, t.dense()
     if n < 3:
         raise TournamentError("edge stats need n >= 3")
+    g = gram_matrix(t)
     d = t.out_degrees()
     arcs = np.flatnonzero(a)
-    g = gram_matrix(t).take(arcs).astype(np.int64)
+    g = g.take(arcs).astype(np.int64)
     arcs %= n                                   # the head v of each arc
     cyc = d.take(arcs)
     cyc -= g
-    del arcs
+    del arcs                    # EdgeStats' own check is the memory peak
     thru = np.repeat(d - 1, d)
     thru -= g
     del g
@@ -401,8 +402,9 @@ class FlipState:
     counts across single-pair flips in O(n) time per flip.
 
     Keeps A as an int64 matrix, the out-degree vector deg and the path
-    matrix P2[a, b] = #{w : a -> w -> b}, built from the Gram matrix as
-    P2 = deg 1^T - A - G (`paths_matrix`); c4 starts from `profile4`.  For an arc u -> v, the n - 2
+    matrix P2[a, b] = #{w : a -> w -> b}, built from the Gram matrix G =
+    A A^T as P2 = deg 1^T - A - G (`paths_matrix`); c4 starts from
+    `profile4`, the second moment of G.  For an arc u -> v, the n - 2
     other vertices split into cyc = P2[v, u], thru = P2[u, v] and the
     dominated counts deg[u] - 1 - thru and n - 2 - deg[v] - thru, which
     sum to the degree identity
