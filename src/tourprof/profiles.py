@@ -73,8 +73,8 @@ def _check_exact(n: int) -> None:
 
 def gram_matrix(t: Tournament) -> np.ndarray:
     """G = A A^T as float32, the one product of a tournament's matrix
-    in the package (numpy sends it to SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] =
-    d_u.  Symmetric, with exact integer entries."""
+    in the package (numpy sends it to SYRK): G[u, v] = #{w : u -> w,
+    v -> w} and G[u, u] = d_u.  Symmetric, with exact integer entries."""
     _check_exact(t.n)
     a32 = t.dense().astype(np.float32)
     return a32 @ a32.T
@@ -184,6 +184,7 @@ def profile4(t: Tournament) -> Profile4Counts:
         return Profile4Counts(n, 0, 0, 0, 0)
     g = gram_matrix(t)
     d = t.out_degrees()
+    e = n - 1 - d
     diag = g.diagonal()
     if not np.array_equal(diag, d):
         u = int(np.flatnonzero(diag != d)[0])
@@ -192,7 +193,7 @@ def profile4(t: Tournament) -> Profile4Counts:
             f"{u}, G {int(diag[u])} vs d {int(d[u])}")
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
     sum_g = _exact_total(g.sum(axis=1, dtype=np.float64)) - pairs
-    links = 2 * _sum_comb2(n - 1 - d)
+    links = 2 * _sum_comb2(e)
     if sum_g != links:
         raise InternalInvariantError(
             f"Gram sum sum_(u!=v) G = 2 sum_w C(n-1-d_w, 2) fails at n={n}: "
@@ -203,7 +204,7 @@ def profile4(t: Tournament) -> Profile4Counts:
     t4 = (sum_g2 - sum_g) // 4
     c4 = t4 - _t4_minus_c4(n, comb(n, 3) - comb2_d)     # c3 by Goodman
     l_count = _sum_comb3(d) - t4
-    w_count = _sum_comb3(n - 1 - d) - t4
+    w_count = _sum_comb3(e) - t4
     return Profile4Counts(n, t4, c4, w_count, l_count)
 
 
