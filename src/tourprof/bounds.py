@@ -103,7 +103,7 @@ def _smallest_feasible_m(c_target: float) -> int:
     return m
 
 
-def _solve_two_value(c_target: float, m: int, tol: float = DEFAULT_BISECT_TOL):
+def _solve_two_value(c_target: float, m: int):
     """Bisect for b in (0, 1/m] with (m-1)a + b = 1 and (m-1)a^3 + b^3 =
     c_target; the cube-sum is strictly decreasing in b on that bracket."""
     if m == 1:
@@ -115,7 +115,7 @@ def _solve_two_value(c_target: float, m: int, tol: float = DEFAULT_BISECT_TOL):
     if g(hi) > 0:           # only possible through rounding at C = 1/m^2
         return hi, hi
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= DEFAULT_BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:
@@ -126,8 +126,8 @@ def _solve_two_value(c_target: float, m: int, tol: float = DEFAULT_BISECT_TOL):
     return (1.0 - b) / (m - 1), b
 
 
-def _finish_optimum(c_target: float, m: int, tol: float) -> BlowupOptimum:
-    a, b = _solve_two_value(c_target, m, tol)
+def _finish_optimum(c_target: float, m: int) -> BlowupOptimum:
+    a, b = _solve_two_value(c_target, m)
     c4 = 0.375 * ((m - 1) * a**4 + b**4)
     opt = BlowupOptimum(m=m, a=a, b=b, c3=c_target / 4.0, c4=c4)
     if not (a >= b > 0):
@@ -139,18 +139,17 @@ def _finish_optimum(c_target: float, m: int, tol: float) -> BlowupOptimum:
     return opt
 
 
-def conjectured_min_c4(c3: float, tol: float = DEFAULT_BISECT_TOL) -> BlowupOptimum:
+def conjectured_min_c4(c3: float) -> BlowupOptimum:
     """Conjectured minimal c4 at triangle density c3 in (0, 1/4]: the
     transitive blow-up with the smallest feasible number of parts m
     (1/m^2 <= 4 c3 < 1/(m-1)^2), m - 1 equal weights and one smaller."""
     c3 = _check_c3(c3, lo_open=True)
     c_target = 4.0 * c3
     m = _smallest_feasible_m(c_target)
-    return _finish_optimum(c_target, m, tol)
+    return _finish_optimum(c_target, m)
 
 
-def min_fourth_power_sum(c_target: float, m: int,
-                         tol: float = DEFAULT_BISECT_TOL):
+def min_fourth_power_sum(c_target: float, m: int):
     """Minimize sum w_i^4 over m positive weights with sum w = 1 and
     sum w^3 = c_target.  Returns None when infeasible: the two-value
     pattern (a, ..., a, b) sweeps exactly c_target in [1/m^2, 1/(m-1)^2)
@@ -163,7 +162,7 @@ def min_fourth_power_sum(c_target: float, m: int,
         return None
     if m > 1 and c_target >= 1.0 / ((m - 1) * (m - 1)):
         return None
-    return _finish_optimum(min(c_target, 1.0), m, tol)
+    return _finish_optimum(min(c_target, 1.0), m)
 
 
 @dataclass(frozen=True)
