@@ -1,4 +1,4 @@
-"""Tournaments (complete directed graphs) and the constructions studied here.
+r"""Tournaments (complete directed graphs) and the constructions studied here.
 
 Representation: the read-only n x n boolean adjacency matrix, entry
 [u, j] true iff u beats j (written u -> j).  Tournaments are immutable
@@ -10,6 +10,11 @@ edge-flip perturbations, and the two-block random mix.  Each states only
 its strict upper triangle; `_complete` sets the lower one.  Randomness
 comes from the counter-based stream in `rng` at each pair's lexicographic
 index, read row by row: pairs (u, lo..hi-1) are one contiguous run.
+
+TRN v1 files are ASCII and are parsed as bytes, one parser for files and
+text (text is taken as its UTF-8 bytes).  A non-ASCII byte is reported
+first, with its line and column.  Lines end at \n, \r\n or \r, rows are
+stripped of ASCII blanks, and n is at most 2**15.
 """
 
 from __future__ import annotations
@@ -132,7 +137,8 @@ def from_matrix(matrix: Iterable[Iterable[int]]) -> Tournament:
 # -- constructions -------------------------------------------------------
 
 # An n x n bool matrix is n**2 bytes, 1 GiB at this order; a construction
-# peaks below 2 n**2 traced bytes, so below 2 GiB.
+# peaks below 2 n**2 traced bytes, so below 2 GiB, and a TRN read near
+# 5 n**2.
 _MAX_ORDER = 2**15
 
 
@@ -359,30 +365,36 @@ def to_trn_text(t: Tournament) -> str:
     return f"TRN v1 {t.n}\n" + _trn_rows(t).tobytes().decode("ascii")
 
 
-def _first_true(mask: np.ndarray):
-    """Row-major (i, j) of the first True entry of a 2-D mask, or None."""
+def _first_true(mask: np.ndarray, diagonal):
+    """Row-major (i, j) of the first True entry of a 2-D mask after its
+    diagonal is set to `diagonal` (in place), or None."""
+    np.fill_diagonal(mask, diagonal)
     if not mask.any():
         return None
     return divmod(int(np.argmax(mask)), mask.shape[1])
 
 
-def from_trn_text(text: str) -> Tournament:
-    """Parse TRN v1.  Lines split as str.splitlines() does (so CRLF is
-    fine) and each row is stripped of surrounding blanks; lines after
-    the last row are ignored.  The first error in row-major order is
-    reported with its line number."""
-    lines = text.splitlines()
+def _parse_trn(data: bytes) -> Tournament:
+    """The one TRN v1 parser, on bytes that _ascii has checked (read_trn
+    states the rules).  The first error in row-major order is reported
+    with its line number."""
+    lines = data.splitlines()
     if not lines:
         raise DataFormatError("line 1: empty TRN input")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "TRN" or head[1] != "v1":
-        raise DataFormatError(f"line 1: expected 'TRN v1 <n>', got {lines[0]!r}")
+    if len(head) != 3 or head[0] != b"TRN" or head[1] != b"v1":
+        raise DataFormatError(
+            f"line 1: expected 'TRN v1 <n>', got {lines[0].decode()!r}")
     try:
         n = int(head[2])
     except ValueError:
-        raise DataFormatError(f"line 1: bad vertex count {head[2]!r}") from None
+        raise DataFormatError(
+            f"line 1: bad vertex count {head[2].decode()!r}") from None
     if n < 1:
         raise DataFormatError("line 1: vertex count must be >= 1")
+    if n > _MAX_ORDER:
+        raise DataFormatError(
+            f"line 1: vertex count {n} is over the limit of {_MAX_ORDER}")
     if len(lines) < n + 1:
         raise DataFormatError(f"line {len(lines) + 1}: expected {n} rows, "
                               f"got {len(lines) - 1}")
@@ -390,14 +402,9 @@ def from_trn_text(text: str) -> Tournament:
     # Rows before the first one of the wrong length are checked char by
     # char first: a bad char on an earlier line is the earlier error.
     short = next((i for i, row in enumerate(rows) if len(row) != n), n)
-    flat = "".join(rows[:short])
-    codes = (np.frombuffer(flat.encode("ascii"), dtype=np.uint8)
-             if flat.isascii()
-             else np.frombuffer(flat.encode("utf-32-le"), dtype="<u4"))
-    codes = codes.reshape(short, n)
-    diag = np.eye(short, n, dtype=bool)
-    bad = np.where(diag, codes != _DASH, (codes != _ZERO) & (codes != _ONE))
-    first = _first_true(bad)
+    codes = np.frombuffer(b"".join(rows[:short]), np.uint8).reshape(short, n)
+    # '0' and '1' differ only in the low bit; the diagonal must be '-'
+    first = _first_true((codes | 1) != _ONE, codes.diagonal() != _DASH)
     if first is not None:
         i, j = first
         if i == j:
@@ -408,7 +415,8 @@ def from_trn_text(text: str) -> Tournament:
         raise DataFormatError(f"line {short + 2}: expected {n} chars, "
                               f"got {len(rows[short])}")
     d = codes == _ONE
-    first = _first_true(np.triu(d == d.T, k=1))
+    # d == d.T is symmetric, so its first row-major hit has i < j
+    first = _first_true(d == d.T, False)
     if first is not None:
         i, j = first
         raise DataFormatError(
@@ -417,27 +425,45 @@ def from_trn_text(text: str) -> Tournament:
     return Tournament._adopt(d)
 
 
+def from_trn_text(text: str) -> Tournament:
+    r"""Parse TRN v1 text as read_trn parses a file holding its UTF-8
+    bytes, with the same result or error: any non-ASCII char is reported
+    first, as its first byte's line and column.  Lines end at \n, \r\n or
+    \r, rows are stripped of ASCII blanks, and n is at most 2**15."""
+    return _parse_trn(_ascii(text.encode("utf-8", "surrogatepass")))
+
+
 def write_trn(t: Tournament, path) -> None:
     with open(path, "wb") as fh:
         fh.writelines((f"TRN v1 {t.n}\n".encode("ascii"), _trn_rows(t)))
 
 
-def _read_ascii(path) -> bytes:
-    """The bytes of an ASCII file (TRN, FLAGCERT, FLAGTAB); the first
-    non-ASCII byte is a DataFormatError that names its line and column."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _ascii(data: bytes) -> bytes:
+    r"""`data` itself if it is ASCII.  Else the first non-ASCII byte is a
+    DataFormatError that names its line (lines end at \n, \r\n or \r)
+    and its column, both counted from 1."""
     if not data.isascii():
         pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
-        # a stand-in char after the ASCII prefix lands where the bad byte is
-        where = (data[:pos].decode("ascii") + "x").splitlines()
+        # a stand-in byte after the ASCII prefix lands where the bad one is
+        where = (data[:pos] + b"x").splitlines()
         raise DataFormatError(
             f"line {len(where)}: non-ASCII byte 0x{data[pos]:02x} "
             f"at column {len(where[-1])}")
     return data
 
 
+def _read_ascii(path) -> bytes:
+    """The bytes of an ASCII file (TRN, FLAGCERT, FLAGTAB), checked by
+    _ascii."""
+    with open(path, "rb") as fh:
+        return _ascii(fh.read())
+
+
 def read_trn(path) -> Tournament:
-    # freeing the raw bytes before parsing measured ~10% slower edge_stats
-    data = _read_ascii(path)
-    return from_trn_text(data.decode("ascii"))
+    r"""Read a TRN v1 file.  It must be ASCII: a non-ASCII byte is
+    reported first, with its line and column.  Lines end at \n, \r\n or
+    \r, rows are stripped of ASCII blanks, text after the last row is
+    ignored, and n is at most 2**15 (_MAX_ORDER)."""
+    # the raw bytes stay referenced until the parse ends: freeing them
+    # first measured ~10% slower edge_stats afterwards
+    return _parse_trn(_read_ascii(path))

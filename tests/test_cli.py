@@ -159,6 +159,14 @@ def test_profile_non_ascii_file_is_data_error(tmp_path, capsys):
     assert "line 4: non-ASCII byte 0xff at column 2" in err
 
 
+def test_profile_file_over_the_order_limit_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "big.trn"
+    bad.write_bytes(b"TRN v1 32769\n")
+    code, _, err = run(capsys, "profile", str(bad))
+    assert code == 3
+    assert "line 1: vertex count 32769 is over the limit of 32768" in err
+
+
 def test_profile_needs_four_vertices(capsys):
     code, out, err = run(capsys, "profile", "transitive:3")
     assert code == 2

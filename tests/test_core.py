@@ -279,6 +279,23 @@ def test_write_trn_holds_one_copy_of_the_body(tmp_path):
     assert path.read_bytes() == to_trn_text(t).encode("ascii")
 
 
+def test_read_trn_parses_the_bytes_in_place(tmp_path):
+    # no decoded str, no re-encoded copy and no n x n index mask: the raw
+    # bytes, their rows and join, and two n x n masks at most
+    n = 2000
+    t = random_tournament(n, seed=1)
+    path = tmp_path / "t.trn"
+    write_trn(t, path)
+    tracemalloc.start()
+    try:
+        back = read_trn(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n, peak / n**2
+    assert back == t
+
+
 def test_trn_text_golden_hashes():
     # sha256 of to_trn_text, frozen from the character-by-character writer
     golden = {
@@ -368,6 +385,7 @@ def test_trn_accepts_crlf_blanks_and_trailing_lines():
     t = from_trn_text("TRN v1 3\r\n -11 \r\n0-1\t\r\n00-\r\ntrailer\r\n")
     assert t == transitive(3)
     assert from_trn_text("TRN v1 3\n-11\n0-1\n00-") == transitive(3)
+    assert from_trn_text("TRN v1 3\r-11\r0-1\r00-\r") == transitive(3)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -382,7 +400,17 @@ def test_trn_accepts_crlf_blanks_and_trailing_lines():
     ("TRN v1 3\n011\n0-1\n00-\n", "line 2: diagonal must be '-'"),
     ("TRN v1 3\n-1x\n0-1\n00-\n", "line 2: bad char 'x' at column 3"),
     ("TRN v1 3\n-1\u00e9\n0-1\n00-\n",
-     "line 2: bad char '\u00e9' at column 3"),
+     "line 2: non-ASCII byte 0xc3 at column 3"),
+    # non-ASCII text is reported first, even in ignored trailing lines
+    ("TRN v2 3\n-1\u00e9\n", "line 2: non-ASCII byte 0xc3 at column 3"),
+    ("TRN v1 3\n-11\n0-1\n00-\nnote \u00e9\n",
+     "line 5: non-ASCII byte 0xc3 at column 6"),
+    # only \n, \r\n and \r end a line: this row is 4 chars long
+    ("TRN v1 3\n-1\f1\n0-1\n00-\n", "line 2: expected 3 chars, got 4"),
+    # n is checked against the limit before any row is read
+    ("TRN v1 32769\n",
+     "line 1: vertex count 32769 is over the limit of 32768"),
+    ("TRN v1 32768\n", "line 2: expected 32768 rows, got 0"),
     # the first error in row-major order wins over a later row's
     ("TRN v1 3\n-1x\n0-\n00-\n", "line 2: bad char 'x' at column 3"),
     ("TRN v1 3\n-1\n0x1\n00-\n", "line 2: expected 3 chars, got 2"),
@@ -391,10 +419,20 @@ def test_trn_accepts_crlf_blanks_and_trailing_lines():
     ("TRN v1 3\n-11\n1-1\n01-\n", "line 2: pair (0, 1) is oriented both ways"),
     ("TRN v1 3\n-01\n0-0\n01-\n", "line 2: pair (0, 1) is unoriented"),
 ])
-def test_trn_error_messages(text, message):
+def test_trn_error_messages(text, message, tmp_path):
+    # text and a file holding its UTF-8 bytes follow one rule
+    path = tmp_path / "t.trn"
+    path.write_bytes(text.encode("utf-8"))
+    for parse in (lambda: from_trn_text(text), lambda: read_trn(path)):
+        with pytest.raises(DataFormatError) as info:
+            parse()
+        assert str(info.value) == message
+
+
+def test_trn_text_with_a_lone_surrogate_is_a_data_error():
     with pytest.raises(DataFormatError) as info:
-        from_trn_text(text)
-    assert str(info.value) == message
+        from_trn_text("TRN v1 1\n-\n\ud800")
+    assert str(info.value) == "line 3: non-ASCII byte 0xed at column 1"
 
 
 def test_read_trn_non_ascii_names_the_line(tmp_path):
