@@ -417,8 +417,16 @@ def certificate_to_text(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> list:
+    r"""The lines of a FLAGCERT or FLAGTAB text, ended only at \n, \r\n
+    or \r as TRN lines are (bytes.splitlines; str.splitlines would also
+    end them at \v, \f and \x1c-\x1e)."""
+    data = text.encode("utf-8", "surrogatepass")
+    return [ln.decode("utf-8", "surrogatepass") for ln in data.splitlines()]
+
+
 def certificate_from_text(text: str) -> Certificate:
-    lines = [ln for ln in text.splitlines()]
+    lines = _lines(text)
     if not lines:
         raise DataFormatError("line 1: empty FLAGCERT input")
     head = lines[0].split()
@@ -485,7 +493,7 @@ def table_to_text(table: ProductTable) -> str:
 
 
 def table_from_text(text: str) -> ProductTable:
-    lines = text.splitlines()
+    lines = _lines(text)
     if not lines:
         raise DataFormatError("line 1: empty FLAGTAB input")
     head = lines[0].split()

@@ -38,7 +38,7 @@ cyc * thru = 2 c4), which `verify_identities` checks at the arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from math import comb, sqrt
 
@@ -230,13 +230,18 @@ class EdgeStats:
     (row-major) order.  Stores what the kernel measures, cyc and thru,
     next to the tournament's read-only adjacency matrix (shared, not
     copied); edges, dom_out and dom_in are derived from the out-degrees
-    on each access."""
+    on each access.  Arrays from outside are checked against the
+    identity cyc + thru + dom_out + dom_in = n - 2; `edge_stats` passes
+    _check=False, since it derives cyc and thru from the same G[u, v]."""
     n: int
     cyc: np.ndarray        # (E,) int64, E = C(n, 2)
     thru: np.ndarray       # (E,) int64
     a: np.ndarray          # (n, n) bool, read-only
+    _check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _check):
+        if not _check:
+            return
         # by the dom identities, cyc + thru + dom_out + dom_in = gap + n - 3
         d = self._out_degrees()
         gap = self._at_head(d)
@@ -296,11 +301,11 @@ def edge_stats(t: Tournament) -> EdgeStats:
     arcs %= n                                   # the head v of each arc
     cyc = d.take(arcs)
     cyc -= g
-    del arcs                    # EdgeStats' own check is the memory peak
+    del arcs
     thru = np.repeat(d - 1, d)
     thru -= g
     del g
-    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a)
+    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a, _check=False)
 
 
 @dataclass(frozen=True)
@@ -369,27 +374,63 @@ class SampleProfile4:
         object.__setattr__(self, "stderr", se)
 
 
+def _four_sets(n: int, samples: int, seed: int) -> np.ndarray:
+    """The (samples, 4) vertex sets of sample_profile4's draw order.
+    Rounds of 16 sets, doubling while clean, are cut from a block of
+    draws (rng.below of rng.values) up to the first set that holds a
+    duplicate or runs past the block.  From that set on, sets are drawn
+    value by value, with redraws and more of the stream as needed,
+    until 8 in a row need no redraw; then rounds restart."""
+    # the (k + 1)-th vertex of a set takes n / (n - k) draws on average
+    size = int(samples * sum(n / (n - k) for k in range(4))) + 64
+    draws = rng.below(rng.values(seed, 0, size), n)
+    sets = np.empty((samples, 4), dtype=np.intp)
+    i = pos = 0             # sets made; stream index of the next draw
+    rows = 16
+    while i < samples:
+        m = min(rows, samples - i, (len(draws) - pos) // 4)
+        b = draws[pos:pos + 4 * m].reshape(m, 4)
+        c0, c1, c2, c3 = b.T
+        dup = ((c0 == c1) | (c0 == c2) | (c0 == c3) | (c1 == c2)
+               | (c1 == c3) | (c2 == c3))
+        j = int(dup.argmax()) if dup.any() else m
+        sets[i:i + j] = b[:j]
+        i += j
+        pos += 4 * j
+        if j == rows:
+            rows *= 2
+            continue
+        rows = 16
+        clean = 0
+        while clean < 8 and i < samples:
+            four, start = [], pos
+            while len(four) < 4:
+                if pos == len(draws):
+                    draws = np.concatenate((draws, rng.below(rng.values(
+                        seed, pos, 64 + pos // 4), n)))
+                v = draws.item(pos)
+                pos += 1
+                if v not in four:
+                    four.append(v)
+            sets[i] = four
+            i += 1
+            clean = clean + 1 if pos - start == 4 else 0
+    return sets
+
+
 def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     """Estimate the 4-profile by sampling `samples` uniform 4-subsets.
     Draw order: stream values are consumed sequentially; each vertex is
     value * n >> 64, redrawn on duplicates within the current 4-set.
-    The 4-sets are drawn first, then gathered and classified together
-    by their sorted score sequences."""
+    The 4-sets are drawn first (`_four_sets`, from blocks of values),
+    then gathered and classified together by their sorted score
+    sequences."""
     if t.n < 4:
         raise TournamentError("sampling needs n >= 4")
     if samples < 1:
         raise TournamentError("samples must be >= 1")
-    stream = rng.Stream(seed)
-    below, n = stream.next_below, t.n
-    picked = []
-    for _ in range(samples):
-        four = []
-        while len(four) < 4:
-            v = below(n)
-            if v not in four:
-                four.append(v)
-        picked.append(four)
-    p = np.array(picked, dtype=np.intp)
+    n = t.n
+    p = _four_sets(n, samples, seed)
     sub = t.dense()[p[:, :, None], p[:, None, :]]
     scores = np.sort(sub.sum(axis=2), axis=1)
     counts = dict.fromkeys(FOUR_TYPES, 0)
@@ -431,6 +472,8 @@ class FlipState:
               + (P2[src] + P2[dst] + deg) . (A[src] - A[dst]):
 
     two contiguous rows of P2 and of A, and one dot product.
+    `arc_deltas` is the same formula for many arcs against one state,
+    one gathered row per endpoint.
 
     `commit` adds a priced delta to the counts, moves one unit of
     out-degree from src to dst and reverses the arc as a rank-1 update
@@ -477,6 +520,24 @@ class FlipState:
         dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2
                + (p + 1) * (1 - deg.item(src)) + q * deg.item(dst)
                + int(w.dot(a[src] - a[dst])))
+        return p - q, dc4
+
+    def arc_deltas(self, src: np.ndarray, dst: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """arc_delta for each arc src[i] -> dst[i] against the same
+        state, as two int64 arrays (dc3, dc4); one row of P2 and of A per
+        endpoint is gathered, and the state is unchanged."""
+        p2, deg, a = self.p2, self.deg, self.a
+        p, q = p2[src, dst], p2[dst, src]
+        w = p2.take(src, axis=0)
+        w += p2.take(dst, axis=0)
+        w += deg
+        d = a.take(src, axis=0)
+        d -= a.take(dst, axis=0)
+        w *= d
+        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2
+               + (p + 1) * (1 - deg.take(src)) + q * deg.take(dst)
+               + w.sum(axis=1))
         return p - q, dc4
 
     def delta(self, u: int, v: int) -> tuple[int, int]:

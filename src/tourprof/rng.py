@@ -15,7 +15,11 @@ and numpy versions.
 `Stream` reads the same values sequentially.  It computes them BLOCK at
 a time with the vectorized `values` and hands them out one by one, so a
 draw costs a list read instead of a pure-Python mix64; which value the
-k-th draw returns does not depend on the block size.
+k-th draw returns does not depend on the block size.  The annealer and
+`sample_profile4` read the stream by index instead, in bounded blocks
+of `values`, and turn a block into vertices with `below`, which equals
+`Stream.next_below` value for value; the draws each makes are those a
+Stream would make in its documented order.
 """
 
 from __future__ import annotations
@@ -54,16 +58,31 @@ def values(seed: int, start: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def below(vals: np.ndarray, n: int) -> np.ndarray:
+    """floor(v * n / 2**64) for each uint64 v, exactly, as int64: the
+    vectorized `Stream.next_below`, for 1 <= n <= 2**32.  With v = hi *
+    2**32 + lo, v * n = 2**32 * (hi * n + (lo * n >> 32)) + a remainder
+    below 2**32, and the bracket stays below 2**64."""
+    if not 1 <= n <= 1 << 32:
+        raise ValueError(f"below needs 1 <= n <= 2**32, got {n}")
+    v = np.asarray(vals, dtype=np.uint64)
+    m = np.uint64(n)
+    y = (v >> np.uint64(32)) * m
+    y += ((v & np.uint64(0xFFFFFFFF)) * m) >> np.uint64(32)
+    return (y >> np.uint64(32)).astype(np.int64)
+
+
 def derive(seed: int, tag: int) -> int:
     """A decorrelated child seed; tag distinguishes substreams."""
     return mix64((seed ^ mix64(tag)) & MASK64)
 
 
 class Stream:
-    """Sequential cursor over the stream (used by the annealer): the k-th
-    draw returns value(seed, start + k), and `cursor` is the index of the
-    next value.  Values are computed BLOCK at a time by `values` and
-    buffered; assigning `cursor` drops the buffer and moves the stream.
+    """Sequential cursor over the stream, the reference order for the
+    annealer's and sample_profile4's block reads: the k-th draw returns
+    value(seed, start + k), and `cursor` is the index of the next value.
+    Values are computed BLOCK at a time by `values` and buffered;
+    assigning `cursor` drops the buffer and moves the stream.
 
     Draw order is part of the reproducibility contract: callers document
     how many draws each step consumes.

@@ -6,14 +6,35 @@ objective
     c4 + penalty * (c3 - gamma)^2
 
 Each proposal draws a pair, orients it once as its current arc and is
-priced by FlipState.arc_delta, which changes no state and reads only
-two rows of P2, two rows of A and the out-degree vector (one dot
-product); an accepted proposal commits that same priced delta with
-FlipState.commit, so no delta is computed twice.  The default penalty
-of 500 keeps the equilibrium drift |c3 - gamma| near
-sqrt(step)/(2*penalty), well under the 0.003 target at n = 64; small
-penalties let the chain buy quadratic penalty for linear c4 gain and
-collapse toward the transitive tournament.
+priced by the change (dc3, dc4) that reversing that arc would make; an
+accepted proposal commits that same priced delta with FlipState.commit,
+so no delta is computed twice.  The draw contract is fixed: each
+proposal draws u = below(n) and r = below(n - 1) (v = r, or r + 1 when
+r >= u), and after the warmup an uphill proposal draws a third value,
+its uniform.  The stream is counter-based, so the annealer reads it by
+index through a bounded window of rng.values.
+
+Between two accepted moves the state does not change, and a rejected
+proposal is uphill, so it reads exactly 3 values.  Once a few proposals
+in a row have been rejected, the next k are therefore known in advance
+(their pairs sit at stream indices pos + 3i and pos + 3i + 1) and can be
+priced against the same state in one call, FlipState.arc_deltas.  The
+first _SCALAR_RUN proposals after an accept are priced alone by
+FlipState.arc_delta (two rows of P2, two rows of A and the out-degree
+vector, one dot product); then batches of _FIRST_BATCH, doubling up to
+_MAX_BATCH, until one holds an accept.  Every float decision (the
+penalized objective, delta <= 0, the exponential against the uniform,
+the cooling step) is still taken in Python, once per proposal and in
+order, so every run is bit-identical to pricing each proposal alone.
+Proposals priced after an accepted one are dropped: the stream resumes
+after the accepted proposal's last draw, 2 values on if it was
+downhill, 3 if uphill.  The warmup makes no move, reads 2 values per
+proposal and is priced in batches of _MAX_BATCH.
+
+The default penalty of 500 keeps the equilibrium drift |c3 - gamma|
+near sqrt(step)/(2*penalty), well under the 0.003 target at n = 64;
+small penalties let the chain buy quadratic penalty for linear c4 gain
+and collapse toward the transitive tournament.
 
 boundary_scan compares annealed minima against the conjectured lower
 envelope and flags any point that lands more than a margin below it.
@@ -38,6 +59,11 @@ from .profiles import (FlipState, Profile3Counts, Profile4Counts, profile3,
 DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
 DEFAULT_GAMMAS = (1.0 / 16.0, 0.25)
+
+_SCALAR_RUN = 4         # rejections priced one by one after an accept
+_FIRST_BATCH = 8        # then batches of proposals, doubling in size
+_MAX_BATCH = 64         # up to this many; also the warmup's batch size
+_WINDOW = 1024          # stream values fetched from rng.values at a time
 
 
 @dataclass(frozen=True)
@@ -121,6 +147,39 @@ def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
     return random_tournament(n, seed=rng.derive(seed, 0xA17))
 
 
+class _Window:
+    """The annealer's stream, read by absolute index through a block of
+    rng.values that starts at stream index `base`: the uint64 values
+    `vals` (for the uniforms), and at each index j the proposal that
+    draws j and j + 1, u = below(n) and v among the n - 1 other
+    vertices, as int64 arrays `u` and `v`."""
+
+    def __init__(self, seed: int, n: int):
+        self.seed, self.n = seed, n
+        self.base, self.vals = 0, np.empty(0, dtype=np.uint64)
+
+    def at(self, index: int, count: int) -> int:
+        """Offset of stream index `index` in the block, refetched from
+        `index` unless indices index .. index + count - 1 are all there."""
+        off = index - self.base
+        if off < 0 or off + count > len(self.vals):
+            self.base, off = index, 0
+            vals = rng.values(self.seed, index, max(count, _WINDOW) + 1)
+            self.u = rng.below(vals[:-1], self.n)
+            self.v = rng.below(vals[1:], self.n - 1)
+            self.v += self.v >= self.u
+            self.vals = vals[:-1]
+        return off
+
+    def arcs(self, state: FlipState, off: int, k: int, stride: int):
+        """The k proposals at offsets off + stride * i, oriented as the
+        current arcs (src, dst) of `state`."""
+        u = self.u[off:off + stride * k:stride]
+        v = self.v[off:off + stride * k:stride]
+        fwd = state.a[u, v] != 0
+        return np.where(fwd, u, v), np.where(fwd, v, u)
+
+
 def anneal(n: int, gamma: float, seed: int,
            penalty: float = DEFAULT_PENALTY,
            schedule: Optional[AnnealSchedule] = None) -> AnnealResult:
@@ -139,26 +198,22 @@ def anneal(n: int, gamma: float, seed: int,
     penalized = _penalizer(n, gamma, penalty)
     cur = penalized(state.c3_count, state.c4_count)
     initial = cur
-    stream = rng.Stream(rng.derive(seed, 0x5EED))
-    below, a = stream.next_below, state.a
-
-    def propose():
-        # Exactly two draws per proposal: second draw picks among the
-        # n - 1 vertices other than u.  Returns the pair as its current
-        # arc (src, dst).
-        u = below(n)
-        r = below(n - 1)
-        v = r if r < u else r + 1
-        return (u, v) if a[u, v] else (v, u)
+    window = _Window(rng.derive(seed, 0x5EED), n)
 
     # Warmup: price random proposals, without making them, to set T0 so
-    # the median uphill move starts at acceptance probability 1/2.
+    # the median uphill move starts at acceptance probability 1/2.  Each
+    # reads two values and none is made, so they share one state.
     uphill = []
-    for _ in range(schedule.warmup):
-        dc3, dc4 = state.arc_delta(*propose())
-        delta = penalized(state.c3_count + dc3, state.c4_count + dc4) - cur
-        if delta > 0:
-            uphill.append(delta)
+    c3, c4 = state.c3_count, state.c4_count
+    for start in range(0, schedule.warmup, _MAX_BATCH):
+        k = min(_MAX_BATCH, schedule.warmup - start)
+        off = window.at(2 * start, 2 * k)
+        src, dst = window.arcs(state, off, k, 2)
+        dc3s, dc4s = (x.tolist() for x in state.arc_deltas(src, dst))
+        for dc3, dc4 in zip(dc3s, dc4s):
+            delta = penalized(c3 + dc3, c4 + dc4) - cur
+            if delta > 0:
+                uphill.append(delta)
     if uphill:
         t0 = float(np.median(uphill)) / math.log(2.0)
     else:
@@ -170,25 +225,51 @@ def anneal(n: int, gamma: float, seed: int,
     best = cur
     best_t = state.tournament()
     accepted = 0
-    for _ in range(schedule.moves):
-        src, dst = propose()
-        dc3, dc4 = state.arc_delta(src, dst)
-        new = penalized(state.c3_count + dc3, state.c4_count + dc4)
-        delta = new - cur
-        if delta <= 0.0:
-            accept = True
+    pos = 2 * schedule.warmup       # stream index of the next proposal
+    done = run = 0                  # proposals made; rejected since accept
+    batch = _FIRST_BATCH
+    a = state.a
+    while done < schedule.moves:
+        # A rejected proposal reads 3 values, so while all are rejected
+        # the next k sit at pos + 3i and price against one state.
+        k = 1 if run < _SCALAR_RUN else min(batch, schedule.moves - done)
+        off = window.at(pos, 3 * k)
+        uniform = window.vals.item
+        if k == 1:
+            u, v = window.u.item(off), window.v.item(off)
+            src, dst = (u, v) if a[u, v] else (v, u)
+            dc3, dc4 = state.arc_delta(src, dst)
+            srcs, dsts, dc3s, dc4s = (src,), (dst,), (dc3,), (dc4,)
         else:
-            accept = stream.next_uniform() < math.exp(-delta / temp)
-        if accept:
-            state.commit(src, dst, dc3, dc4)
-            cur = new
-            accepted += 1
-            if cur < best - 1e-15:
-                best = cur
-                best_t = state.tournament()
-            if accepted % schedule.audit_every == 0:
-                state.audit()
-        temp *= factor
+            srcs, dsts = window.arcs(state, off, k, 3)
+            dc3s, dc4s = (x.tolist() for x in state.arc_deltas(srcs, dsts))
+        c3, c4 = state.c3_count, state.c4_count
+        for i, (dc3, dc4) in enumerate(zip(dc3s, dc4s)):
+            new = penalized(c3 + dc3, c4 + dc4)
+            delta = new - cur
+            accept = delta <= 0.0 or (uniform(off + 3 * i + 2) / 2.0**64
+                                      < math.exp(-delta / temp))
+            temp *= factor
+            if accept:
+                break
+        done += i + 1
+        pos += 3 * i + (2 if delta <= 0.0 else 3)
+        if not accept:
+            run += k
+            if k > 1:
+                batch = min(2 * batch, _MAX_BATCH)
+            continue
+        # proposals priced after the accepted one are dropped, and the
+        # stream resumes after its last draw
+        run, batch = 0, _FIRST_BATCH
+        state.commit(int(srcs[i]), int(dsts[i]), dc3, dc4)
+        cur = new
+        accepted += 1
+        if cur < best - 1e-15:
+            best = cur
+            best_t = state.tournament()
+        if accepted % schedule.audit_every == 0:
+            state.audit()
     state.audit()
 
     p3, p4 = profile3(best_t), profile4(best_t)

@@ -212,6 +212,99 @@ def brute_mix_profile(c3_1, c4_1, c3_2, c4_2, alpha, p):
     return c3, c4
 
 
+def scalar_anneal(n, gamma, seed, penalty=None, schedule=None):
+    """The annealer priced one proposal at a time, as `search.anneal`
+    was before it priced rejection runs in batches: the oracle its
+    AnnealResult must equal field for field.  Each proposal reads u, r
+    and, when uphill, a uniform from a sequential Stream."""
+    import math
+
+    from tourprof import rng
+    from tourprof.bounds import lb_flag
+    from tourprof.core import InternalInvariantError
+    from tourprof.profiles import FlipState, profile3, profile4
+    from tourprof.search import (DEFAULT_PENALTY, AnnealResult,
+                                 AnnealSchedule, _penalizer, _warm_start)
+
+    penalty = DEFAULT_PENALTY if penalty is None else penalty
+    schedule = schedule or AnnealSchedule()
+
+    state = FlipState(_warm_start(n, gamma, seed))
+    penalized = _penalizer(n, gamma, penalty)
+    cur = penalized(state.c3_count, state.c4_count)
+    initial = cur
+    stream = rng.Stream(rng.derive(seed, 0x5EED))
+    below, a = stream.next_below, state.a
+
+    def propose():
+        # Exactly two draws per proposal: second draw picks among the
+        # n - 1 vertices other than u.  Returns the pair as its current
+        # arc (src, dst).
+        u = below(n)
+        r = below(n - 1)
+        v = r if r < u else r + 1
+        return (u, v) if a[u, v] else (v, u)
+
+    # Warmup: price random proposals, without making them, to set T0 so
+    # the median uphill move starts at acceptance probability 1/2.
+    uphill = []
+    for _ in range(schedule.warmup):
+        dc3, dc4 = state.arc_delta(*propose())
+        delta = penalized(state.c3_count + dc3, state.c4_count + dc4) - cur
+        if delta > 0:
+            uphill.append(delta)
+    if uphill:
+        t0 = float(np.median(uphill)) / math.log(2.0)
+    else:
+        t0 = 1e-6
+    t0 = max(t0, 1e-12)
+
+    factor = schedule.cool ** (1.0 / schedule.moves)
+    temp = t0
+    best = cur
+    best_t = state.tournament()
+    accepted = 0
+    for _ in range(schedule.moves):
+        src, dst = propose()
+        dc3, dc4 = state.arc_delta(src, dst)
+        new = penalized(state.c3_count + dc3, state.c4_count + dc4)
+        delta = new - cur
+        if delta <= 0.0:
+            accept = True
+        else:
+            accept = stream.next_uniform() < math.exp(-delta / temp)
+        if accept:
+            state.commit(src, dst, dc3, dc4)
+            cur = new
+            accepted += 1
+            if cur < best - 1e-15:
+                best = cur
+                best_t = state.tournament()
+            if accepted % schedule.audit_every == 0:
+                state.audit()
+        temp *= factor
+    state.audit()
+
+    p3, p4 = profile3(best_t), profile4(best_t)
+    best_exact = penalized(p3.c3_count, p4.c4_count)
+    if abs(best_exact - best) > 1e-9:
+        raise InternalInvariantError(
+            f"best-state bookkeeping diverged from recount at n={n}: "
+            f"tracked objective {best!r} vs recount {best_exact!r}")
+    # Sanity floor: no tournament can beat the Cauchy-Schwarz bound by
+    # more than the finite-n correction; a violation means miscounting.
+    c3f = min(p3.c3, 0.25)
+    if c3f > 0 and p4.c4 < lb_flag(c3f) - 5.0 / n:
+        raise InternalInvariantError(
+            f"annealed c4={p4.c4:.6f} below analytic floor at "
+            f"c3={p3.c3:.6f}")
+    return AnnealResult(n=n, gamma=gamma, penalty=penalty, seed=seed,
+                        tournament=best_t, profile3=p3, profile4=p4,
+                        objective=best_exact, initial_objective=initial,
+                        temperature0=t0, accepted=accepted,
+                        proposed=schedule.moves)
+
+
 @pytest.fixture(scope="session")
 def small_random_tournaments():
     from tourprof.core import random_tournament

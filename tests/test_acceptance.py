@@ -245,7 +245,7 @@ def test_criterion_09_flag_machinery(corpus):
 
 def test_criterion_10_annealing_search():
     with criterion(10, "annealer hits the gamma=1/16 target; no false flags",
-                   budget=6):
+                   budget=4):
         res = anneal(64, 1 / 16, seed=0)
         assert abs(res.c3 - 1 / 16) <= 0.003
         assert res.c4 <= 0.065

@@ -272,6 +272,35 @@ def test_flagcert_errors(text, frag):
         certificate_from_text(text)
 
 
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_flagcert_and_flagtab_end_lines_only_at_line_ends(sep):
+    # as in TRN, only \n, \r\n and \r end a line: a fault on line 2 is
+    # reported there, not on line 5 as str.splitlines would have it
+    with pytest.raises(DataFormatError) as info:
+        certificate_from_text(f"FLAGCERT v1 3 4\n0.06{sep}25\n0.0\n0.0\n"
+                              + "0 0 0 0\n" * 4)
+    assert str(info.value) == f"line 2: bad gamma value {f'0.06{sep}25'!r}"
+    # inside a line it is a blank between fields, as a space is
+    tab = product_table(3)
+    lines = table_to_text(tab).splitlines()
+    lines[2] = lines[2].replace(" ", sep, 1)
+    assert table_from_text("\n".join(lines) + "\n").tables == tab.tables
+
+
+def test_flagcert_and_flagtab_line_ends_parse_alike():
+    # \n, \r\n and \r files all parse to the certificate and table
+    # that were written
+    cert, tab = lemma1_certificate(0.07), product_table(3)
+    for end in ("\r\n", "\r"):
+        back = certificate_from_text(
+            certificate_to_text(cert).replace("\n", end))
+        assert (back.k, back.gamma, back.mu, back.lam) == \
+            (cert.k, cert.gamma, cert.mu, cert.lam)
+        assert (back.q == cert.q).all()
+        assert table_from_text(
+            table_to_text(tab).replace("\n", end)).tables == tab.tables
+
+
 def test_flagtab_round_trip(tmp_path):
     for k in (3, 4):
         tab = product_table(k)

@@ -168,6 +168,21 @@ def test_edge_stats_invariant_guard():
         replace(st, cyc=cyc)
 
 
+def test_edge_stats_builds_its_identity_in_without_rechecking_it():
+    # edge_stats' arrays skip the re-derivation and its 8 n^2 bytes of
+    # temporaries: the gather, at 14 n^2 traced bytes, is now the peak
+    import tracemalloc
+    t = random_tournament(1000, seed=8)
+    tracemalloc.start()
+    try:
+        st = edge_stats(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * t.n**2
+    assert replace(st).sums() == st.sums()    # replace() still checks
+
+
 def test_edge_stat_identities_on_randoms(small_random_tournaments):
     for t in small_random_tournaments[:12]:
         st = edge_stats(t)
@@ -282,6 +297,27 @@ def test_sample_profile4_within_four_stderr():
                         ("W", exact.w), ("L", exact.l)):
         se = max(est.stderr[name], 1e-12)
         assert abs(est.estimates[name] - truth) <= 4 * se
+
+
+@pytest.mark.parametrize("n,samples,seed", [
+    (4, 3000, 1), (5, 2000, 2), (9, 3000, 3), (50, 4000, 4),
+    (2500, 20_000, 5), (6, 1, 6), (100, 257, 7),
+    (4, 1000, 3), (5, 200, 13), (6, 1000, 7)])
+def test_four_sets_follow_the_sequential_draw_order(n, samples, seed):
+    # the block-drawn 4-sets equal a value-by-value read of the stream:
+    # each vertex is Stream.next_below(n), redrawn while it repeats one
+    # already in the current set (the last three cases need more draws
+    # than the first block holds)
+    stream = rng.Stream(seed)
+    want = []
+    for _ in range(samples):
+        four = []
+        while len(four) < 4:
+            v = stream.next_below(n)
+            if v not in four:
+                four.append(v)
+        want.append(four)
+    assert profiles._four_sets(n, samples, seed).tolist() == want
 
 
 def test_sample_profile4_deterministic():
@@ -472,6 +508,35 @@ def test_flip_state_delta_on_tied_warm_start():
         else:
             a[u, v], a[v, u] = a[v, u], a[u, v]
     assert (st.c3_count, st.c4_count) == (c3, c4)
+    st.audit()
+
+
+def test_arc_deltas_match_arc_delta_and_recount_on_tied_warm_start():
+    # Every arc of the tied n = 64 warm start, priced in one call, then
+    # again after 40 commits: arc_deltas equals arc_delta arc for arc,
+    # and the exact profiles of each flipped tournament measure it.
+    from tourprof.search import _warm_start
+    n = 64
+    st = FlipState(_warm_start(n, 1 / 16, 0))
+    stream = rng.Stream(1616)
+    for _ in range(2):
+        a = st.a.copy()
+        src, dst = (x.astype(np.int64) for x in np.nonzero(a))
+        dc3, dc4 = st.arc_deltas(src, dst)
+        assert dc3.dtype == dc4.dtype == np.int64
+        c3, c4 = st.c3_count, st.c4_count
+        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            want = st.arc_delta(s, d)
+            assert (int(dc3[i]), int(dc4[i])) == want, (s, d)
+            a[s, d], a[d, s] = 0, 1
+            flipped = Tournament(a.astype(bool))
+            assert (profile3(flipped).c3_count - c3,
+                    profile4(flipped).c4_count - c4) == want, (s, d)
+            a[s, d], a[d, s] = 1, 0
+        for _ in range(40):
+            u = stream.next_below(n)
+            r = stream.next_below(n - 1)
+            st.flip(u, r if r < u else r + 1)
     st.audit()
 
 

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from tourprof import rng
 
 
@@ -37,3 +40,28 @@ def test_stream_cursor_assignment_moves_the_stream():
     stream.cursor = 1
     assert stream.next_value() == rng.value(seed, 1)
     assert stream.cursor == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 2**15, 2**31 + 1, 2**32])
+def test_below_equals_next_below(n):
+    # the ends of the range and both sides of the first, middle and last
+    # steps of floor(v * n / 2**64), where v * n crosses a multiple of
+    # 2**64; then a block of the real stream against Stream.next_below
+    edges = [0, 2**63, 2**64 - 1]
+    for k in {1, max(1, n // 2), n - 1} - {0}:
+        step = -(-k * 2**64 // n)           # least v with v * n >= k * 2**64
+        edges += [step - 2, step - 1, step, step + 1]
+    edges = [v for v in edges if 0 <= v < 2**64]
+    got = rng.below(np.array(edges, dtype=np.uint64), n)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v * n >> 64 for v in edges]
+    seed = rng.derive(n, 0x5EED)
+    stream = rng.Stream(seed)
+    assert rng.below(rng.values(seed, 0, 2000), n).tolist() == \
+        [stream.next_below(n) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("n", [0, -3, 2**32 + 1])
+def test_below_rejects_n_out_of_range(n):
+    with pytest.raises(ValueError, match="below needs 1 <= n <= 2\\*\\*32"):
+        rng.below(np.zeros(3, dtype=np.uint64), n)

@@ -10,6 +10,12 @@ from tourprof.profiles import FlipState, profile4
 from tourprof.search import (DEFAULT_GAMMAS, AnnealSchedule, anneal,
                              boundary_scan, objective)
 
+from conftest import scalar_anneal
+
+RESULT_FIELDS = ("tournament", "profile3", "profile4", "accepted",
+                 "temperature0", "objective", "initial_objective",
+                 "proposed")
+
 
 def test_objective_examples():
     assert objective(transitive(20), gamma=0.0, penalty=7.0) == 0.0
@@ -76,6 +82,42 @@ def test_anneal_golden_output_n64():
     assert repr(res.temperature0) == "0.0003172497831098126"
     assert repr(res.objective) == "0.10092395055838535"
     assert repr(res.initial_objective) == "0.10780635386365418"
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("gamma", [1 / 16, 0.1, 1 / 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_anneal_equals_the_scalar_oracle(n, gamma, seed):
+    # batched pricing of rejection runs changes no decision
+    sched = AnnealSchedule(moves=2500, warmup=150, audit_every=400)
+    got = anneal(n, gamma, seed, schedule=sched)
+    want = scalar_anneal(n, gamma, seed, schedule=sched)
+    for name in RESULT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("n,gamma,seed", [(64, 1 / 16, 4), (16, 0.1, 5)])
+def test_anneal_long_cold_phase_equals_the_scalar_oracle(monkeypatch, n,
+                                                         gamma, seed):
+    # cooling to 1e-12 of T0 leaves long rejection runs, so batches
+    # double up to the cap before an accept resets them; the warmup (2
+    # draws a proposal) spans three batches
+    sizes = []
+    real = FlipState.arc_deltas
+
+    def arc_deltas(self, src, dst):
+        sizes.append(len(src))
+        return real(self, src, dst)
+    monkeypatch.setattr(FlipState, "arc_deltas", arc_deltas)
+    sched = AnnealSchedule(moves=12_000, warmup=2 * search._MAX_BATCH + 7,
+                           cool=1e-12, audit_every=97)
+    got = anneal(n, gamma, seed, schedule=sched)
+    want = scalar_anneal(n, gamma, seed, schedule=sched)
+    for name in RESULT_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert sizes[:3] == [search._MAX_BATCH, search._MAX_BATCH, 7]
+    assert search._FIRST_BATCH in sizes[3:]
+    assert search._MAX_BATCH in sizes[3:]
 
 
 def test_anneal_best_state_divergence_names_both_objectives(monkeypatch):
