@@ -42,8 +42,9 @@ print(f"  accepted {res.accepted} of {res.proposed} proposals, "
 # recount at fixed intervals; a drifting state raises immediately.
 
 # %%
-# boundary_scan runs the annealer over a (gamma, seed) grid, one job
-# after another, and compares each endpoint against the conjectured curve.  A point
+# boundary_scan runs the annealer over a (gamma, seed) grid, its jobs in
+# forked worker processes (one per CPU; the results do not depend on
+# it), and compares each endpoint against the conjectured curve.  A point
 # more than the discovery margin below it would be flagged; at the two
 # standard densities none is expected.
 

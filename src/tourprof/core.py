@@ -107,6 +107,10 @@ class Tournament:
     def __hash__(self) -> int:
         return hash((self.n, self._dense.tobytes()))
 
+    def __reduce__(self):
+        # rebuild through the constructor: an unpickled array is writeable
+        return (Tournament, (self._dense,))
+
     def __repr__(self) -> str:
         return f"Tournament(n={self.n})"
 

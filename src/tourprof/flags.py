@@ -105,13 +105,20 @@ def _canonical_map(k: int, labeled: int = 0) -> np.ndarray:
     return canon
 
 
+def _orbit_minima(canon: np.ndarray) -> np.ndarray:
+    """The distinct values of a _canonical_map, in increasing order: each
+    code maps to the least code of its orbit, which maps to itself.
+    (np.unique would give the same, but it imports numpy.ma.)"""
+    return np.flatnonzero(canon == np.arange(canon.size))
+
+
 @lru_cache(maxsize=None)
 def enumerate_types(k: int) -> tuple:
     """All tournament types (isomorphism classes) of order k <= 6,
     sorted by canonical code.  Counts: 1, 1, 2, 4, 12, 56."""
     if not 1 <= k <= MAX_TYPE_ORDER:
         raise ValueError(f"type enumeration supports 1 <= k <= {MAX_TYPE_ORDER}")
-    codes = np.unique(_canonical_map(k)).tolist()
+    codes = _orbit_minima(_canonical_map(k)).tolist()
     types = tuple(TournamentType(k, code, i, from_code(code, k))
                   for i, code in enumerate(codes))
     if len(types) != TYPE_COUNTS[k]:
@@ -129,8 +136,9 @@ def enumerate_flags(k: int) -> tuple:
     if k not in FLAG_COUNTS:
         raise ValueError("flag order must be 2, 3, or 4")
     canon = _canonical_map(k, 2)
+    minima = _orbit_minima(canon)
     flags = []
-    for i, code in enumerate(np.unique(canon[canon.size // 2:]).tolist()):
+    for i, code in enumerate(minima[minima >= canon.size // 2].tolist()):
         rep = from_code(code, k)
         name = None
         if k == 3:

@@ -38,11 +38,17 @@ and collapse toward the transitive tournament.
 
 boundary_scan compares annealed minima against the conjectured lower
 envelope and flags any point that lands more than a margin below it.
+Its (gamma, seed) jobs are independent anneals, so it runs them in
+forked worker processes, one per usable CPU up to the number of jobs,
+and in this process when that is one or fork is not available.  Each
+anneal is deterministic in its arguments and the points are sorted by
+(gamma, seed), so the scan's output does not depend on where it ran.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
@@ -134,6 +140,14 @@ class AnnealResult:
         return self.profile4.c4
 
 
+def _median(xs: Sequence[float]) -> float:
+    """The median as np.median takes it: the middle value of the sorted
+    list, or the mean of the middle two.  (np.median imports numpy.ma.)"""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
+
+
 def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
     """Blowup of the conjectured optimal transitive pattern when its m <= n
     parts survive rounding at this n; uniformly random otherwise."""
@@ -215,7 +229,7 @@ def anneal(n: int, gamma: float, seed: int,
             if delta > 0:
                 uphill.append(delta)
     if uphill:
-        t0 = float(np.median(uphill)) / math.log(2.0)
+        t0 = _median(uphill) / math.log(2.0)
     else:
         t0 = 1e-6
     t0 = max(t0, 1e-12)
@@ -332,13 +346,49 @@ def boundary_scan(gammas: Sequence[float] = DEFAULT_GAMMAS, n: int = 64,
     for g in gammas:
         if not 0.0 < g <= 0.25 + 1e-12:
             raise ValueError(f"scan gamma must be in (0, 1/4], got {g}")
+    jobs = [(n, g, s, penalty, schedule) for g in gammas for s in seed_list]
     points = []
-    for g in gammas:
-        for s in seed_list:
-            res = anneal(n, g, seed=s, penalty=penalty, schedule=schedule)
-            conj = _conjectured_at(res.c3)
-            points.append(ScanPoint(
-                gamma=g, n=n, seed=s, c3=res.c3, c4=res.c4,
-                objective=res.objective, conjectured_c4=conj,
-                discovery=res.c4 < conj - DISCOVERY_MARGIN, result=res))
+    for res in _run_jobs(jobs):
+        conj = _conjectured_at(res.c3)
+        points.append(ScanPoint(
+            gamma=res.gamma, n=n, seed=res.seed, c3=res.c3, c4=res.c4,
+            objective=res.objective, conjectured_c4=conj,
+            discovery=res.c4 < conj - DISCOVERY_MARGIN, result=res))
     return sorted(points, key=lambda p: (p.gamma, p.seed))
+
+
+def _scan_job(job: tuple) -> AnnealResult:
+    """One scan job, (n, gamma, seed, penalty, schedule).  The pool maps
+    this function, not anneal: it finds anneal by name when it runs, so
+    a rebound search.anneal is the one called."""
+    n, gamma, seed, penalty, schedule = job
+    return anneal(n, gamma, seed=seed, penalty=penalty, schedule=schedule)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # not on every platform
+        return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list) -> list:
+    """The results of _scan_job over `jobs`, in order: in
+    min(len(jobs), usable CPUs) forked worker processes, or in this
+    process when that is one or fork is not available.
+
+    multiprocessing and concurrent.futures are imported here, not at
+    the top, so that commands which never scan do not load them."""
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(workers,
+                                       multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(_scan_job, jobs))
+            finally:
+                # after a failed job, the jobs still queued are cancelled
+                pool.shutdown(cancel_futures=True)
+    return [_scan_job(job) for job in jobs]

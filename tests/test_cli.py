@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from tourprof import cli, profiles
+from tourprof import cli, profiles, search
 from tourprof.cli import main
 from tourprof.core import read_trn
 from tourprof.flags import search_certificate, write_certificate
@@ -458,3 +459,48 @@ def test_console_script_subprocess(tmp_path):
                           str(tmp_path / "nope.trn")],
                          capture_output=True, text=True)
     assert bad.returncode == 3
+
+
+def test_piped_search_writes_one_banner_and_the_serial_bytes(monkeypatch,
+                                                             capsys):
+    argv = ["search", "--n", "16", "--moves", "1500", "--seeds", "0,1"]
+    piped = subprocess.run([sys.executable, "-m", "tourprof.cli", *argv],
+                           capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert piped.stdout == out.encode("ascii")
+    assert [ln for ln in out.splitlines() if ln.startswith("#")] == \
+        [f"# tourprof {cli.__version__} " + " ".join(argv)]
+
+
+HEAVY_MODULES = ("numpy.ma", "multiprocessing", "concurrent.futures")
+
+
+def loaded_by(*argv):
+    """Which of HEAVY_MODULES a fresh process running `tourprof argv` has
+    imported when main returns."""
+    code = ("import sys\nfrom tourprof.cli import main\n"
+            "status = main(sys.argv[1:])\n"
+            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules],"
+            " file=sys.stderr)\n"
+            "sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_certify_commands_load_no_heavy_modules(tmp_path):
+    cert = str(tmp_path / "c.cert")
+    assert loaded_by("flags", "search", "--k", "4", "--gamma", "0.1",
+                     "--out", cert) == []
+    assert loaded_by("verify", "--cert", cert) == []
+
+
+@pytest.mark.parametrize("gammas", ["0.0625", "0.0625,0.25"])
+def test_search_does_not_load_numpy_ma(gammas):
+    # one job anneals in this process, two in forked workers
+    assert "numpy.ma" not in loaded_by("search", "--n", "16", "--moves",
+                                       "300", "--gamma", gammas)

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import tracemalloc
 from itertools import permutations
 
@@ -113,6 +114,15 @@ def test_dense_matrix_is_read_only():
     u = Tournament(d)
     d[0, 1], d[1, 0] = d[1, 0], d[0, 1]
     assert u == t and u.n == 9
+
+
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_pickle_round_trip_is_equal_and_read_only(protocol):
+    t = random_tournament(9, seed=2)
+    u = pickle.loads(pickle.dumps(t, protocol))
+    assert u == t and u.n == 9 and hash(u) == hash(t)
+    assert not u.dense().flags.writeable
+    assert u.dense().dtype == bool
 
 
 def test_random_tournament_deterministic_and_fair():

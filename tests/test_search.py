@@ -1,9 +1,12 @@
 import hashlib
-from dataclasses import replace
+import multiprocessing
+import os
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from tourprof import rng, search
+from tourprof import cli, rng, search
 from tourprof.core import (BlowupSpec, InternalInvariantError, TournamentError,
                            blowup, random_tournament, to_trn_text, transitive)
 from tourprof.profiles import FlipState, profile4
@@ -120,13 +123,14 @@ def test_anneal_long_cold_phase_equals_the_scalar_oracle(monkeypatch, n,
     assert search._MAX_BATCH in sizes[3:]
 
 
+def _off_by_one(t):
+    """A recount that disagrees with the tracked best by one 4-cycle."""
+    p4 = profile4(t)
+    return replace(p4, c4_count=p4.c4_count + 1, t4_count=p4.t4_count - 1)
+
+
 def test_anneal_best_state_divergence_names_both_objectives(monkeypatch):
-    # a recount that disagrees with the tracked best by one 4-cycle
-    def off_by_one(t):
-        p4 = profile4(t)
-        return replace(p4, c4_count=p4.c4_count + 1,
-                       t4_count=p4.t4_count - 1)
-    monkeypatch.setattr(search, "profile4", off_by_one)
+    monkeypatch.setattr(search, "profile4", _off_by_one)
     with pytest.raises(InternalInvariantError,
                        match=r"diverged from recount at n=16: tracked "
                              r"objective \S+ vs recount \S+$"):
@@ -162,15 +166,22 @@ def test_anneal_seed_changes_outcome():
     assert a.tournament != b.tournament
 
 
-def test_boundary_scan_rows_sorted_and_flag_logic():
+def test_boundary_scan_rows_sorted_and_flag_logic(monkeypatch):
+    # two workers even on one CPU; each point equals its serial anneal
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     sched = AnnealSchedule(moves=3000, warmup=150)
     pts = boundary_scan(gammas=(0.25, 1 / 16), n=16, seeds=(1, 0),
                         schedule=sched)
+    assert multiprocessing.active_children() == []
     assert [(p.gamma, p.seed) for p in pts] == \
         sorted((g, s) for g in (1 / 16, 0.25) for s in (0, 1))
     for p in pts:
         assert p.conjectured_c4 > 0
         assert p.discovery == (p.c4 < p.conjectured_c4 - 0.01)
+        ref = anneal(16, p.gamma, seed=p.seed, schedule=sched)
+        for f in fields(ref):
+            assert getattr(p.result, f.name) == getattr(ref, f.name), f.name
+        assert not p.result.tournament.dense().flags.writeable
 
 
 def test_boundary_scan_empty_and_invalid():
@@ -183,3 +194,51 @@ def test_boundary_scan_empty_and_invalid():
 
 def test_default_gammas_are_the_kink_and_endpoint():
     assert DEFAULT_GAMMAS == (1 / 16, 0.25)
+
+
+_UNIFORMS = (rng.values(7, 0, 999) / 2.0**64).tolist()
+
+
+@pytest.mark.parametrize("xs", [[3.0], [2.0, 1.0], [5.0, 1.0, 4.0],
+                                [0.1, 0.7, 0.2, 0.9], [2.0, 2.0, 1.0, 2.0],
+                                [0.3, 0.3], [1e-300, 1e300, 7.0, 1e-300],
+                                _UNIFORMS, _UNIFORMS[:998]])
+def test_median_equals_numpy(xs):
+    assert search._median(xs) == float(np.median(xs))
+
+
+def _pid(n, gamma, seed, penalty, schedule):
+    return os.getpid()
+
+
+@pytest.mark.parametrize("cpus,fork,in_workers",
+                         [(2, True, True), (1, True, False),
+                          (2, False, False)])
+def test_scan_jobs_run_in_forked_workers_only_when_they_can(
+        monkeypatch, cpus, fork, in_workers):
+    # the job function finds anneal by name, so the rebound one runs
+    monkeypatch.setattr(search, "anneal", _pid)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+    pids = search._run_jobs([(16, 0.1, s, 1.0, None) for s in range(3)])
+    assert len(pids) == 3
+    assert (os.getpid() not in pids) == in_workers
+    assert search._run_jobs([(16, 0.1, 0, 1.0, None)]) == [os.getpid()]
+
+
+def test_worker_invariant_error_reaches_the_caller(monkeypatch, capsys):
+    # fork copies the rebound profile4 into the workers
+    monkeypatch.setattr(search, "profile4", _off_by_one)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    sched = AnnealSchedule(moves=200, warmup=20)
+    with pytest.raises(InternalInvariantError,
+                       match=r"diverged from recount at n=16: tracked "
+                             r"objective \S+ vs recount \S+$"):
+        boundary_scan(gammas=(1 / 16, 0.25), n=16, schedule=sched)
+    assert multiprocessing.active_children() == []
+    code = cli.main(["search", "--n", "16", "--moves", "200"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "diverged from recount at n=16" in captured.err
