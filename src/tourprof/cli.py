@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
-EXACT_PROFILE_MAX_N = 2000
+EXACT_PROFILE_MAX_N = 6000
 
 
 def _fmt(x: float) -> str:

@@ -9,7 +9,8 @@ uniformly random, blow-ups with largest-remainder part sizes, random
 edge-flip perturbations, and the two-block random mix.  Each states only
 its strict upper triangle; `_complete` sets the lower one.  Randomness
 comes from the counter-based stream in `rng` at each pair's lexicographic
-index, read row by row: pairs (u, lo..hi-1) are one contiguous run.
+index, read a block of rows at a time: the pairs (u, u+1..n-1) of
+consecutive rows u are one contiguous run.
 
 TRN v1 files are ASCII and are parsed as bytes, one parser for files and
 text (text is taken as its UTF-8 bytes).  A non-ASCII byte is reported
@@ -200,14 +201,32 @@ def interval(n: int, s: int) -> Tournament:
     return _complete(np.tri(n, n, s, dtype=bool))
 
 
+_DRAW_PAIRS = 2**16
+
+
+def _upper_draws(seed: int, n: int, rows: int, test):
+    """Yield (r0, bits) for rows 0..rows-1 (rows < n) in blocks of about
+    _DRAW_PAIRS pairs: bits[i, j] = test(v) for the stream value v of
+    pair (r0 + i, j) when j > r0 + i, and False elsewhere.  The pairs of
+    consecutive rows are consecutive in the stream, so a block is one
+    rng.values call."""
+    step = max(1, _DRAW_PAIRS // n)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        above = ~np.tri(r1 - r0, n, r0, dtype=bool)
+        bits = np.zeros((r1 - r0, n), dtype=bool)
+        bits[above] = test(rng.values(seed, pair_index(r0, r0 + 1, n),
+                                      np.count_nonzero(above)))
+        yield r0, bits
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random orientation.  Pair k (lexicographic order) is
     oriented u -> v iff stream value k has top bit 0."""
     _check_order(n)
     upper = np.zeros((n, n), dtype=bool)
-    for u in range(n - 1):
-        upper[u, u + 1:] = rng.values(seed, pair_index(u, u + 1, n),
-                                      n - u - 1) < 2**63
+    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v < 2**63):
+        upper[r0:r0 + len(bits)] = bits
     return _complete(upper)
 
 
@@ -263,10 +282,9 @@ def blowup(spec: BlowupSpec, n: int, seed: int) -> Tournament:
             f"part {k} is empty at n={n}; weight {spec.weights[k]} too small")
     owner = np.repeat(np.arange(spec.host.n), sizes)
     upper = spec.host.dense()[np.ix_(owner, owner)]
-    part_end = np.repeat(np.cumsum(sizes), sizes).tolist()
-    for u in range(n - 1):
-        upper[u, u + 1:part_end[u]] = rng.values(
-            seed, pair_index(u, u + 1, n), part_end[u] - u - 1) < 2**63
+    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v < 2**63):
+        r1 = r0 + len(bits)
+        np.copyto(upper[r0:r1], bits, where=owner[r0:r1, None] == owner)
     return _complete(upper)
 
 
@@ -278,9 +296,8 @@ def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
     n = t.n
     _check_order(n)
     upper = t.dense().copy()
-    for u in range(n - 1):
-        vals = rng.values(seed, pair_index(u, u + 1, n), n - u - 1)
-        upper[u, u + 1:] ^= vals.astype(np.float64) / 2.0**64 < p
+    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v / 2.0**64 < p):
+        upper[r0:r0 + len(bits)] ^= bits
     return _complete(upper)
 
 
@@ -303,9 +320,10 @@ def mix(t1: Tournament, t2: Tournament, spec: MixSpec, seed: int) -> Tournament:
     upper = np.zeros((n, n), dtype=bool)
     upper[:n1, :n1] = t1.dense()
     upper[n1:, n1:] = t2.dense()
-    for u in range(n1):
-        vals = rng.values(seed, pair_index(u, n1, n), n - n1)
-        upper[u, n1:] = vals.astype(np.float64) / 2.0**64 < spec.p
+    # the draws at t1's own pairs are read with the cross pairs and dropped
+    for r0, bits in _upper_draws(seed, n, n1,
+                                 lambda v: v / 2.0**64 < spec.p):
+        upper[r0:r0 + len(bits), n1:] = bits[:, n1:]
     return _complete(upper)
 
 

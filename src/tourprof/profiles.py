@@ -14,10 +14,10 @@ patterns:
     dom_in(e)  #w with w -> u and w -> v
 
 which sum to n - 2 per edge.  The one kernel is the Gram matrix
-G = A A^T, a single float32 product (`gram_matrix`): G[u, v] = #{w :
-u -> w, v -> w} counts common out-neighbours and G[u, u] = d_u, the
-out-degree.  It measures dom_out(e) = G[u, v]; with the degrees d the
-rest follow by identities, and no 4-subset is enumerated:
+G = A A^T, in float32 products: G[u, v] = #{w : u -> w, v -> w} counts
+common out-neighbours and G[u, u] = d_u, the out-degree.  It measures
+dom_out(e) = G[u, v]; with the degrees d the rest follow by identities,
+and no 4-subset is enumerated:
 
     thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
     dom_in(e) = n - 2 - d_v - thru(e)
@@ -25,15 +25,23 @@ rest follow by identities, and no 4-subset is enumerated:
 `profile4` reads G only through its second moment: the T4 sets are the
 4-sets with a pair beating the other pair, so t4 = sum_{u<v} C(G[u,v],
 2).  c3 follows from the degrees (Goodman), c4 from t4 - c4 = (C(n, 3)
-- 4 c3)(n - 3)/4, and w and l from the degree sums.  `edge_stats`
-gathers G at the arcs for the per-arc answers (the edge-stats CSV,
-`x_cdf`, `verify_identities`, the flag moment check).  `moments` of X =
-cyc/(n-2), Y = thru/(n-2) and Z = 1 + 2(X - Y), an edge drawn
-uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc = 3 c3,
-sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4 and sum_e
-cyc * thru = 2 c4), which `verify_identities` checks at the arcs.
-`FlipState` keeps the path matrix P2 = A A = d 1^T - A - G
-(`paths_matrix`).
+- 4 c3)(n - 3)/4, and w and l from the degree sums.  Since it needs
+only three reductions of G (its diagonal, sum G and sum G^2), it never
+holds G: it folds the upper block-rows G[r0:r0+256, r0:]
+(`_gram_block_row`) into exact partial sums, in 4 n^2 bytes for A as
+float32 plus 4 * 256 * n for one block-row.
+
+`edge_stats` gathers G at the arcs for the per-arc answers (the
+edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
+`moments` of X = cyc/(n-2), Y = thru/(n-2) and Z = 1 + 2(X - Y), an
+edge drawn uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc
+= 3 c3, sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4
+and sum_e cyc * thru = 2 c4), which `verify_identities` checks at the
+arcs.  `FlipState` keeps the path matrix P2 = A A = d 1^T - A - G
+(`paths_matrix`).  `edge_stats` and `paths_matrix` read every entry of
+G, so they take it whole from `gram_matrix`, one SYRK product: at
+n = 2000, assembling G from block-rows took 10-30 % longer (best of 7,
+2 cores).
 """
 
 from __future__ import annotations
@@ -72,9 +80,9 @@ def _check_exact(n: int) -> None:
 
 
 def gram_matrix(t: Tournament) -> np.ndarray:
-    """G = A A^T as float32, the one product of a tournament's matrix
-    in the package (numpy sends it to SYRK): G[u, v] = #{w : u -> w,
-    v -> w} and G[u, u] = d_u.  Symmetric, with exact integer entries."""
+    """G = A A^T as float32, whole, in one product (numpy sends it to
+    SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] = d_u.
+    Symmetric, with exact integer entries."""
     _check_exact(t.n)
     a32 = t.dense().astype(np.float32)
     return a32 @ a32.T
@@ -165,6 +173,23 @@ def profile3(t: Tournament) -> Profile3Counts:
     return Profile3Counts(n, comb(n, 3) - c3, c3)
 
 
+_GRAM_ROWS = 256
+
+
+def _gram_block_row(a32: np.ndarray, r0: int) -> np.ndarray:
+    """The upper block-row G[r0:r1, r0:] = a32[r0:r1] a32[r0:]^T of the
+    Gram matrix, r1 = min(r0 + _GRAM_ROWS, n), from A as float32; its
+    first r1 - r0 columns are the diagonal block."""
+    return a32[r0:r0 + _GRAM_ROWS] @ a32[r0:].T
+
+
+def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
+    """(sum g, sum g**2) over a block of G, from float64 row sums that
+    are exact integers."""
+    return (_exact_total(g.sum(axis=1, dtype=np.float64)),
+            _exact_total(np.einsum("ij,ij->i", g, g, dtype=np.float64)))
+
+
 def profile4(t: Tournament) -> Profile4Counts:
     """Exact 4-profile from the second moment of the Gram matrix G:
 
@@ -178,29 +203,46 @@ def profile4(t: Tournament) -> Profile4Counts:
     and sum_v C(e_v, 3) those with a sink, the T4 and W sets.  G is
     checked against two identities of its own: diag G = d, and
     sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
-    of each ordered pair of its in-neighbours."""
+    of each ordered pair of its in-neighbours.
+
+    G is never held whole.  Since it is symmetric, one pass over its
+    upper block-rows G[r0:r1, r0:] of _GRAM_ROWS rows (`_gram_block_row`)
+    reads every pair: the diagonal block counts once and the part to its
+    right twice.  Beside the input that needs 4 n^2 bytes for A as
+    float32 and 4 * _GRAM_ROWS * n for one block-row.  A float64 row sum
+    of a block, of G or of G^2, is an integer below n (n - 1)^2, exact
+    under `_check_exact`; the row sums become Python ints before they
+    are doubled or added up, since 2 n (n - 1)^2 passes 2^53 near the
+    limit."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    g = gram_matrix(t)
+    _check_exact(n)
+    a32 = t.dense().astype(np.float32)
     d = t.out_degrees()
     e = n - 1 - d
-    diag = g.diagonal()
-    if not np.array_equal(diag, d):
-        u = int(np.flatnonzero(diag != d)[0])
-        raise InternalInvariantError(
-            f"Gram diagonal G[u,u] = d_u fails at n={n}: first at vertex "
-            f"{u}, G {int(diag[u])} vs d {int(d[u])}")
+    sum_g = sum_g2 = 0                  # over all u, v: diagonal included
+    for r0 in range(0, n, _GRAM_ROWS):
+        g = _gram_block_row(a32, r0)
+        b = len(g)
+        diag, want = g[:, :b].diagonal(), d[r0:r0 + b]
+        if not np.array_equal(diag, want):
+            u = int(np.flatnonzero(diag != want)[0])
+            raise InternalInvariantError(
+                f"Gram diagonal G[u,u] = d_u fails at n={n}: first at vertex "
+                f"{r0 + u}, G {int(diag[u])} vs d {int(want[u])}")
+        inner, inner2 = _sum_and_squares(g[:, :b])      # the diagonal block
+        right, right2 = _sum_and_squares(g[:, b:])      # and, mirrored, below
+        sum_g += inner + 2 * right
+        sum_g2 += inner2 + 2 * right2
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
-    sum_g = _exact_total(g.sum(axis=1, dtype=np.float64)) - pairs
+    sum_g -= pairs
     links = 2 * _sum_comb2(e)
     if sum_g != links:
         raise InternalInvariantError(
             f"Gram sum sum_(u!=v) G = 2 sum_w C(n-1-d_w, 2) fails at n={n}: "
             f"{sum_g} vs {links}")
-    # sum_v d_v^2 = 2 sum_v C(d_v, 2) + sum_v d_v
-    sum_g2 = (_exact_total(np.einsum("ij,ij->i", g, g, dtype=np.float64))
-              - 2 * comb2_d - pairs)
+    sum_g2 -= 2 * comb2_d + pairs       # sum_v d_v^2 = 2 sum C(d_v, 2) + pairs
     t4 = (sum_g2 - sum_g) // 4
     c4 = t4 - _t4_minus_c4(n, comb(n, 3) - comb2_d)     # c3 by Goodman
     l_count = _sum_comb3(d) - t4

@@ -48,14 +48,18 @@ def value(seed: int, index: int) -> int:
 
 
 def values(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized block [start, start+count) of the stream, dtype uint64."""
+    """Vectorized block [start, start+count) of the stream, dtype uint64,
+    computed in place: at most two arrays of `count` values are alive."""
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed & MASK64)
-             + (np.arange(start + 1, start + count + 1, dtype=np.uint64))
-             * np.uint64(GOLDEN))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-        return z ^ (z >> np.uint64(31))
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        z *= np.uint64(GOLDEN)
+        z += np.uint64(seed & MASK64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MUL1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MUL2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def below(vals: np.ndarray, n: int) -> np.ndarray:

@@ -81,6 +81,41 @@ def brute_counts3_via_matrix(dense: np.ndarray):
     return int((a * p2.T).sum()) // 3
 
 
+def gram_profile4(t: Tournament):
+    """(t4, c4, w, l) counts by the full-Gram formula: G = A A^T held
+    whole (exact float64), t4 = sum_{u<v} C(G[u,v], 2) in int64, c3 by
+    Goodman, c4 = t4 - (C(n,3) - 4 c3)(n-3)/4, l = sum C(d,3) - t4 and
+    w = sum C(n-1-d,3) - t4."""
+    n = t.n
+    a = t.dense().astype(np.float64)
+    g = (a @ a.T).astype(np.int64)[np.triu_indices(n, 1)]
+    t4 = int((g * (g - 1) // 2).sum())
+    d = [int(x) for x in t.dense().sum(axis=1)]
+    c3 = comb(n, 3) - sum(comb(x, 2) for x in d)
+    c4 = t4 - (comb(n, 3) - 4 * c3) * (n - 3) // 4
+    return (t4, c4, sum(comb(n - 1 - x, 3) for x in d) - t4,
+            sum(comb(x, 3) for x in d) - t4)
+
+
+def row_by_row_draws(seed: int, n: int) -> np.ndarray:
+    """n x n uint64 matrix of stream values, [u, v] = the value at pair
+    (u, v)'s lexicographic index for u < v and 0 elsewhere, read with one
+    rng.values call per row."""
+    from tourprof import rng
+    vals = np.zeros((n, n), dtype=np.uint64)
+    index = 0
+    for u in range(n - 1):
+        vals[u, u + 1:] = rng.values(seed, index, n - u - 1)
+        index += n - u - 1
+    return vals
+
+
+def complete_upper(upper: np.ndarray) -> np.ndarray:
+    """The tournament matrix of `upper`'s strict upper triangle."""
+    above = np.triu(upper, 1)
+    return above | np.tril(~above.T, -1)
+
+
 def brute_product_counts(k: int) -> np.ndarray:
     """Flag pair counts (types, f, f) of the order 2k - 2 types, by
     walking every configuration: an arc u -> v of the type, and an

@@ -134,11 +134,15 @@ def test_blowup_of_no_vertices_is_a_usage_error(n, tmp_path, capsys):
 
 
 def test_profile_sample_mode_guard(capsys):
-    code, _, err = run(capsys, "profile", "transitive:100",
-                       "--mode", "sample")
-    assert code == 2
-    assert "exact mode is mandatory" in err
-    code, out, err = run(capsys, "profile", "random:2001,1", "--mode",
+    for n in (100, 6000):
+        code, _, err = run(capsys, "profile", f"transitive:{n}",
+                           "--mode", "sample")
+        assert code == 2
+        assert "exact mode is mandatory for n <= 6000" in err
+    code, out, _ = run(capsys, "profile", "transitive:6001", "--mode",
+                       "sample", "--samples", "10")
+    assert code == 0 and out.splitlines()[2].startswith("6001,1,0,1,0,")
+    code, out, err = run(capsys, "profile", "random:6001,1", "--mode",
                          "sample", "--samples", "10", "--counts")
     assert code == 2 and out == ""
     assert "--counts requires exact mode" in err
@@ -196,15 +200,21 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 
 def test_edge_stats_computed_once(monkeypatch, capsys):
     """Each edge-stats mode and `profile --counts` runs the Gram kernel
-    exactly once."""
+    exactly once: the full product for the per-arc answers, or, for the
+    counts, one block-row, which is all of G at n = 7."""
     calls = []
-    real = profiles.gram_matrix
+    real_full, real_rows = profiles.gram_matrix, profiles._gram_block_row
 
-    def counting(t):
+    def full(t):
         calls.append(t.n)
-        return real(t)
+        return real_full(t)
 
-    monkeypatch.setattr(profiles, "gram_matrix", counting)
+    def rows(a32, r0):
+        calls.append(len(a32))
+        return real_rows(a32, r0)
+
+    monkeypatch.setattr(profiles, "gram_matrix", full)
+    monkeypatch.setattr(profiles, "_gram_block_row", rows)
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],
                  ["edge-stats", "cyclic:7", "--cdf", "0.5"],

@@ -15,7 +15,8 @@ from tourprof.core import (BlowupSpec, DataFormatError, MixSpec, Tournament,
                            read_trn, to_trn_text, transitive, write_trn)
 from tourprof.profiles import profile3, profile4
 
-from conftest import brute_profile3
+from tourprof import core
+from conftest import brute_profile3, complete_upper, row_by_row_draws
 
 
 def assert_tournament_valid(t):
@@ -158,6 +159,39 @@ def test_constructions_peak_below_six_n_squared_bytes():
         finally:
             tracemalloc.stop()
         assert peak < 6 * n * n, (name, peak / n**2)
+
+
+@pytest.mark.parametrize("pairs", [2**16, 1, 500])
+@pytest.mark.parametrize("n", [1, 2, 65, 130])
+def test_constructions_equal_a_row_by_row_read_of_the_stream(
+        monkeypatch, n, pairs):
+    # blocks of rows read every pair at its own stream index: one block,
+    # one row per block, and a last block that is partial or full
+    monkeypatch.setattr(core, "_DRAW_PAIRS", pairs)
+    vals = row_by_row_draws(7, n)
+    half = vals.astype(np.float64) / 2.0**64
+
+    def check(t, upper):
+        assert t.dense().tobytes() == complete_upper(upper).tobytes()
+
+    check(random_tournament(n, 7), vals < 2**63)
+    base = random_tournament(n, 3)
+    check(flip_perturb(base, 0.3, 7), base.dense() ^ (half < 0.3))
+    hosts = [(transitive(1), (1.0,))]
+    if n >= 3:
+        hosts.append((cyclic(3), (0.5, 0.3, 0.2)))
+    for host, weights in hosts:
+        owner = np.repeat(np.arange(host.n), part_sizes(weights, n))
+        upper = np.where(owner[:, None] == owner, vals < 2**63,
+                         host.dense()[np.ix_(owner, owner)])
+        check(blowup(BlowupSpec(host, weights), n, 7), upper)
+    if n >= 2:
+        n1 = n // 2
+        t1, t2 = random_tournament(n1, 1), random_tournament(n - n1, 2)
+        upper = np.zeros((n, n), dtype=bool)
+        upper[:n1, :n1], upper[n1:, n1:] = t1.dense(), t2.dense()
+        upper[:n1, n1:] = half[:n1, n1:] < 0.4
+        check(mix(t1, t2, MixSpec(0.4), 7), upper)
 
 
 def test_constructions_adopt_their_own_matrix(tmp_path):

@@ -17,7 +17,8 @@ from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
 from tourprof import profiles, rng
 
 from conftest import (brute_counts3_via_matrix, brute_edge_stats,
-                      brute_profile3, brute_profile4, brute_two_paths)
+                      brute_profile3, brute_profile4, brute_two_paths,
+                      gram_profile4)
 
 
 def test_profile3_matches_brute_force(small_random_tournaments):
@@ -32,6 +33,45 @@ def test_profile4_matches_brute_force(small_random_tournaments,
         b = brute_profile4(t)
         assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
             (b["T4"], b["C4"], b["W"], b["L"])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
+                                               small_random_tournaments,
+                                               small_named_tournaments):
+    # one-row blocks, and blocks whose last one is partial or the only one
+    monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
+    for t in small_random_tournaments + small_named_tournaments:
+        p = profile4(t)
+        b = brute_profile4(t)
+        assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
+            (b["T4"], b["C4"], b["W"], b["L"])
+
+
+@pytest.mark.parametrize("n", [257, 513, 1000])
+def test_profile4_matches_the_full_gram_formula(n):
+    odd = n - 1 + n % 2
+    spec = BlowupSpec(host=transitive(3), weights=(0.5, 0.3, 0.2))
+    for t in (random_tournament(n, n), blowup(spec, n, 2), cyclic(odd),
+              interval(n, (n + 1) // 2 + 7)):
+        p = profile4(t)
+        assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
+            gram_profile4(t)
+
+
+def test_profile4_holds_one_gram_block_row():
+    # A as float32 (4 n^2 bytes) plus one block-row of G; the whole of G
+    # would add another 4 n^2
+    import tracemalloc
+    n = 2000
+    t = random_tournament(n, 1)
+    tracemalloc.start()
+    try:
+        profile4(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * n * n, peak / n**2
 
 
 def test_profile4_named_constructions():
@@ -137,15 +177,23 @@ def test_paths_matrix_float32_bound():
             _check_exact(n)
 
 
+class Huge:          # a tournament too large to build
+    n = 208065
+
+    def dense(self):
+        raise AssertionError("the kernel allocated before its check")
+
+    out_degrees = dense
+
+
 def test_gram_matrix_checks_before_it_allocates():
-    class Huge:          # a tournament too large to build
-        n = 208065
-
-        def dense(self):
-            raise AssertionError("the kernel allocated before its check")
-
     with pytest.raises(TournamentError, match=r"got n=208065"):
         profiles.gram_matrix(Huge())
+
+
+def test_profile4_checks_before_it_allocates():
+    with pytest.raises(TournamentError, match=r"got n=208065"):
+        profile4(Huge())
 
 
 def test_edge_stats_cyclic5_sums():
@@ -348,31 +396,31 @@ def test_profile3_counts_invariant_guard():
 
 
 def test_profile4_gram_guard(monkeypatch):
-    # a wrong Gram matrix breaks one of its own identities, named with n
-    # and both sides, before any count is derived from it
+    # a wrong Gram block-row breaks one of G's own identities, named with
+    # n and both sides, before any count is derived from it
     t = random_tournament(9, seed=2)
-    real = profiles.gram_matrix
+    real = profiles._gram_block_row
     d = t.out_degrees()
     links = 2 * sum(comb(8 - int(x), 2) for x in d)
 
-    def off_pair(t):
-        g = real(t).copy()
+    def off_pair(a32, r0):
+        g = real(a32, r0)
         g[0, 1] += 1
         g[1, 0] += 1
         return g
 
-    def off_diagonal(t):
-        g = real(t).copy()
+    def off_diagonal(a32, r0):
+        g = real(a32, r0)
         g[3, 3] += 1
         return g
 
-    monkeypatch.setattr(profiles, "gram_matrix", off_pair)
+    monkeypatch.setattr(profiles, "_gram_block_row", off_pair)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
                              rf"C\(n-1-d_w, 2\) fails at n=9: "
                              rf"{links + 2} vs {links}$"):
         profile4(t)
-    monkeypatch.setattr(profiles, "gram_matrix", off_diagonal)
+    monkeypatch.setattr(profiles, "_gram_block_row", off_diagonal)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram diagonal G\[u,u\] = d_u fails at n=9: "
                              rf"first at vertex 3, G {d[3] + 1} vs d {d[3]}$"):
