@@ -26,10 +26,16 @@ and no 4-subset is enumerated:
 4-sets with a pair beating the other pair, so t4 = sum_{u<v} C(G[u,v],
 2).  c3 follows from the degrees (Goodman), c4 from t4 - c4 = (C(n, 3)
 - 4 c3)(n - 3)/4, and w and l from the degree sums.  Since it needs
-only three reductions of G (its diagonal, sum G and sum G^2), it never
-holds G: it folds the upper block-rows G[r0:r0+256, r0:]
-(`_gram_block_row`) into exact partial sums, in 4 n^2 bytes for A as
-float32 plus 4 * 256 * n for one block-row.
+only three reductions of G (its diagonal, sum G and sum G^2), it holds
+neither G nor A as float32: it folds blocks of G into exact partial
+sums, each the product (`_gram_block`) of 256 rows of A with themselves
+or with a panel of 512 rows to their right.  A panel packs its two
+lanes of 256 rows into one float32 matrix, A[c0:c0+256] +
+2^b A[c0+256:c0+512] with b = (n-1).bit_length(), so one product yields
+two blocks of G, exact while 2b <= 24 (n <= 4096; beyond, a panel has
+one lane of 512 rows).  Its buffers take O(n) bytes: 4 * 512 n for a
+block and a packed panel of A (4 * 768 n with one lane), and a few
+blocks of G.
 
 `edge_stats` gathers G at the arcs for the per-arc answers (the
 edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
@@ -173,14 +179,32 @@ def profile3(t: Tournament) -> Profile3Counts:
     return Profile3Counts(n, comb(n, 3) - c3, c3)
 
 
-_GRAM_ROWS = 256
+_GRAM_ROWS = 256          # rows of A in a left block
+_PANEL_ROWS = 256         # rows of A in one lane of a panel
+_FLOAT32_BITS = 24        # integers below 2**24 are exact in float32
 
 
-def _gram_block_row(a32: np.ndarray, r0: int) -> np.ndarray:
-    """The upper block-row G[r0:r1, r0:] = a32[r0:r1] a32[r0:]^T of the
-    Gram matrix, r1 = min(r0 + _GRAM_ROWS, n), from A as float32; its
-    first r1 - r0 columns are the diagonal block."""
-    return a32[r0:r0 + _GRAM_ROWS] @ a32[r0:].T
+def _gram_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The block left right^T of the Gram kernel, in float32: every
+    product `profile4` makes, of a left block with itself (a diagonal
+    block of G) or with a panel (packed lanes of G)."""
+    return left @ right.T
+
+
+def _pack_panel(a: np.ndarray, c0: int, lanes: int, scale: np.float32,
+                out: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rows c0..c0+2P of the bool matrix `a`, P = _PANEL_ROWS, as one
+    float32 panel in `out`: with two lanes lo + scale * hi, lo the first
+    P rows and hi the next P, else the 2P rows themselves (`out` has P
+    or 2P rows).  Returns the panel and its number of hi rows (0 with
+    one lane or none left)."""
+    lo = a[c0:c0 + len(out)]
+    hi = a[c0 + _PANEL_ROWS:c0 + 2 * _PANEL_ROWS] if lanes == 2 else a[:0]
+    x, k = out[:len(lo)], len(hi)
+    np.multiply(hi, scale, out=x[:k])
+    np.add(x[:k], lo[:k], out=x[:k])
+    np.copyto(x[k:], lo[k:])
+    return x, k
 
 
 def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
@@ -205,34 +229,60 @@ def profile4(t: Tournament) -> Profile4Counts:
     sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
     of each ordered pair of its in-neighbours.
 
-    G is never held whole.  Since it is symmetric, one pass over its
-    upper block-rows G[r0:r1, r0:] of _GRAM_ROWS rows (`_gram_block_row`)
-    reads every pair: the diagonal block counts once and the part to its
-    right twice.  Beside the input that needs 4 n^2 bytes for A as
-    float32 and 4 * _GRAM_ROWS * n for one block-row.  A float64 row sum
-    of a block, of G or of G^2, is an integer below n (n - 1)^2, exact
-    under `_check_exact`; the row sums become Python ints before they
-    are doubled or added up, since 2 n (n - 1)^2 passes 2^53 near the
+    G is never held whole, nor is A as float32.  Since G is symmetric,
+    one pass over its upper block-rows reads every pair: for each left
+    block L = A[r0:r0+_GRAM_ROWS] as float32, the diagonal block L L^T
+    counts once and the rows to its right count twice.  Those are taken
+    in panels of 2P rows, P = _PANEL_ROWS.  With b = (n-1).bit_length()
+    and 2b <= 24, the float32 significand (n <= 4096), a panel is packed
+    into one float32 matrix X = A[c0:c0+P] + 2^b A[c0+P:c0+2P] of two
+    lanes, so one product L X^T (`_gram_block`) holds two blocks of G:
+    hi = floor(g 2^-b) and lo = g - 2^b hi.  Every partial sum in it is
+    an integer lo + 2^b hi with lo, hi <= n - 1 < 2^b, below 2^(2b) and
+    so exact in any summation order.  A larger n gets panels of one
+    lane, the 2P rows as they are.  Beside the input the buffers are
+    4 (_GRAM_ROWS + P) n bytes for L and a packed X (4 (_GRAM_ROWS +
+    2P) n with one lane) and a few blocks of G.  A float64 row sum of a
+    block, of G or of G^2, is an integer below n (n - 1)^2, exact under
+    `_check_exact`; the row sums become Python ints before they are
+    doubled or added up, since 2 n (n - 1)^2 passes 2^53 near the
     limit."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
     _check_exact(n)
-    a32 = t.dense().astype(np.float32)
+    a = t.dense()
     d = t.out_degrees()
     e = n - 1 - d
+    bits = (n - 1).bit_length()
+    lanes = 2 if 2 * bits <= _FLOAT32_BITS else 1
+    scale = np.float32(2**bits)
+    left_buf = np.empty((_GRAM_ROWS, n), dtype=np.float32)
+    panel_buf = np.empty((2 * _PANEL_ROWS // lanes, n), dtype=np.float32)
     sum_g = sum_g2 = 0                  # over all u, v: diagonal included
     for r0 in range(0, n, _GRAM_ROWS):
-        g = _gram_block_row(a32, r0)
-        b = len(g)
-        diag, want = g[:, :b].diagonal(), d[r0:r0 + b]
+        r1 = min(r0 + _GRAM_ROWS, n)
+        left = left_buf[:r1 - r0]
+        np.copyto(left, a[r0:r1])
+        g = _gram_block(left, left)
+        diag, want = g.diagonal(), d[r0:r1]
         if not np.array_equal(diag, want):
             u = int(np.flatnonzero(diag != want)[0])
             raise InternalInvariantError(
                 f"Gram diagonal G[u,u] = d_u fails at n={n}: first at vertex "
                 f"{r0 + u}, G {int(diag[u])} vs d {int(want[u])}")
-        inner, inner2 = _sum_and_squares(g[:, :b])      # the diagonal block
-        right, right2 = _sum_and_squares(g[:, b:])      # and, mirrored, below
+        inner, inner2 = _sum_and_squares(g)             # the diagonal block
+        right = right2 = 0                              # and, mirrored, below
+        for c0 in range(r1, n, 2 * _PANEL_ROWS):
+            x, k = _pack_panel(a, c0, lanes, scale, panel_buf)
+            g = _gram_block(left, x)
+            if k:
+                hi = np.floor(g / scale)
+                g -= hi * scale
+                s, s2 = _sum_and_squares(hi[:, :k])
+                right, right2 = right + s, right2 + s2
+            s, s2 = _sum_and_squares(g)
+            right, right2 = right + s, right2 + s2
         sum_g += inner + 2 * right
         sum_g2 += inner2 + 2 * right2
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v

@@ -9,7 +9,7 @@ import pytest
 
 from tourprof import cli, profiles, search
 from tourprof.cli import main
-from tourprof.core import read_trn
+from tourprof.core import random_tournament, read_trn, write_trn
 from tourprof.flags import search_certificate, write_certificate
 from tourprof.profiles import profile3, profile4
 
@@ -201,20 +201,20 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 def test_edge_stats_computed_once(monkeypatch, capsys):
     """Each edge-stats mode and `profile --counts` runs the Gram kernel
     exactly once: the full product for the per-arc answers, or, for the
-    counts, one block-row, which is all of G at n = 7."""
+    counts, one diagonal block, which is all of G at n = 7."""
     calls = []
-    real_full, real_rows = profiles.gram_matrix, profiles._gram_block_row
+    real_full, real_block = profiles.gram_matrix, profiles._gram_block
 
     def full(t):
         calls.append(t.n)
         return real_full(t)
 
-    def rows(a32, r0):
-        calls.append(len(a32))
-        return real_rows(a32, r0)
+    def block(left, right):
+        calls.append(left.shape[1])
+        return real_block(left, right)
 
     monkeypatch.setattr(profiles, "gram_matrix", full)
-    monkeypatch.setattr(profiles, "_gram_block_row", rows)
+    monkeypatch.setattr(profiles, "_gram_block", block)
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],
                  ["edge-stats", "cyclic:7", "--cdf", "0.5"],
@@ -222,6 +222,24 @@ def test_edge_stats_computed_once(monkeypatch, capsys):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and calls == [7], argv
+
+
+def test_profile_counts_holds_no_whole_matrix_temporary(tmp_path, capsys):
+    # the file's bytes and the matrix while it is parsed, then the matrix
+    # and profile4's O(n) buffers: no float32 copy of A, no n x n mask
+    import tracemalloc
+    n = 2000
+    path = tmp_path / "r.trn"
+    write_trn(random_tournament(n, 1), path)
+    tracemalloc.start()
+    try:
+        code = main(["profile", str(path), "--counts"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and out.splitlines()[-1].startswith("2000,")
+    assert peak < 3.5 * n * n, peak / n**2
 
 
 def test_edge_stats_row_count(capsys):

@@ -324,8 +324,8 @@ def test_write_trn_holds_one_copy_of_the_body(tmp_path):
 
 
 def test_read_trn_parses_the_bytes_in_place(tmp_path):
-    # no decoded str, no re-encoded copy and no n x n index mask: the raw
-    # bytes, their rows and join, and two n x n masks at most
+    # write_trn's layout is read as a view of the raw bytes: those bytes,
+    # the n x n matrix and one block of rows, no line objects or masks
     n = 2000
     t = random_tournament(n, seed=1)
     path = tmp_path / "t.trn"
@@ -336,8 +336,10 @@ def test_read_trn_parses_the_bytes_in_place(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * n * n, peak / n**2
+    assert peak < 2.5 * n * n, peak / n**2
     assert back == t
+    # the matrix is its own array, not a view that keeps the bytes alive
+    assert back.dense().flags.owndata
 
 
 def test_trn_text_golden_hashes():
@@ -471,6 +473,87 @@ def test_trn_error_messages(text, message, tmp_path):
         with pytest.raises(DataFormatError) as info:
             parse()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    # rows of write_trn's length that fail a check are re-read line by
+    # line, so each gives the message of the line rules
+    ("TRN v1 3\n-11\n0-1\n0x-\n", "line 4: bad char 'x' at column 2"),
+    ("TRN v1 3\n-11\n0-1\n001\n", "line 4: diagonal must be '-'"),
+    ("TRN v1 2\n-1\n1-\n", "line 2: pair (0, 1) is oriented both ways"),
+    ("TRN v1 3\n-11\n0-0\n00-\n", "line 3: pair (1, 2) is unoriented"),
+    ("TRN v1 3\n-\r1\n0-1\n00-\n", "line 2: expected 3 chars, got 1"),
+    ("TRN v1 3\n-11\n0\r1\n00-\n", "line 3: expected 3 chars, got 1"),
+    ("TRN v1 3\n-11\n0-1\n00\r\n", "line 4: expected 3 chars, got 2"),
+    # a leading blank is stripped, leaving a row one char short
+    ("TRN v1 3\n -1\n0-1\n00-\n", "line 2: expected 3 chars, got 2"),
+    ("TRN v1 3\n-11\n 0-\n00-\n", "line 3: expected 3 chars, got 2"),
+    ("TRN v1 3\n\n-11\n0-1\n00-\n", "line 2: expected 3 chars, got 0"),
+    ("TRN v1 1\nx\n", "line 2: diagonal must be '-'"),
+])
+def test_trn_canonical_length_rows_report_the_line_rules(text, message,
+                                                        tmp_path):
+    path = tmp_path / "t.trn"
+    path.write_bytes(text.encode("ascii"))
+    for parse in (lambda: from_trn_text(text), lambda: read_trn(path)):
+        with pytest.raises(DataFormatError) as info:
+            parse()
+        assert str(info.value) == message
+
+
+def test_trn_layouts_other_than_write_trn_parse_alike():
+    want = transitive(3)
+    for text in ("TRN v1 3\r\n-11\n0-1\n00-\n", "TRN v1 3\n-11\n0-1\n00-\r",
+                 "TRN v1 3\n-11\n0-1\n00-", "TRN v1 3 \n-11\n0-1\n00-\nxx",
+                 "TRN v1 3\n-11\n0-1\n00-\n\n", "TRN v1 3\n-11 \n0-1\n00-\n"):
+        assert from_trn_text(text) == want, text
+
+
+@pytest.mark.parametrize("block", [1, 120, 2**16])
+def test_trn_first_error_across_row_blocks(monkeypatch, block):
+    # rows are checked 1, 3 or all 40 at a time: the first error in
+    # row-major order wins, and any bad char before any pair error,
+    # in write_trn's layout and with CRLF line ends alike
+    monkeypatch.setattr(core, "_PARSE_BYTES", block)
+    n = 40
+    t = random_tournament(n, 9)
+    rows = to_trn_text(t).encode("ascii").splitlines()[1:]
+
+    def parse(faults, newline):
+        body = [bytearray(row) for row in rows]
+        for i, j, char in faults:
+            body[i][j] = ord(char)
+        text = newline.join([b"TRN v1 40"] + body) + newline
+        with pytest.raises(DataFormatError) as info:
+            from_trn_text(text.decode("ascii"))
+        return str(info.value)
+
+    def flipped(i, j):
+        return (i, j, "0" if t.orient(i, j) else "1")
+
+    cases = [
+        ([(5, 3, "x")], "line 7: bad char 'x' at column 4"),
+        ([(3, 3, "0")], "line 5: diagonal must be '-'"),
+        ([(39, 39, "1")], "line 41: diagonal must be '-'"),
+        ([(30, 5, "x"), (10, 35, "2")], "line 12: bad char '2' at column 36"),
+        ([(6, 20, "x"), (6, 2, "y")], "line 8: bad char 'y' at column 3"),
+        ([flipped(2, 30), (31, 0, "x")], "line 33: bad char 'x' at column 1"),
+        ([flipped(2, 30), flipped(3, 1)],
+         "line 3: pair (1, 3) is " + ("oriented both ways" if t.orient(1, 3)
+                                      else "unoriented")),
+    ]
+    for u, v in ((2, 30), (5, 6), (38, 39)):
+        cases.append(([flipped(u, v)], f"line {u + 2}: pair ({u}, {v}) is "
+                      + ("unoriented" if t.orient(u, v)
+                         else "oriented both ways")))
+        cases.append(([flipped(v, u)], f"line {u + 2}: pair ({u}, {v}) is "
+                      + ("oriented both ways" if t.orient(u, v)
+                         else "unoriented")))
+    for newline in (b"\n", b"\r\n"):
+        assert from_trn_text((newline.join([b"TRN v1 40"] + rows)
+                              + newline).decode("ascii")) == t
+        for faults, message in cases:
+            assert parse(faults, newline) == message, faults
 
 
 def test_trn_text_with_a_lone_surrogate_is_a_data_error():

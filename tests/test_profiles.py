@@ -48,6 +48,25 @@ def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
             (b["T4"], b["C4"], b["W"], b["L"])
 
 
+@pytest.mark.parametrize("lanes", [2, 1])
+def test_profile4_panels_and_lanes_match_brute_force(
+        monkeypatch, lanes, small_random_tournaments,
+        small_named_tournaments):
+    # blocks and lanes of 1, 3 and 5 rows, last ones partial or the only
+    # one, with two lanes per panel and (no bits to pack into) one
+    if lanes == 1:
+        monkeypatch.setattr(profiles, "_FLOAT32_BITS", 0)
+    corpus = small_random_tournaments + small_named_tournaments
+    want = [tuple(brute_profile4(t)[k] for k in ("T4", "C4", "W", "L"))
+            for t in corpus]
+    for rows, panel in product((1, 3, 5), repeat=2):
+        monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
+        monkeypatch.setattr(profiles, "_PANEL_ROWS", panel)
+        got = [(p.t4_count, p.c4_count, p.w_count, p.l_count)
+               for p in map(profile4, corpus)]
+        assert got == want, (rows, panel)
+
+
 @pytest.mark.parametrize("n", [257, 513, 1000])
 def test_profile4_matches_the_full_gram_formula(n):
     odd = n - 1 + n % 2
@@ -59,9 +78,29 @@ def test_profile4_matches_the_full_gram_formula(n):
             gram_profile4(t)
 
 
+def _second_moment_t4(t):
+    """sum_{u<v} C(G[u,v], 2) from the whole gram_matrix, in int64, a
+    block of rows at a time."""
+    g, total = profiles.gram_matrix(t), 0
+    for r0 in range(0, t.n, 256):
+        block = np.triu(g[r0:r0 + 256].astype(np.int64), r0 + 1)
+        total += int((block * (block - 1) // 2).sum())
+    return total
+
+
+@pytest.mark.parametrize("n,lanes", [(4096, 2), (4097, 1)])
+def test_profile4_lanes_at_the_packing_limit(n, lanes):
+    # 2b <= 24 packs two lanes up to n = 4096, where hi and lo reach
+    # 2**12 - 1 and a packed entry 2**24 - 1; one more vertex, one lane
+    assert (2 * (n - 1).bit_length() <= profiles._FLOAT32_BITS) == \
+        (lanes == 2)
+    for t in (random_tournament(n, 5), transitive(n)):
+        assert profile4(t).t4_count == _second_moment_t4(t)
+
+
 def test_profile4_holds_one_gram_block_row():
-    # A as float32 (4 n^2 bytes) plus one block-row of G; the whole of G
-    # would add another 4 n^2
+    # one left block and one panel of A as float32, 4 * 512 n bytes, and
+    # a few 256 x 256 blocks of G; A as float32 alone would be 4 n^2
     import tracemalloc
     n = 2000
     t = random_tournament(n, 1)
@@ -71,7 +110,7 @@ def test_profile4_holds_one_gram_block_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * n * n, peak / n**2
+    assert peak < 2.5 * n * n, peak / n**2
 
 
 def test_profile4_named_constructions():
@@ -396,35 +435,62 @@ def test_profile3_counts_invariant_guard():
 
 
 def test_profile4_gram_guard(monkeypatch):
-    # a wrong Gram block-row breaks one of G's own identities, named with
-    # n and both sides, before any count is derived from it
+    # a wrong Gram block breaks one of G's own identities, named with n
+    # and both sides, before any count is derived from it
     t = random_tournament(9, seed=2)
-    real = profiles._gram_block_row
+    real = profiles._gram_block
     d = t.out_degrees()
     links = 2 * sum(comb(8 - int(x), 2) for x in d)
 
-    def off_pair(a32, r0):
-        g = real(a32, r0)
+    def off_pair(left, right):
+        g = real(left, right)
         g[0, 1] += 1
         g[1, 0] += 1
         return g
 
-    def off_diagonal(a32, r0):
-        g = real(a32, r0)
+    def off_diagonal(left, right):
+        g = real(left, right)
         g[3, 3] += 1
         return g
 
-    monkeypatch.setattr(profiles, "_gram_block_row", off_pair)
+    monkeypatch.setattr(profiles, "_gram_block", off_pair)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
                              rf"C\(n-1-d_w, 2\) fails at n=9: "
                              rf"{links + 2} vs {links}$"):
         profile4(t)
-    monkeypatch.setattr(profiles, "_gram_block_row", off_diagonal)
+    monkeypatch.setattr(profiles, "_gram_block", off_diagonal)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram diagonal G\[u,u\] = d_u fails at n=9: "
                              rf"first at vertex 3, G {d[3] + 1} vs d {d[3]}$"):
         profile4(t)
+
+
+@pytest.mark.parametrize("lane", ["lo", "hi"])
+def test_profile4_gram_guard_in_a_packed_panel(monkeypatch, lane):
+    # at n = 600 the rows 256..599 right of the first left block are one
+    # panel of two lanes, b = 10: a count off by one in either lane is a
+    # pair of G off by one, counted twice in the Gram sum
+    n = 600
+    t = random_tournament(n, seed=4)
+    real = profiles._gram_block
+    links = 2 * sum(comb(n - 1 - int(x), 2) for x in t.out_degrees())
+    packed = []
+
+    def off_lane(left, right):
+        g = real(left, right)
+        if right.max() > 1:
+            packed.append(right.shape)
+            g[5, 7] += 1 if lane == "lo" else 2**10
+        return g
+
+    monkeypatch.setattr(profiles, "_gram_block", off_lane)
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
+                             rf"C\(n-1-d_w, 2\) fails at n={n}: "
+                             rf"{links + 2} vs {links}$"):
+        profile4(t)
+    assert packed == [(256, n)]
 
 
 def test_gram_second_moment_is_t4(small_random_tournaments,
