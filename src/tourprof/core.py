@@ -565,9 +565,8 @@ def read_trn(path) -> Tournament:
 
     A file in write_trn's layout is parsed as a view of its bytes: the
     parse holds them, the n x n matrix and a block of rows, 2.03 n^2
-    traced bytes at n = 2000 (5.0 n^2 when the rows were split, joined
-    and compared as whole n x n masks).  Other layouts also hold their
-    lines and the join of the rows."""
+    traced bytes at n = 2000.  Other layouts also hold their lines and
+    the join of the rows (4.06 n^2 for CRLF line ends)."""
     # the rows are read in place, so the raw bytes stay referenced until
     # the parse ends
     return _parse_trn(_read_ascii(path))

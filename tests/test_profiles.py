@@ -39,32 +39,18 @@ def test_profile4_matches_brute_force(small_random_tournaments,
 def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
                                                small_random_tournaments,
                                                small_named_tournaments):
-    # one-row blocks, and blocks whose last one is partial or the only one
+    # one-row blocks and lanes, last ones partial or the only one, with
+    # two lanes per panel and (no bits to pack into) one
     monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
-    for t in small_random_tournaments + small_named_tournaments:
-        p = profile4(t)
-        b = brute_profile4(t)
-        assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
-            (b["T4"], b["C4"], b["W"], b["L"])
-
-
-@pytest.mark.parametrize("lanes", [2, 1])
-def test_profile4_panels_and_lanes_match_brute_force(
-        monkeypatch, lanes, small_random_tournaments,
-        small_named_tournaments):
-    # blocks and lanes of 1, 3 and 5 rows, last ones partial or the only
-    # one, with two lanes per panel and (no bits to pack into) one
-    if lanes == 1:
-        monkeypatch.setattr(profiles, "_FLOAT32_BITS", 0)
     corpus = small_random_tournaments + small_named_tournaments
     want = [tuple(brute_profile4(t)[k] for k in ("T4", "C4", "W", "L"))
             for t in corpus]
-    for rows, panel in product((1, 3, 5), repeat=2):
-        monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
+    for panel, bits in product((1, 3, 5), (24, 0)):
         monkeypatch.setattr(profiles, "_PANEL_ROWS", panel)
+        monkeypatch.setattr(profiles, "_FLOAT32_BITS", bits)
         got = [(p.t4_count, p.c4_count, p.w_count, p.l_count)
                for p in map(profile4, corpus)]
-        assert got == want, (rows, panel)
+        assert got == want, (panel, bits)
 
 
 @pytest.mark.parametrize("n", [257, 513, 1000])
