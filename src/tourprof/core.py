@@ -12,16 +12,18 @@ comes from the counter-based stream in `rng` at each pair's lexicographic
 index, read a block of rows at a time: the pairs (u, u+1..n-1) of
 consecutive rows u are one contiguous run.
 
-TRN v1 files are ASCII and are parsed as bytes, one parser for files and
+TRN v1 files are ASCII and are parsed as bytes, one reader for files and
 text (text is taken as its UTF-8 bytes).  A non-ASCII byte is reported
 first, with its line and column.  Lines end at \n, \r\n or \r, rows are
 stripped of ASCII blanks, and n is at most 2**15.  The layout write_trn
-writes is parsed in place, as a view of the bytes; any other layout line
-by line, by the same rules.
+writes is written and read a block of rows at a time, through one
+buffer of about 2**16 bytes; any other layout is read whole and parsed
+line by line, by the same rules.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import permutations
 from math import isfinite
@@ -144,8 +146,8 @@ def from_matrix(matrix: Iterable[Iterable[int]]) -> Tournament:
 # -- constructions -------------------------------------------------------
 
 # An n x n bool matrix is n**2 bytes, 1 GiB at this order; a construction
-# peaks below 2 n**2 traced bytes, so below 2 GiB, and a TRN read near
-# 5 n**2.
+# peaks below 2 n**2 traced bytes, so below 2 GiB, a TRN read in
+# write_trn's layout near 1 n**2, and one in another layout near 4 n**2.
 _MAX_ORDER = 2**15
 
 
@@ -370,26 +372,31 @@ def from_code(code: int, n: int) -> Tournament:
 # -- TRN v1 ---------------------------------------------------------------
 
 _ZERO, _ONE, _DASH, _NEWLINE = (ord(c) for c in "01-\n")
+_PARSE_BYTES = 2**16
 
 
-def _trn_rows(t: Tournament) -> np.ndarray:
-    """The TRN v1 rows, newlines included, as one (n, n + 1) uint8 buffer."""
-    n = t.n
-    buf = np.empty((n, n + 1), dtype=np.uint8)
-    body = buf[:, :n]
-    np.add(t.dense(), _ZERO, out=body, dtype=np.uint8)
-    np.fill_diagonal(body, _DASH)
+def _write_trn(t: Tournament, fh) -> None:
+    """Write t as TRN v1 to the binary file `fh`: the header line, then
+    the rows, newlines included, through one reusable uint8 block of
+    about _PARSE_BYTES."""
+    n, a = t.n, t.dense()
+    fh.write(f"TRN v1 {n}\n".encode("ascii"))
+    step = max(1, _PARSE_BYTES // n)
+    buf = np.empty((min(step, n), n + 1), dtype=np.uint8)
     buf[:, n] = _NEWLINE
-    return buf
+    for r0 in range(0, n, step):
+        rows = buf[:min(step, n - r0)]
+        np.add(a[r0:r0 + len(rows)], _ZERO, out=rows[:, :n], dtype=np.uint8)
+        rows.reshape(-1)[r0::n + 2] = _DASH         # (r0 + i, r0 + i)
+        fh.write(rows)
 
 
 def to_trn_text(t: Tournament) -> str:
     """Serialize as TRN v1: header line, then one row of {0,1,-} per
     vertex; char j of line i is 1 iff i -> j, '-' on the diagonal."""
-    return f"TRN v1 {t.n}\n" + _trn_rows(t).tobytes().decode("ascii")
-
-
-_PARSE_BYTES = 2**16
+    fh = io.BytesIO()
+    _write_trn(t, fh)
+    return fh.getvalue().decode("ascii")
 
 
 def _first_true(mask: np.ndarray, r0: int, diagonal):
@@ -431,38 +438,25 @@ def _trn_header(data: bytes) -> tuple[int, int]:
     return n, end
 
 
-def _canonical_rows(data: bytes, n: int, end: int):
-    r"""The rows as an (n, n) uint8 view of `data` if the n lines after
-    the header line (which ends at `end`) are each n bytes followed by
-    \n, the layout write_trn writes; else None."""
-    start = end + 1
-    if data[end:start] != b"\n" or len(data) - start < n * (n + 1):
-        return None
-    rows = np.frombuffer(data, np.uint8, n * (n + 1), start).reshape(n, n + 1)
-    if not (rows[:, n] == _NEWLINE).all():
-        return None
-    return rows[:, :n]
-
-
-def _trn_bits(codes: np.ndarray, d: np.ndarray):
-    """Check the rows `codes` (uint8, n chars each) char by char, about
-    _PARSE_BYTES at a time, and write them as bits into the first rows
-    of the n x n bool `d`; returns the first error in row-major order,
-    or None."""
+def _trn_bits(codes: np.ndarray, d: np.ndarray, r0: int = 0):
+    """Check the rows `codes` (uint8, n chars each), rows r0.. of the
+    n x n bool `d`, char by char, about _PARSE_BYTES at a time, and
+    write them there as bits; returns the first error in row-major
+    order, or None."""
     n = d.shape[1]
     step = max(1, _PARSE_BYTES // n)
-    for r0 in range(0, len(codes), step):
-        block = codes[r0:r0 + step]
+    for i0 in range(0, len(codes), step):
+        block, b0 = codes[i0:i0 + step], r0 + i0
         # '0' and '1' differ only in the low bit; the diagonal must be '-'
-        first = _first_true((block | 1) != _ONE, r0,
-                            block.diagonal(r0) != _DASH)
+        first = _first_true((block | 1) != _ONE, b0,
+                            block.diagonal(b0) != _DASH)
         if first is not None:
             i, j = first
             if i == j:
                 return f"line {i + 2}: diagonal must be '-'"
-            return (f"line {i + 2}: bad char {chr(codes[i, j])!r} "
+            return (f"line {i + 2}: bad char {chr(codes[i - r0, j])!r} "
                     f"at column {j + 1}")
-        np.equal(block, _ONE, out=d[r0:r0 + len(block)])
+        np.equal(block, _ONE, out=d[b0:b0 + len(block)])
     return None
 
 
@@ -484,23 +478,49 @@ def _trn_asymmetry(d: np.ndarray):
     return None
 
 
-def _parse_trn(data: bytes) -> Tournament:
-    """The one TRN v1 parser, on bytes that _ascii has checked (read_trn
-    states the rules).  The first error in row-major order is reported
-    with its line number.
+def _read_blocks(fh):
+    r"""The tournament in the binary TRN v1 file `fh` if it is in the
+    layout write_trn writes: a header line ending in \n alone, then n
+    lines of n bytes, each followed by \n, then only ASCII.  Each block
+    of about _PARSE_BYTES is read into one buffer, checked and written
+    into the n x n matrix.  Returns None, at any position of `fh`, if
+    the file is not in that layout or a row fails a check; a pair error
+    is raised, as the line rules would raise it."""
+    line = fh.readline(256)      # a longer header is left to _parse_trn
+    if not (line.isascii() and line.endswith(b"\n") and b"\r" not in line):
+        return None
+    try:
+        n, _ = _trn_header(line)
+    except DataFormatError:
+        return None
+    start = fh.tell()
+    if fh.seek(0, io.SEEK_END) - start < n * (n + 1):
+        return None
+    fh.seek(start)
+    d = np.empty((n, n), dtype=bool)
+    step = max(1, _PARSE_BYTES // n)
+    buf = np.empty((min(step, n), n + 1), dtype=np.uint8)
+    for r0 in range(0, n, step):
+        rows = buf[:min(step, n - r0)]
+        if (fh.readinto(rows) != rows.size
+                or not (rows[:, n] == _NEWLINE).all()
+                or _trn_bits(rows[:, :n], d, r0) is not None):
+            return None
+    while rest := fh.read(_PARSE_BYTES):
+        if not rest.isascii():
+            return None
+    error = _trn_asymmetry(d)
+    if error is not None:
+        raise DataFormatError(error)
+    return Tournament._adopt(d)
 
-    Rows in write_trn's layout are read in place, as a view of `data`;
-    any other layout, and any row that fails a check there, is re-read
-    line by line, which gives every error message.  Either way the
-    matrix is written into one n x n bool array, a block of rows at a
-    time, so beside `data` the parse holds n^2 bytes and one block."""
-    n, end = _trn_header(data)
-    d = None
-    codes = _canonical_rows(data, n, end)
-    if codes is not None:
-        d = np.empty((n, n), dtype=bool)
-        if _trn_bits(codes, d) is None and _trn_asymmetry(d) is None:
-            return Tournament._adopt(d)
+
+def _parse_trn(data: bytes) -> Tournament:
+    """The TRN v1 parser by the line rules, on bytes that _ascii has
+    checked (read_trn states the rules).  The first error in row-major
+    order is reported with its line number.  Beside `data` the parse
+    holds its lines, the join of the rows and the n x n matrix."""
+    n, _ = _trn_header(data)
     lines = data.splitlines()
     if len(lines) < n + 1:
         raise DataFormatError(f"line {len(lines) + 1}: expected {n} rows, "
@@ -510,8 +530,7 @@ def _parse_trn(data: bytes) -> Tournament:
     # char first: a bad char on an earlier line is the earlier error.
     short = next((i for i, row in enumerate(rows) if len(row) != n), n)
     codes = np.frombuffer(b"".join(rows[:short]), np.uint8).reshape(short, n)
-    if d is None:
-        d = np.empty((n, n), dtype=bool)
+    d = np.empty((n, n), dtype=bool)
     error = _trn_bits(codes, d)
     if error is None and short < n:
         error = (f"line {short + 2}: expected {n} chars, "
@@ -523,17 +542,30 @@ def _parse_trn(data: bytes) -> Tournament:
     return Tournament._adopt(d)
 
 
+def _read_trn(fh) -> Tournament:
+    """The one TRN v1 reader, of the seekable binary file `fh`: block by
+    block in write_trn's layout, else whole by the line rules."""
+    t = _read_blocks(fh)
+    if t is not None:
+        return t
+    fh.seek(0)
+    return _parse_trn(_ascii(fh.read()))
+
+
 def from_trn_text(text: str) -> Tournament:
     r"""Parse TRN v1 text as read_trn parses a file holding its UTF-8
     bytes, with the same result or error: any non-ASCII char is reported
     first, as its first byte's line and column.  Lines end at \n, \r\n or
     \r, rows are stripped of ASCII blanks, and n is at most 2**15."""
-    return _parse_trn(_ascii(text.encode("utf-8", "surrogatepass")))
+    return _read_trn(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def write_trn(t: Tournament, path) -> None:
+    """Write t to `path` as TRN v1 (see to_trn_text).  Beside t the write
+    holds one block of rows of about _PARSE_BYTES, never the whole
+    text."""
     with open(path, "wb") as fh:
-        fh.writelines((f"TRN v1 {t.n}\n".encode("ascii"), _trn_rows(t)))
+        _write_trn(t, fh)
 
 
 def _ascii(data: bytes) -> bytes:
@@ -563,10 +595,13 @@ def read_trn(path) -> Tournament:
     \r, rows are stripped of ASCII blanks, text after the last row is
     ignored, and n is at most 2**15 (_MAX_ORDER).
 
-    A file in write_trn's layout is parsed as a view of its bytes: the
-    parse holds them, the n x n matrix and a block of rows, 2.03 n^2
-    traced bytes at n = 2000.  Other layouts also hold their lines and
-    the join of the rows (4.06 n^2 for CRLF line ends)."""
-    # the rows are read in place, so the raw bytes stay referenced until
-    # the parse ends
-    return _parse_trn(_read_ascii(path))
+    A file in write_trn's layout is read a block of about _PARSE_BYTES
+    at a time, each block checked and written into the n x n matrix:
+    beside the matrix the read holds one block, 1.0 n^2 traced bytes in
+    all at n = 2000.  Any other layout, and any file in that layout with
+    a bad row, is read again whole and parsed line by line, so every
+    error is the one the line rules give; that read also holds the
+    bytes, the lines and the join of the rows (4.06 n^2 for CRLF line
+    ends)."""
+    with open(path, "rb") as fh:
+        return _read_trn(fh)

@@ -27,15 +27,16 @@ and no 4-subset is enumerated:
 2).  c3 follows from the degrees (Goodman), c4 from t4 - c4 = (C(n, 3)
 - 4 c3)(n - 3)/4, and w and l from the degree sums.  Since it needs
 only three reductions of G (its diagonal, sum G and sum G^2), it holds
-neither G nor A as float32: it folds blocks of G into exact partial
-sums, each the product (`_gram_block`) of 256 rows of A with themselves
-or with a panel of 512 rows to their right.  A panel packs its two
-lanes of 256 rows into one float32 matrix, A[c0:c0+256] +
-2^b A[c0+256:c0+512] with b = (n-1).bit_length(), so one product yields
-two blocks of G, exact while 2b <= 24 (n <= 4096; beyond, a panel has
-one lane of 512 rows).  Its buffers take O(n) bytes: 4 * 512 n for a
-block and a packed panel of A (4 * 768 n with one lane), and a few
-blocks of G.
+neither G nor A as floats: it folds blocks of G into exact partial
+sums, each the product of 512 rows of A with a panel of 512 rows at or
+right of them.  A panel packs its two lanes of 256 rows into one
+matrix, A[c0:c0+256] + 2^b A[c0+256:c0+512] with
+b = (n-1).bit_length(), so one product yields two blocks of G, exact
+in any summation order.  A product is the sum of its tile products,
+256 rows by 512 columns of A (`_gram_tile`), each exact in float32,
+added up in float32 while 2b <= 24 (n <= 4096), else in float64.  Its
+buffers take the same bytes at every n: 1 MiB for the two tiles of A
+and 1-2 MiB for two blocks of G.
 
 `edge_stats` gathers G at the arcs for the per-arc answers (the
 edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
@@ -179,39 +180,58 @@ def profile3(t: Tournament) -> Profile3Counts:
     return Profile3Counts(n, comb(n, 3) - c3, c3)
 
 
-_GRAM_ROWS = 256          # rows of A in a left block
-_PANEL_ROWS = 256         # rows of A in one lane of a panel
+_GRAM_ROWS = 256          # rows of A in a lane; a left block or a panel has 2
+_TILE_COLS = 512          # columns of A in a tile
 _FLOAT32_BITS = 24        # integers below 2**24 are exact in float32
 
 
-def _gram_block(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The block left right^T of the Gram kernel, in float32: every
-    product `profile4` makes, of a left block with itself (a diagonal
-    block of G) or with a panel (packed lanes of G)."""
+def _gram_tile(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The tile product left right^T of the Gram kernel: every product
+    `profile4` makes, of one lane of a left block of A with a packed
+    panel, in the same columns."""
     return left @ right.T
 
 
-def _pack_panel(a: np.ndarray, c0: int, lanes: int, scale: np.float32,
-                out: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rows c0..c0+2P of the bool matrix `a`, P = _PANEL_ROWS, as one
-    float32 panel in `out`: with two lanes lo + scale * hi, lo the first
-    P rows and hi the next P, else the 2P rows themselves (`out` has P
-    or 2P rows).  Returns the panel and its number of hi rows (0 with
-    one lane or none left)."""
-    lo = a[c0:c0 + len(out)]
-    hi = a[c0 + _PANEL_ROWS:c0 + 2 * _PANEL_ROWS] if lanes == 2 else a[:0]
-    x, k = out[:len(lo)], len(hi)
+def _pack_tile(a: np.ndarray, p0: int, c0: int, c1: int, scale,
+               out: np.ndarray) -> np.ndarray:
+    """Columns c0..c1 of the panel at row p0 of the bool matrix `a`,
+    packed into `out` as lo + scale * hi: lo the rows p0..p0+B, hi the
+    next B rows as far as `a` has them, B = _GRAM_ROWS."""
+    lo = a[p0:p0 + _GRAM_ROWS, c0:c1]
+    hi = a[p0 + _GRAM_ROWS:p0 + 2 * _GRAM_ROWS, c0:c1]
+    x, k = out[:len(lo), :c1 - c0], len(hi)
     np.multiply(hi, scale, out=x[:k])
     np.add(x[:k], lo[:k], out=x[:k])
     np.copyto(x[k:], lo[k:])
-    return x, k
+    return x
+
+
+def _panel_gram(a: np.ndarray, r0: int, p0: int, scale, dtype,
+                left_buf: np.ndarray, panel_buf: np.ndarray) -> np.ndarray:
+    """The product of the left block at row r0 of `a` with the packed
+    panel at row p0, in `dtype`: a sum of tile products over the columns
+    as wide as the buffers, one for each lane of the left block."""
+    n, cols = len(a), left_buf.shape[1]
+    r1 = min(r0 + 2 * _GRAM_ROWS, n)
+    g = np.zeros((r1 - r0, min(_GRAM_ROWS, n - p0)), dtype)
+    for c0 in range(0, n, cols):
+        c1 = min(c0 + cols, n)
+        x = _pack_tile(a, p0, c0, c1, scale, panel_buf)
+        for h0 in range(r0, r1, _GRAM_ROWS):
+            h1 = min(h0 + _GRAM_ROWS, r1)
+            left = left_buf[:h1 - h0, :c1 - c0]
+            np.copyto(left, a[h0:h1, c0:c1])
+            g[h0 - r0:h1 - r0] += _gram_tile(left, x)
+    return g
 
 
 def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
-    """(sum g, sum g**2) over a block of G, from float64 row sums that
-    are exact integers."""
-    return (_exact_total(g.sum(axis=1, dtype=np.float64)),
-            _exact_total(np.einsum("ij,ij->i", g, g, dtype=np.float64)))
+    """(sum g, sum g**2) over a block of G whose entries are integers
+    below 2**b, from float64 row sums that are exact integers.  g is
+    squared in place, exactly in float32 while 2b <= 24."""
+    total = _exact_total(g.sum(axis=1, dtype=np.float64))
+    g *= g
+    return total, _exact_total(g.sum(axis=1, dtype=np.float64))
 
 
 def profile4(t: Tournament) -> Profile4Counts:
@@ -229,24 +249,29 @@ def profile4(t: Tournament) -> Profile4Counts:
     sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
     of each ordered pair of its in-neighbours.
 
-    G is never held whole, nor is A as float32.  Since G is symmetric,
-    one pass over its upper block-rows reads every pair: for each left
-    block L = A[r0:r0+_GRAM_ROWS] as float32, the diagonal block L L^T
-    counts once and the rows to its right count twice.  Those are taken
-    in panels of 2P rows, P = _PANEL_ROWS.  With b = (n-1).bit_length()
-    and 2b <= 24, the float32 significand (n <= 4096), a panel is packed
-    into one float32 matrix X = A[c0:c0+P] + 2^b A[c0+P:c0+2P] of two
-    lanes, so one product L X^T (`_gram_block`) holds two blocks of G:
-    hi = floor(g 2^-b) and lo = g - 2^b hi.  Every partial sum in it is
-    an integer lo + 2^b hi with lo, hi <= n - 1 < 2^b, below 2^(2b) and
-    so exact in any summation order.  A larger n gets panels of one
-    lane, the 2P rows as they are.  Beside the input the buffers are
-    4 (_GRAM_ROWS + P) n bytes for L and a packed X (4 (_GRAM_ROWS +
-    2P) n with one lane) and a few blocks of G.  A float64 row sum of a
-    block, of G or of G^2, is an integer below n (n - 1)^2, exact under
-    `_check_exact`; the row sums become Python ints before they are
-    doubled or added up, since 2 n (n - 1)^2 passes 2^53 near the
-    limit."""
+    G is never held whole, nor is A as floats.  Cut A into blocks of 2B
+    rows, B = _GRAM_ROWS, and pack each block into a panel of B rows,
+    X_J = A[its first B rows] + 2^b A[its next B rows] with
+    b = (n-1).bit_length().  Since G is symmetric, one pass over its
+    upper block-rows reads every pair: left block I, as it is, meets the
+    panels J = I, I+1, ..., and the product g = A_I X_J^T holds two
+    2B x B blocks of G, hi = floor(g 2^-b) and lo = g - 2^b hi.  For
+    J = I they are the 2B x 2B diagonal block and count once; for J > I
+    they count twice.  A product is a sum of tile products
+    (`_gram_tile`) over _TILE_COLS columns, one for each lane of the
+    left block: the lane and the panel are converted and packed into
+    two fixed B x _TILE_COLS float32 buffers.  A tile's partial sums are
+    integers at most _TILE_COLS (2^b + 1), exact in float32 (a tile is
+    narrower from b = 15 on).  A product's are integers lo + 2^b hi with
+    lo, hi <= n - 1 < 2^b, below 2^(2b) and so exact in any summation
+    order: tiles are summed in float32 while 2b <= 24 (n <= 4096), else
+    in float64, where 2b <= 36 under `_check_exact`.  Beside the input
+    the buffers take 8 B _TILE_COLS bytes (1 MiB), whatever n, and the
+    lanes two 2B x B blocks (1 MiB; 2 MiB in float64).  A float64
+    row sum of a block, of G or of G^2, is an integer below
+    n (n - 1)^2, exact under `_check_exact`; the row sums become Python
+    ints before they are doubled or added up, since 2 n (n - 1)^2
+    passes 2^53 near the limit."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
@@ -255,36 +280,38 @@ def profile4(t: Tournament) -> Profile4Counts:
     d = t.out_degrees()
     e = n - 1 - d
     bits = (n - 1).bit_length()
-    lanes = 2 if 2 * bits <= _FLOAT32_BITS else 1
+    dtype = np.float32 if 2 * bits <= _FLOAT32_BITS else np.float64
     scale = np.float32(2**bits)
-    left_buf = np.empty((_GRAM_ROWS, n), dtype=np.float32)
-    panel_buf = np.empty((2 * _PANEL_ROWS // lanes, n), dtype=np.float32)
+    cols = min(_TILE_COLS, n, 2**_FLOAT32_BITS // (2**bits + 1))
+    shape = (min(_GRAM_ROWS, n), cols)
+    left_buf = np.empty(shape, np.float32)
+    panel_buf = np.empty(shape, np.float32)
     sum_g = sum_g2 = 0                  # over all u, v: diagonal included
-    for r0 in range(0, n, _GRAM_ROWS):
-        r1 = min(r0 + _GRAM_ROWS, n)
-        left = left_buf[:r1 - r0]
-        np.copyto(left, a[r0:r1])
-        g = _gram_block(left, left)
-        diag, want = g.diagonal(), d[r0:r1]
-        if not np.array_equal(diag, want):
-            u = int(np.flatnonzero(diag != want)[0])
-            raise InternalInvariantError(
-                f"Gram diagonal G[u,u] = d_u fails at n={n}: first at vertex "
-                f"{r0 + u}, G {int(diag[u])} vs d {int(want[u])}")
-        inner, inner2 = _sum_and_squares(g)             # the diagonal block
-        right = right2 = 0                              # and, mirrored, below
-        for c0 in range(r1, n, 2 * _PANEL_ROWS):
-            x, k = _pack_panel(a, c0, lanes, scale, panel_buf)
-            g = _gram_block(left, x)
-            if k:
-                hi = np.floor(g / scale)
-                g -= hi * scale
-                s, s2 = _sum_and_squares(hi[:, :k])
-                right, right2 = right + s, right2 + s2
-            s, s2 = _sum_and_squares(g)
-            right, right2 = right + s, right2 + s2
-        sum_g += inner + 2 * right
-        sum_g2 += inner2 + 2 * right2
+    for r0 in range(0, n, 2 * _GRAM_ROWS):
+        for p0 in range(r0, n, 2 * _GRAM_ROWS):
+            g = _panel_gram(a, r0, p0, scale, dtype, left_buf, panel_buf)
+            # hi = floor(g / 2^b) and lo = g - 2^b hi, exactly and with
+            # no temporary block: g becomes lo
+            hi = g / scale
+            np.floor(hi, out=hi)
+            hi *= scale
+            g -= hi
+            hi /= scale
+            if p0 == r0:                # the lanes of the diagonal block
+                diag = np.concatenate((g[:_GRAM_ROWS].diagonal(),
+                                       hi[_GRAM_ROWS:].diagonal()))
+                want = d[r0:r0 + 2 * _GRAM_ROWS]
+                if not np.array_equal(diag, want):
+                    u = int(np.flatnonzero(diag != want)[0])
+                    raise InternalInvariantError(
+                        f"Gram diagonal G[u,u] = d_u fails at n={n}: first "
+                        f"at vertex {r0 + u}, G {int(diag[u])} vs d "
+                        f"{int(want[u])}")
+            weight = 1 if p0 == r0 else 2
+            for lane in (g, hi):
+                s, s2 = _sum_and_squares(lane)
+                sum_g, sum_g2 = sum_g + weight * s, sum_g2 + weight * s2
+            del g, hi, lane             # freed before the next product
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
     sum_g -= pairs
     links = 2 * _sum_comb2(e)

@@ -201,20 +201,20 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 def test_edge_stats_computed_once(monkeypatch, capsys):
     """Each edge-stats mode and `profile --counts` runs the Gram kernel
     exactly once: the full product for the per-arc answers, or, for the
-    counts, one diagonal block, which is all of G at n = 7."""
+    counts, one tile, which is all of G at n = 7."""
     calls = []
-    real_full, real_block = profiles.gram_matrix, profiles._gram_block
+    real_full, real_tile = profiles.gram_matrix, profiles._gram_tile
 
     def full(t):
         calls.append(t.n)
         return real_full(t)
 
-    def block(left, right):
+    def tile(left, right):
         calls.append(left.shape[1])
-        return real_block(left, right)
+        return real_tile(left, right)
 
     monkeypatch.setattr(profiles, "gram_matrix", full)
-    monkeypatch.setattr(profiles, "_gram_block", block)
+    monkeypatch.setattr(profiles, "_gram_tile", tile)
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],
                  ["edge-stats", "cyclic:7", "--cdf", "0.5"],
@@ -225,8 +225,8 @@ def test_edge_stats_computed_once(monkeypatch, capsys):
 
 
 def test_profile_counts_holds_no_whole_matrix_temporary(tmp_path, capsys):
-    # the file's bytes and the matrix while it is parsed, then the matrix
-    # and profile4's O(n) buffers: no float32 copy of A, no n x n mask
+    # the matrix and one block of rows while it is read, then the matrix
+    # and profile4's fixed tiles: no float32 copy of A, no n x n mask
     import tracemalloc
     n = 2000
     path = tmp_path / "r.trn"
@@ -239,7 +239,7 @@ def test_profile_counts_holds_no_whole_matrix_temporary(tmp_path, capsys):
         tracemalloc.stop()
     out = capsys.readouterr().out
     assert code == 0 and out.splitlines()[-1].startswith("2000,")
-    assert peak < 3.5 * n * n, peak / n**2
+    assert peak < 2.0 * n * n, peak / n**2
 
 
 def test_edge_stats_row_count(capsys):

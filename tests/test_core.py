@@ -309,7 +309,8 @@ def test_trn_file_io(tmp_path):
     assert read_trn(path) == t
 
 
-def test_write_trn_holds_one_copy_of_the_body(tmp_path):
+def test_write_trn_holds_one_block_of_rows(tmp_path):
+    # the rows go out through one buffer of about 2**16 bytes
     n = 2000
     t = random_tournament(n, seed=1)
     path = tmp_path / "t.trn"
@@ -319,13 +320,13 @@ def test_write_trn_holds_one_copy_of_the_body(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n, peak / n**2
+    assert peak < 0.1 * n * n, peak / n**2
     assert path.read_bytes() == to_trn_text(t).encode("ascii")
 
 
-def test_read_trn_parses_the_bytes_in_place(tmp_path):
-    # write_trn's layout is read as a view of the raw bytes: those bytes,
-    # the n x n matrix and one block of rows, no line objects or masks
+def test_read_trn_holds_the_matrix_and_one_block(tmp_path):
+    # write_trn's layout is read a block of rows at a time into the n x n
+    # matrix: no copy of the file's bytes, no line objects, no masks
     n = 2000
     t = random_tournament(n, seed=1)
     path = tmp_path / "t.trn"
@@ -336,10 +337,71 @@ def test_read_trn_parses_the_bytes_in_place(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n, peak / n**2
+    assert peak < 1.2 * n * n, peak / n**2
     assert back == t
     # the matrix is its own array, not a view that keeps the bytes alive
     assert back.dense().flags.owndata
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_trn_blocks_that_do_not_divide_n(monkeypatch, tmp_path, rows):
+    # write_trn and read_trn take 1 or 3 rows at a time, so the last
+    # block is partial or the only one.  A file in write_trn's layout is
+    # read by blocks alone, never again by the line rules.
+    path = tmp_path / "t.trn"
+
+    def line_rules(data):
+        raise AssertionError("re-read by the line rules")
+
+    for n in (1, 2, 33, 2000):
+        t = random_tournament(n, n)
+        text = to_trn_text(t).encode("ascii")
+        monkeypatch.setattr(core, "_PARSE_BYTES", rows * n)
+        write_trn(t, path)
+        assert path.read_bytes() == text
+        with monkeypatch.context() as m:
+            m.setattr(core, "_parse_trn", line_rules)
+            assert read_trn(path) == t
+            path.write_bytes(text + b"note\n" * 5 + b"end")
+            assert read_trn(path) == t
+            if n > 1:                   # flip (n - 1, n - 2), in the last row
+                last = bytearray(text)
+                last[-3] ^= ord("0") ^ ord("1")
+                path.write_bytes(bytes(last))
+                with pytest.raises(DataFormatError) as info:
+                    read_trn(path)
+                assert str(info.value) == \
+                    f"line {n}: pair ({n - 2}, {n - 1}) is " + \
+                    ("unoriented" if t.orient(n - 1, n - 2)
+                     else "oriented both ways")
+
+
+def test_trn_files_cut_short_or_with_text_after_the_rows(monkeypatch,
+                                                          tmp_path):
+    # each message is the one the line rules gave when every file was
+    # read whole; rows are read 3 at a time
+    monkeypatch.setattr(core, "_PARSE_BYTES", 3 * 33)
+    t = random_tournament(33, 33)
+    text = to_trn_text(t).encode("ascii")
+    row = len(b"TRN v1 33\n") + 20 * 34          # the start of line 22
+    bad = bytearray(text)
+    bad[-34] = ord("x")
+    path = tmp_path / "t.trn"
+    for data, message in [
+            (text[:row + 10], "line 23: expected 33 rows, got 21"),
+            (text[:row], "line 22: expected 33 rows, got 20"),
+            (text[:-5], "line 34: expected 33 chars, got 29"),
+            (bytes(bad), "line 34: bad char 'x' at column 1"),
+            (text + b"note\n" * 5 + b"\xff",
+             "line 40: non-ASCII byte 0xff at column 1")]:
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as info:
+            read_trn(path)
+        assert str(info.value) == message
+    for data in (text[:-1], text.replace(b"\n", b"\r\n", 1),
+                 text + b"note\n" * 5 + b"end"):
+        path.write_bytes(data)
+        assert read_trn(path) == t
 
 
 def test_trn_text_golden_hashes():
@@ -478,6 +540,10 @@ def test_trn_accepts_crlf_blanks_and_trailing_lines():
     ("TRN v1 3\n-\r1\n0-1\n00-\n", "line 2: expected 3 chars, got 1"),
     ("TRN v1 3\n-11\n0\r1\n00-\n", "line 3: expected 3 chars, got 1"),
     ("TRN v1 3\n-11\n0-1\n00\r\n", "line 4: expected 3 chars, got 2"),
+    # write_trn's size, but a char, not \n, ends each row; a lone \r
+    # ends the header line, so the first row is the text after it
+    ("TRN v1 2\n-1x0-x", "line 3: expected 2 rows, got 1"),
+    ("TRN v1 2\r-1\n-0\n1-\n", "line 3: bad char '-' at column 1"),
     # a leading blank is stripped, leaving a row one char short
     ("TRN v1 3\n -1\n0-1\n00-\n", "line 2: expected 3 chars, got 2"),
     ("TRN v1 3\n-11\n 0-\n00-\n", "line 3: expected 3 chars, got 2"),

@@ -39,18 +39,20 @@ def test_profile4_matches_brute_force(small_random_tournaments,
 def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
                                                small_random_tournaments,
                                                small_named_tournaments):
-    # one-row blocks and lanes, last ones partial or the only one, with
-    # two lanes per panel and (no bits to pack into) one
+    # lanes of 1, 3 or 5 rows and tiles of 1, 3 or 5 columns, last ones
+    # partial or the only one, summed in float32 and, with float32 said
+    # to hold 5 bits (2b = 6 or 8 here), in float64 from tiles of at most
+    # 3 columns
     monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
     corpus = small_random_tournaments + small_named_tournaments
     want = [tuple(brute_profile4(t)[k] for k in ("T4", "C4", "W", "L"))
             for t in corpus]
-    for panel, bits in product((1, 3, 5), (24, 0)):
-        monkeypatch.setattr(profiles, "_PANEL_ROWS", panel)
+    for cols, bits in product((1, 3, 5), (24, 5)):
+        monkeypatch.setattr(profiles, "_TILE_COLS", cols)
         monkeypatch.setattr(profiles, "_FLOAT32_BITS", bits)
         got = [(p.t4_count, p.c4_count, p.w_count, p.l_count)
                for p in map(profile4, corpus)]
-        assert got == want, (panel, bits)
+        assert got == want, (cols, bits)
 
 
 @pytest.mark.parametrize("n", [257, 513, 1000])
@@ -76,8 +78,9 @@ def _second_moment_t4(t):
 
 @pytest.mark.parametrize("n,lanes", [(4096, 2), (4097, 1)])
 def test_profile4_lanes_at_the_packing_limit(n, lanes):
-    # 2b <= 24 packs two lanes up to n = 4096, where hi and lo reach
-    # 2**12 - 1 and a packed entry 2**24 - 1; one more vertex, one lane
+    # float32 holds two b-bit lanes while 2b <= 24, up to n = 4096, where
+    # hi and lo reach 2**12 - 1 and a packed entry 2**24 - 1; one more
+    # vertex and it holds one, so the tiles are summed in float64
     assert (2 * (n - 1).bit_length() <= profiles._FLOAT32_BITS) == \
         (lanes == 2)
     for t in (random_tournament(n, 5), transitive(n)):
@@ -85,8 +88,8 @@ def test_profile4_lanes_at_the_packing_limit(n, lanes):
 
 
 def test_profile4_holds_one_gram_block_row():
-    # one left block and one panel of A as float32, 4 * 512 n bytes, and
-    # a few 256 x 256 blocks of G; A as float32 alone would be 4 n^2
+    # two 256 x 512 float32 tiles of A, 1 MiB, and two 512 x 256
+    # blocks of G; A as float32 alone would be 4 n^2
     import tracemalloc
     n = 2000
     t = random_tournament(n, 1)
@@ -96,7 +99,7 @@ def test_profile4_holds_one_gram_block_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n, peak / n**2
+    assert peak < 0.8 * n * n, peak / n**2
 
 
 def test_profile4_named_constructions():
@@ -424,7 +427,7 @@ def test_profile4_gram_guard(monkeypatch):
     # a wrong Gram block breaks one of G's own identities, named with n
     # and both sides, before any count is derived from it
     t = random_tournament(9, seed=2)
-    real = profiles._gram_block
+    real = profiles._gram_tile
     d = t.out_degrees()
     links = 2 * sum(comb(8 - int(x), 2) for x in d)
 
@@ -439,13 +442,13 @@ def test_profile4_gram_guard(monkeypatch):
         g[3, 3] += 1
         return g
 
-    monkeypatch.setattr(profiles, "_gram_block", off_pair)
+    monkeypatch.setattr(profiles, "_gram_tile", off_pair)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
                              rf"C\(n-1-d_w, 2\) fails at n=9: "
                              rf"{links + 2} vs {links}$"):
         profile4(t)
-    monkeypatch.setattr(profiles, "_gram_block", off_diagonal)
+    monkeypatch.setattr(profiles, "_gram_tile", off_diagonal)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram diagonal G\[u,u\] = d_u fails at n=9: "
                              rf"first at vertex 3, G {d[3] + 1} vs d {d[3]}$"):
@@ -454,29 +457,33 @@ def test_profile4_gram_guard(monkeypatch):
 
 @pytest.mark.parametrize("lane", ["lo", "hi"])
 def test_profile4_gram_guard_in_a_packed_panel(monkeypatch, lane):
-    # at n = 600 the rows 256..599 right of the first left block are one
-    # panel of two lanes, b = 10: a count off by one in either lane is a
-    # pair of G off by one, counted twice in the Gram sum
-    n = 600
+    # at n = 1000, b = 10, the left block of rows 0..511 meets the panel
+    # of rows 512..767 (lo) and 768..999 (hi), off the diagonal: a count
+    # off by one in either lane of one tile is a pair of G off by one,
+    # counted twice in the Gram sum
+    n = 1000
     t = random_tournament(n, seed=4)
-    real = profiles._gram_block
+    a = t.dense()
+    real = profiles._gram_tile
     links = 2 * sum(comb(n - 1 - int(x), 2) for x in t.out_degrees())
     packed = []
 
     def off_lane(left, right):
         g = real(left, right)
-        if right.max() > 1:
+        # rows 0..255 against that panel, both in columns 0..511
+        if (np.array_equal(left, a[:256, :512])
+                and np.array_equal(np.fmod(right, 2**10), a[512:768, :512])):
             packed.append(right.shape)
             g[5, 7] += 1 if lane == "lo" else 2**10
         return g
 
-    monkeypatch.setattr(profiles, "_gram_block", off_lane)
+    monkeypatch.setattr(profiles, "_gram_tile", off_lane)
     with pytest.raises(InternalInvariantError,
                        match=rf"^Gram sum sum_\(u!=v\) G = 2 sum_w "
                              rf"C\(n-1-d_w, 2\) fails at n={n}: "
                              rf"{links + 2} vs {links}$"):
         profile4(t)
-    assert packed == [(256, n)]
+    assert packed == [(256, 512)]
 
 
 def test_gram_second_moment_is_t4(small_random_tournaments,
