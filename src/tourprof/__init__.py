@@ -20,9 +20,9 @@ from .bounds import (BlowupOptimum, ReplacementResult, conjectured_min_c4,
 from .flags import (Certificate, Flag, ProductTable, TournamentType,
                     enumerate_flags, enumerate_types, flag_index_by_name,
                     lemma1_certificate, moment_consistency_check,
-                    product_table, read_certificate, read_table,
-                    search_certificate, subtype_density, verify_certificate,
-                    write_certificate, write_table)
+                    product_table, read_certificate, search_certificate,
+                    subtype_density, verify_certificate, write_certificate,
+                    write_table)
 from .search import (AnnealResult, AnnealSchedule, ScanPoint, anneal,
                      boundary_scan, objective)
 
@@ -42,7 +42,7 @@ __all__ = [
     "Certificate", "Flag", "ProductTable", "TournamentType",
     "enumerate_flags", "enumerate_types", "flag_index_by_name",
     "lemma1_certificate", "moment_consistency_check", "product_table",
-    "read_certificate", "read_table", "search_certificate",
+    "read_certificate", "search_certificate",
     "subtype_density", "verify_certificate", "write_certificate",
     "write_table",
     "AnnealResult", "AnnealSchedule", "ScanPoint", "anneal",

@@ -39,7 +39,7 @@ class TournamentError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """An on-disk artifact (TRN/FLAGCERT/FLAGTAB/CSV) is malformed."""
+    """An on-disk artifact (TRN/FLAGCERT) is malformed."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -583,8 +583,7 @@ def _ascii(data: bytes) -> bytes:
 
 
 def _read_ascii(path) -> bytes:
-    """The bytes of an ASCII file (TRN, FLAGCERT, FLAGTAB), checked by
-    _ascii."""
+    """The bytes of an ASCII file (TRN, FLAGCERT), checked by _ascii."""
     with open(path, "rb") as fh:
         return _ascii(fh.read())
 

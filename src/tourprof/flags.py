@@ -426,9 +426,9 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 def _lines(text: str) -> list:
-    r"""The lines of a FLAGCERT or FLAGTAB text, ended only at \n, \r\n
-    or \r as TRN lines are (bytes.splitlines; str.splitlines would also
-    end them at \v, \f and \x1c-\x1e)."""
+    r"""The lines of a FLAGCERT text, ended only at \n, \r\n or \r as
+    TRN lines are (bytes.splitlines; str.splitlines would also end them
+    at \v, \f and \x1c-\x1e)."""
     data = text.encode("utf-8", "surrogatepass")
     return [ln.decode("utf-8", "surrogatepass") for ln in data.splitlines()]
 
@@ -500,81 +500,7 @@ def table_to_text(table: ProductTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_from_text(text: str) -> ProductTable:
-    lines = _lines(text)
-    if not lines:
-        raise DataFormatError("line 1: empty FLAGTAB input")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "FLAGTAB" or head[1] != "v1":
-        raise DataFormatError(
-            f"line 1: expected 'FLAGTAB v1 <k> <f> <types> <total>', "
-            f"got {lines[0]!r}")
-    try:
-        k, f, ntypes, total = (int(x) for x in head[2:])
-    except ValueError:
-        raise DataFormatError("line 1: header fields must be integers") from None
-    if k not in (3, 4) or f != FLAG_COUNTS[k]:
-        raise DataFormatError(f"line 1: inconsistent k={k}, f={f}")
-    n_big = 2 * k - 2
-    expected_total = comb(n_big, 2) * comb(n_big - 2, k - 2)
-    if total != expected_total:
-        raise DataFormatError(
-            f"line 1: total must be {expected_total} for k={k}, got {total}")
-    types = enumerate_types(n_big)
-    if ntypes != len(types):
-        raise DataFormatError(
-            f"line 1: types must be {len(types)} for k={k}, got {ntypes}")
-    counts = []
-
-    def fields(ln):
-        if ln >= len(lines):
-            raise DataFormatError(f"line {ln + 1}: truncated table")
-        return lines[ln].split()
-
-    ln = 1
-    for h in types:
-        head = fields(ln)
-        if len(head) != 2 or head[0] != "type":
-            raise DataFormatError(f"line {ln + 1}: expected 'type <code>'")
-        try:
-            code = int(head[1])
-        except ValueError:
-            raise DataFormatError(
-                f"line {ln + 1}: bad type code {head[1]!r}") from None
-        if code != h.code:
-            raise DataFormatError(
-                f"line {ln + 1}: expected type {h.code}, got {code}")
-        ln += 1
-        mat = []
-        for r in range(f):
-            parts = fields(ln)
-            if len(parts) != f:
-                raise DataFormatError(
-                    f"line {ln + 1}: expected {f} fractions, got {len(parts)}")
-            try:
-                row = [Fraction(x) * total for x in parts]
-            except (ValueError, ZeroDivisionError):
-                raise DataFormatError(f"line {ln + 1}: bad fraction") from None
-            if any(c.denominator != 1 or not 0 <= c <= total for c in row):
-                raise DataFormatError(
-                    f"line {ln + 1}: entries must be multiples of 1/{total} "
-                    f"in [0, 1]")
-            mat.append([int(c) for c in row])
-            ln += 1
-        counts.append(mat)
-    for h, mat in zip(types, counts):
-        if sum(map(sum, mat)) != total:
-            raise DataFormatError(f"table for type {h.code} does not sum to 1")
-    return ProductTable(k=k, type_order=n_big, flags=enumerate_flags(k),
-                        types=types, total=total,
-                        counts=np.array(counts, dtype=np.int64).reshape(
-                            len(types), f, f))
-
-
 def write_table(table: ProductTable, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(table_to_text(table))
 
-
-def read_table(path) -> ProductTable:
-    return table_from_text(_read_ascii(path).decode("ascii"))

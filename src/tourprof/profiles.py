@@ -14,29 +14,22 @@ patterns:
     dom_in(e)  #w with w -> u and w -> v
 
 which sum to n - 2 per edge.  The one kernel is the Gram matrix
-G = A A^T, in float32 products: G[u, v] = #{w : u -> w, v -> w} counts
-common out-neighbours and G[u, u] = d_u, the out-degree.  It measures
-dom_out(e) = G[u, v]; with the degrees d the rest follow by identities,
-and no 4-subset is enumerated:
+G = A A^T: G[u, v] = #{w : u -> w, v -> w} counts common out-neighbours
+and G[u, u] = d_u, the out-degree.  It measures dom_out(e) = G[u, v];
+with the degrees d the rest follow by identities, and no 4-subset is
+enumerated:
 
     thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
     dom_in(e) = n - 2 - d_v - thru(e)
 
-`profile4` reads G only through its second moment: the T4 sets are the
-4-sets with a pair beating the other pair, so t4 = sum_{u<v} C(G[u,v],
-2).  c3 follows from the degrees (Goodman), c4 from t4 - c4 = (C(n, 3)
-- 4 c3)(n - 3)/4, and w and l from the degree sums.  Since it needs
-only three reductions of G (its diagonal, sum G and sum G^2), it holds
-neither G nor A as floats: it folds blocks of G into exact partial
-sums, each the product of 512 rows of A with a panel of 512 rows at or
-right of them.  A panel packs its two lanes of 256 rows into one
-matrix, A[c0:c0+256] + 2^b A[c0+256:c0+512] with
-b = (n-1).bit_length(), so one product yields two blocks of G, exact
-in any summation order.  A product is the sum of its tile products,
-256 rows by 512 columns of A (`_gram_tile`), each exact in float32,
-added up in float32 while 2b <= 24 (n <= 4096), else in float64.  Its
-buffers take the same bytes at every n: 1 MiB for the two tiles of A
-and 1-2 MiB for two blocks of G.
+`_gram_blocks` yields exact blocks of G, from float32 tile products,
+and every count reads G from them.  `profile4` needs only its second
+moment: the T4 sets are the 4-sets with a pair beating the other pair,
+so t4 = sum_{u<v} C(G[u,v], 2).  c3 follows from the degrees (Goodman),
+c4 from t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4, and w and l from the
+degree sums.  So it folds the blocks into exact sums and never holds G.
+`edge_stats` and `paths_matrix` read every entry of G, so they fill it
+whole, as integers, from the same blocks (`_gram`).
 
 `edge_stats` gathers G at the arcs for the per-arc answers (the
 edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
@@ -45,10 +38,7 @@ edge drawn uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc
 = 3 c3, sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4
 and sum_e cyc * thru = 2 c4), which `verify_identities` checks at the
 arcs.  `FlipState` keeps the path matrix P2 = A A = d 1^T - A - G
-(`paths_matrix`).  `edge_stats` and `paths_matrix` read every entry of
-G, so they take it whole from `gram_matrix`, one SYRK product: at
-n = 2000, assembling G from block-rows took 10-30 % longer (best of 7,
-2 cores).
+(`paths_matrix`).
 """
 
 from __future__ import annotations
@@ -84,25 +74,6 @@ def _check_exact(n: int) -> None:
         raise TournamentError(
             "the Gram kernel is exact only for n < 2**24 and "
             f"n*(n-1)**2 < 2**53, so n <= 208064 (got n={n})")
-
-
-def gram_matrix(t: Tournament) -> np.ndarray:
-    """G = A A^T as float32, whole, in one product (numpy sends it to
-    SYRK): G[u, v] = #{w : u -> w, v -> w} and G[u, u] = d_u.
-    Symmetric, with exact integer entries."""
-    _check_exact(t.n)
-    a32 = t.dense().astype(np.float32)
-    return a32 @ a32.T
-
-
-def paths_matrix(t: Tournament) -> np.ndarray:
-    """P2[a, b] = #{w : a -> w -> b}, as int64.  Since A^T = J - I - A,
-    P2 = A A = d 1^T - A - G.  Note cyc(u -> v) = P2[v, u] and
-    thru(u -> v) = P2[u, v]."""
-    p2 = gram_matrix(t).astype(np.int64)
-    np.subtract(t.out_degrees()[:, None], p2, out=p2)
-    p2 -= t.dense()
-    return p2
 
 
 def _exact_total(rows: np.ndarray) -> int:
@@ -187,8 +158,8 @@ _FLOAT32_BITS = 24        # integers below 2**24 are exact in float32
 
 def _gram_tile(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The tile product left right^T of the Gram kernel: every product
-    `profile4` makes, of one lane of a left block of A with a packed
-    panel, in the same columns."""
+    of A that `_gram_blocks` makes, of one lane of a left block of A
+    with a packed panel, in the same columns."""
     return left @ right.T
 
 
@@ -225,60 +196,39 @@ def _panel_gram(a: np.ndarray, r0: int, p0: int, scale, dtype,
     return g
 
 
-def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
-    """(sum g, sum g**2) over a block of G whose entries are integers
-    below 2**b, from float64 row sums that are exact integers.  g is
-    squared in place, exactly in float32 while 2b <= 24."""
-    total = _exact_total(g.sum(axis=1, dtype=np.float64))
-    g *= g
-    return total, _exact_total(g.sum(axis=1, dtype=np.float64))
-
-
-def profile4(t: Tournament) -> Profile4Counts:
-    """Exact 4-profile from the second moment of the Gram matrix G:
-
-        t4 = sum_{u<v} C(G[u,v], 2) = (sum_{u!=v} G^2 - sum_{u!=v} G) / 4
-        c4 = t4 - (C(n, 3) - 4 c3)(n - 3)/4
-        l  = sum_v C(d_v, 3) - t4      w  = sum_v C(e_v, 3) - t4
-
-    with out-degrees d and in-degrees e = n - 1 - d.  A T4 has one pair
-    beating the other pair, its top two, and a C4, W or L set has none.
-    sum_v C(d_v, 3) counts the 4-sets with a source, the T4 and L sets,
-    and sum_v C(e_v, 3) those with a sink, the T4 and W sets.  G is
-    checked against two identities of its own: diag G = d, and
-    sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
-    of each ordered pair of its in-neighbours.
+def _gram_blocks(t: Tournament):
+    """Exact blocks (r0, c0, g) of G = A A^T, g = G[r0:r0+len(g),
+    c0:c0+g.shape[1]] in float32 or float64, that cover every pair of
+    vertices: the 2B x 2B diagonal blocks whole, as two lanes, and each
+    block right of them once, B = _GRAM_ROWS.  A block is a lane of a
+    diagonal block iff c0 < r0 + 2B.  n is checked by `_check_exact`
+    when the generator first runs, and each diagonal block against
+    diag G = d.
 
     G is never held whole, nor is A as floats.  Cut A into blocks of 2B
-    rows, B = _GRAM_ROWS, and pack each block into a panel of B rows,
+    rows, and pack each block into a panel of B rows,
     X_J = A[its first B rows] + 2^b A[its next B rows] with
     b = (n-1).bit_length().  Since G is symmetric, one pass over its
     upper block-rows reads every pair: left block I, as it is, meets the
     panels J = I, I+1, ..., and the product g = A_I X_J^T holds two
-    2B x B blocks of G, hi = floor(g 2^-b) and lo = g - 2^b hi.  For
-    J = I they are the 2B x 2B diagonal block and count once; for J > I
-    they count twice.  A product is a sum of tile products
-    (`_gram_tile`) over _TILE_COLS columns, one for each lane of the
-    left block: the lane and the panel are converted and packed into
-    two fixed B x _TILE_COLS float32 buffers.  A tile's partial sums are
-    integers at most _TILE_COLS (2^b + 1), exact in float32 (a tile is
-    narrower from b = 15 on).  A product's are integers lo + 2^b hi with
-    lo, hi <= n - 1 < 2^b, below 2^(2b) and so exact in any summation
-    order: tiles are summed in float32 while 2b <= 24 (n <= 4096), else
-    in float64, where 2b <= 36 under `_check_exact`.  Beside the input
-    the buffers take 8 B _TILE_COLS bytes (1 MiB), whatever n, and the
-    lanes two 2B x B blocks (1 MiB; 2 MiB in float64).  A float64
-    row sum of a block, of G or of G^2, is an integer below
-    n (n - 1)^2, exact under `_check_exact`; the row sums become Python
-    ints before they are doubled or added up, since 2 n (n - 1)^2
-    passes 2^53 near the limit."""
+    2B x B blocks of G, hi = floor(g 2^-b) and lo = g - 2^b hi, yielded
+    in turn (hi only where the panel has rows).  A product is a sum of
+    tile products (`_gram_tile`) over _TILE_COLS columns, one for each
+    lane of the left block: the lane and the panel are converted and
+    packed into two fixed B x _TILE_COLS float32 buffers.  A tile's
+    partial sums are integers at most _TILE_COLS (2^b + 1), exact in
+    float32 (a tile is narrower from b = 15 on).  A product's are
+    integers lo + 2^b hi with lo, hi <= n - 1 < 2^b, below 2^(2b) and so
+    exact in any summation order: tiles are summed in float32 while
+    2b <= 24 (n <= 4096), else in float64, where 2b <= 36 under
+    `_check_exact`.  Beside the input the buffers take 8 B _TILE_COLS
+    bytes (1 MiB), whatever n, and the lanes two 2B x B blocks (1 MiB;
+    2 MiB in float64), freed before the next product if the caller
+    drops the block it holds."""
     n = t.n
-    if n < 4:
-        return Profile4Counts(n, 0, 0, 0, 0)
     _check_exact(n)
     a = t.dense()
     d = t.out_degrees()
-    e = n - 1 - d
     bits = (n - 1).bit_length()
     dtype = np.float32 if 2 * bits <= _FLOAT32_BITS else np.float64
     scale = np.float32(2**bits)
@@ -286,7 +236,6 @@ def profile4(t: Tournament) -> Profile4Counts:
     shape = (min(_GRAM_ROWS, n), cols)
     left_buf = np.empty(shape, np.float32)
     panel_buf = np.empty(shape, np.float32)
-    sum_g = sum_g2 = 0                  # over all u, v: diagonal included
     for r0 in range(0, n, 2 * _GRAM_ROWS):
         for p0 in range(r0, n, 2 * _GRAM_ROWS):
             g = _panel_gram(a, r0, p0, scale, dtype, left_buf, panel_buf)
@@ -307,11 +256,79 @@ def profile4(t: Tournament) -> Profile4Counts:
                         f"Gram diagonal G[u,u] = d_u fails at n={n}: first "
                         f"at vertex {r0 + u}, G {int(diag[u])} vs d "
                         f"{int(want[u])}")
-            weight = 1 if p0 == r0 else 2
-            for lane in (g, hi):
-                s, s2 = _sum_and_squares(lane)
-                sum_g, sum_g2 = sum_g + weight * s, sum_g2 + weight * s2
-            del g, hi, lane             # freed before the next product
+            yield r0, p0, g
+            del g
+            c0 = p0 + _GRAM_ROWS
+            if c0 < n:
+                yield r0, c0, hi[:, :n - c0]
+            del hi
+
+
+def _gram(t: Tournament) -> np.ndarray:
+    """G whole, in the smallest integer type that holds n - 1 (uint16
+    for 256 < n <= 2^16), filled from `_gram_blocks` and their mirror
+    images."""
+    n = t.n
+    _check_exact(n)     # before G is allocated: the generator checks late
+    g = np.empty((n, n), np.min_scalar_type(n - 1))
+    for r0, c0, block in _gram_blocks(t):
+        r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+        g[r0:r1, c0:c1] = block
+        g[c0:c1, r0:r1] = block.T
+    return g
+
+
+def paths_matrix(t: Tournament) -> np.ndarray:
+    """P2[a, b] = #{w : a -> w -> b}, as int64.  Since A^T = J - I - A,
+    P2 = A A = d 1^T - A - G.  Note cyc(u -> v) = P2[v, u] and
+    thru(u -> v) = P2[u, v]."""
+    g = _gram(t)                    # checks n before anything is read
+    p2 = t.out_degrees()[:, None] - g
+    p2 -= t.dense()
+    return p2
+
+
+def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
+    """(sum g, sum g**2) over a block of G whose entries are integers
+    below 2**b, from float64 row sums that are exact integers.  g is
+    squared in place, exactly in float32 while 2b <= 24."""
+    total = _exact_total(g.sum(axis=1, dtype=np.float64))
+    g *= g
+    return total, _exact_total(g.sum(axis=1, dtype=np.float64))
+
+
+def profile4(t: Tournament) -> Profile4Counts:
+    """Exact 4-profile from the second moment of the Gram matrix G:
+
+        t4 = sum_{u<v} C(G[u,v], 2) = (sum_{u!=v} G^2 - sum_{u!=v} G) / 4
+        c4 = t4 - (C(n, 3) - 4 c3)(n - 3)/4
+        l  = sum_v C(d_v, 3) - t4      w  = sum_v C(e_v, 3) - t4
+
+    with out-degrees d and in-degrees e = n - 1 - d.  A T4 has one pair
+    beating the other pair, its top two, and a C4, W or L set has none.
+    sum_v C(d_v, 3) counts the 4-sets with a source, the T4 and L sets,
+    and sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Beside
+    diag G = d, which `_gram_blocks` checks, G is checked against
+    sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
+    of each ordered pair of its in-neighbours.
+
+    The sums are folded from the blocks of `_gram_blocks`, with weight 1
+    on the lanes of a diagonal block and 2 on the blocks right of them.
+    A float64 row sum of a block, of G or of G^2, is an integer below
+    n (n - 1)^2, exact under `_check_exact`; the row sums become Python
+    ints before they are doubled or added up, since 2 n (n - 1)^2
+    passes 2^53 near the limit."""
+    n = t.n
+    if n < 4:
+        return Profile4Counts(n, 0, 0, 0, 0)
+    sum_g = sum_g2 = 0                  # over all u, v: diagonal included
+    for r0, c0, g in _gram_blocks(t):
+        weight = 1 if c0 < r0 + 2 * _GRAM_ROWS else 2
+        s, s2 = _sum_and_squares(g)
+        sum_g, sum_g2 = sum_g + weight * s, sum_g2 + weight * s2
+        del g                           # freed before the next product
+    d = t.out_degrees()
+    e = n - 1 - d
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
     sum_g -= pairs
     links = 2 * _sum_comb2(e)
@@ -410,13 +427,13 @@ class EdgeStats:
 def edge_stats(t: Tournament) -> EdgeStats:
     """cyc and thru at every arc u -> v from one gather of the Gram
     matrix: cyc = d_v - G[u, v] and thru = d_u - 1 - G[u, v]."""
-    n, a = t.n, t.dense()
+    n = t.n
     if n < 3:
         raise TournamentError("edge stats need n >= 3")
-    g = gram_matrix(t)
-    d = t.out_degrees()
+    g = _gram(t)
+    a, d = t.dense(), t.out_degrees()
     arcs = np.flatnonzero(a)
-    g = g.take(arcs).astype(np.int64)
+    g = g.take(arcs)                            # G at the arcs; G is freed
     arcs %= n                                   # the head v of each arc
     cyc = d.take(arcs)
     cyc -= g
@@ -563,12 +580,13 @@ class FlipState:
     counts across single-pair flips in O(n) time per flip.
 
     Keeps A as an int64 matrix, the out-degree vector deg and the path
-    matrix P2[a, b] = #{w : a -> w -> b}, built from the Gram matrix G =
-    A A^T as P2 = deg 1^T - A - G (`paths_matrix`); c4 starts from
-    `profile4`, the second moment of G.  For an arc u -> v, the n - 2
-    other vertices split into cyc = P2[v, u], thru = P2[u, v] and the
-    dominated counts deg[u] - 1 - thru and n - 2 - deg[v] - thru, which
-    sum to the degree identity
+    matrix P2[a, b] = #{w : a -> w -> b}, built as P2 = deg 1^T - A - G
+    (`paths_matrix`) from the Gram matrix G = A A^T that `_gram_blocks`
+    yields; c4 starts from `profile4`, the second moment of the same
+    blocks.  For an arc u -> v, the n - 2 other vertices split into
+    cyc = P2[v, u], thru = P2[u, v] and the dominated counts
+    deg[u] - 1 - thru and n - 2 - deg[v] - thru, which sum to the degree
+    identity
 
         P2[v, u] = P2[u, v] + 1 + deg[v] - deg[u].
 

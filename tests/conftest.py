@@ -81,6 +81,13 @@ def brute_counts3_via_matrix(dense: np.ndarray):
     return int((a * p2.T).sum()) // 3
 
 
+def gram_matrix(t: Tournament) -> np.ndarray:
+    """G = A A^T whole, in one float32 product (numpy sends it to SYRK),
+    exact for n < 2^24: a reference for the tiled kernel."""
+    a32 = t.dense().astype(np.float32)
+    return a32 @ a32.T
+
+
 def gram_profile4(t: Tournament):
     """(t4, c4, w, l) counts by the full-Gram formula: G = A A^T held
     whole (exact float64), t4 = sum_{u<v} C(G[u,v], 2) in int64, c3 by

@@ -200,20 +200,14 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 
 def test_edge_stats_computed_once(monkeypatch, capsys):
     """Each edge-stats mode and `profile --counts` runs the Gram kernel
-    exactly once: the full product for the per-arc answers, or, for the
-    counts, one tile, which is all of G at n = 7."""
+    exactly once: one tile, which is all of G at n = 7."""
     calls = []
-    real_full, real_tile = profiles.gram_matrix, profiles._gram_tile
-
-    def full(t):
-        calls.append(t.n)
-        return real_full(t)
+    real = profiles._gram_tile
 
     def tile(left, right):
         calls.append(left.shape[1])
-        return real_tile(left, right)
+        return real(left, right)
 
-    monkeypatch.setattr(profiles, "gram_matrix", full)
     monkeypatch.setattr(profiles, "_gram_tile", tile)
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],

@@ -12,11 +12,10 @@ from tourprof.flags import (Certificate, _canonical_map, certificate_from_text,
                             certificate_to_text, enumerate_flags,
                             enumerate_types, flag_index_by_name,
                             lemma1_certificate, moment_consistency_check,
-                            product_table, read_certificate, read_table,
+                            product_table, read_certificate,
                             search_certificate, subtype_density,
-                            table_from_text, table_to_text,
-                            verify_certificate, write_certificate,
-                            write_table)
+                            table_to_text, verify_certificate,
+                            write_certificate)
 from tourprof.profiles import classify4, profile3, profile4
 
 from conftest import brute_product_counts
@@ -280,86 +279,15 @@ def test_flagcert_and_flagtab_end_lines_only_at_line_ends(sep):
         certificate_from_text(f"FLAGCERT v1 3 4\n0.06{sep}25\n0.0\n0.0\n"
                               + "0 0 0 0\n" * 4)
     assert str(info.value) == f"line 2: bad gamma value {f'0.06{sep}25'!r}"
-    # inside a line it is a blank between fields, as a space is
-    tab = product_table(3)
-    lines = table_to_text(tab).splitlines()
-    lines[2] = lines[2].replace(" ", sep, 1)
-    assert table_from_text("\n".join(lines) + "\n").tables == tab.tables
 
 
 def test_flagcert_and_flagtab_line_ends_parse_alike():
-    # \n, \r\n and \r files all parse to the certificate and table
-    # that were written
-    cert, tab = lemma1_certificate(0.07), product_table(3)
+    # \n, \r\n and \r files all parse to the certificate that was
+    # written
+    cert = lemma1_certificate(0.07)
     for end in ("\r\n", "\r"):
         back = certificate_from_text(
             certificate_to_text(cert).replace("\n", end))
         assert (back.k, back.gamma, back.mu, back.lam) == \
             (cert.k, cert.gamma, cert.mu, cert.lam)
         assert (back.q == cert.q).all()
-        assert table_from_text(
-            table_to_text(tab).replace("\n", end)).tables == tab.tables
-
-
-def test_flagtab_round_trip(tmp_path):
-    for k in (3, 4):
-        tab = product_table(k)
-        path = tmp_path / f"tab{k}.txt"
-        write_table(tab, path)
-        back = read_table(path)
-        assert back.tables == tab.tables
-        assert back.total == tab.total
-        assert [h.code for h in back.types] == [h.code for h in tab.types]
-
-
-def test_read_table_non_ascii_names_the_line(tmp_path):
-    path = tmp_path / "tab.txt"
-    path.write_bytes(b"FLAGTAB v1 3 4 2 6\r\ntype 0\r\n1/6 \xff\r\n")
-    with pytest.raises(DataFormatError) as info:
-        read_table(path)
-    assert str(info.value) == "line 3: non-ASCII byte 0xff at column 5"
-
-
-def test_flagtab_errors():
-    with pytest.raises(DataFormatError, match="line 1"):
-        table_from_text("FLAGTAB v1 3 4\n")
-    good = table_to_text(product_table(3))
-    broken = good.replace("type", "typo", 1)
-    with pytest.raises(DataFormatError):
-        table_from_text(broken)
-    lines = good.splitlines()
-    with pytest.raises(DataFormatError, match="line 4: truncated table"):
-        table_from_text("\n".join(lines[:3]) + "\n")
-    lines[1] = "type x"
-    with pytest.raises(DataFormatError, match="line 2: bad type code 'x'"):
-        table_from_text("\n".join(lines) + "\n")
-    # type lines must list the order-4 types 0, 2, 8, 9, once each, in order
-    for row, new, frag in ((6, "type 0", "line 7: expected type 2, got 0"),
-                           (11, "type 77", "line 12: expected type 8, got 77"),
-                           (1, "type 2", "line 2: expected type 0, got 2")):
-        lines = good.splitlines()
-        lines[row] = new
-        with pytest.raises(DataFormatError, match=frag):
-            table_from_text("\n".join(lines) + "\n")
-    for ntypes in ("2", "-1", "5"):
-        lines = good.splitlines()
-        lines[0] = f"FLAGTAB v1 3 4 {ntypes} 12"
-        with pytest.raises(DataFormatError,
-                           match=f"line 1: types must be 4 for k=3, got {ntypes}"):
-            table_from_text("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("edit,frag", [
-    ((0, "FLAGTAB v1 3 4 4 12", "FLAGTAB v1 3 4 4 24"),
-     "line 1: total must be 12 for k=3, got 24"),
-    ((2, "1/12 ", "1/24 "), "line 3: entries must be multiples of 1/12"),
-    ((2, "1/12 ", "-1/12 "), "line 3: entries must be multiples of 1/12 in"),
-    ((2, "1/12 ", "2 "), "line 3: entries must be multiples of 1/12 in"),
-])
-def test_flagtab_counts_errors(edit, frag):
-    lines = table_to_text(product_table(3)).splitlines()
-    row, old, new = edit
-    assert old in lines[row]
-    lines[row] = lines[row].replace(old, new, 1)
-    with pytest.raises(DataFormatError, match=frag):
-        table_from_text("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ from tourprof import profiles, rng
 
 from conftest import (brute_counts3_via_matrix, brute_edge_stats,
                       brute_profile3, brute_profile4, brute_two_paths,
-                      gram_profile4)
+                      gram_matrix, gram_profile4)
 
 
 def test_profile3_matches_brute_force(small_random_tournaments):
@@ -42,17 +42,21 @@ def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
     # lanes of 1, 3 or 5 rows and tiles of 1, 3 or 5 columns, last ones
     # partial or the only one, summed in float32 and, with float32 said
     # to hold 5 bits (2b = 6 or 8 here), in float64 from tiles of at most
-    # 3 columns
+    # 3 columns; the same blocks fill G whole, last panels with an empty
+    # or a partial hi lane
     monkeypatch.setattr(profiles, "_GRAM_ROWS", rows)
     corpus = small_random_tournaments + small_named_tournaments
     want = [tuple(brute_profile4(t)[k] for k in ("T4", "C4", "W", "L"))
             for t in corpus]
+    grams = [a @ a.T for a in (t.dense().astype(np.int64) for t in corpus)]
     for cols, bits in product((1, 3, 5), (24, 5)):
         monkeypatch.setattr(profiles, "_TILE_COLS", cols)
         monkeypatch.setattr(profiles, "_FLOAT32_BITS", bits)
         got = [(p.t4_count, p.c4_count, p.w_count, p.l_count)
                for p in map(profile4, corpus)]
         assert got == want, (cols, bits)
+        assert all(np.array_equal(profiles._gram(t), g)
+                   for t, g in zip(corpus, grams)), (cols, bits)
 
 
 @pytest.mark.parametrize("n", [257, 513, 1000])
@@ -64,12 +68,14 @@ def test_profile4_matches_the_full_gram_formula(n):
         p = profile4(t)
         assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
             gram_profile4(t)
+        # the blocks, mirrored, fill the whole G across block-rows
+        assert np.array_equal(profiles._gram(t), gram_matrix(t))
 
 
 def _second_moment_t4(t):
-    """sum_{u<v} C(G[u,v], 2) from the whole gram_matrix, in int64, a
-    block of rows at a time."""
-    g, total = profiles.gram_matrix(t), 0
+    """sum_{u<v} C(G[u,v], 2) from the whole float32 gram_matrix, in
+    int64, a block of rows at a time."""
+    g, total = gram_matrix(t), 0
     for r0 in range(0, t.n, 256):
         block = np.triu(g[r0:r0 + 256].astype(np.int64), r0 + 1)
         total += int((block * (block - 1) // 2).sum())
@@ -100,6 +106,22 @@ def test_profile4_holds_one_gram_block_row():
     finally:
         tracemalloc.stop()
     assert peak < 0.8 * n * n, peak / n**2
+
+
+def test_edge_stats_holds_g_as_integers():
+    # G in uint16 (2 n^2) and the arc indices (4 n^2), then G at the
+    # arcs (1 n^2) and two arrays of 4 n^2 at a time, of the arc
+    # indices, cyc and thru: 9 n^2, where cyc and thru alone take 8 n^2
+    import tracemalloc
+    n = 2000
+    t = random_tournament(n, 1)
+    tracemalloc.start()
+    try:
+        edge_stats(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n, peak / n**2
 
 
 def test_profile4_named_constructions():
@@ -215,8 +237,10 @@ class Huge:          # a tournament too large to build
 
 
 def test_gram_matrix_checks_before_it_allocates():
-    with pytest.raises(TournamentError, match=r"got n=208065"):
-        profiles.gram_matrix(Huge())
+    # edge_stats and paths_matrix fill G whole: n is checked first
+    for whole in (edge_stats, paths_matrix):
+        with pytest.raises(TournamentError, match=r"got n=208065"):
+            whole(Huge())
 
 
 def test_profile4_checks_before_it_allocates():
@@ -328,13 +352,13 @@ def test_x_cdf_basic_properties():
 
 def test_x_cdf_checks_before_the_kernel(monkeypatch):
     calls = []
-    real = profiles.gram_matrix
+    real = profiles._gram_tile
 
-    def counting(t):
-        calls.append(t.n)
-        return real(t)
+    def counting(left, right):
+        calls.append(left.shape[1])
+        return real(left, right)
 
-    monkeypatch.setattr(profiles, "gram_matrix", counting)
+    monkeypatch.setattr(profiles, "_gram_tile", counting)
     with pytest.raises(ValueError, match="x must not be NaN"):
         x_cdf(random_tournament(200, 1), float("nan"))
     # n < 3 is named first, even with a NaN x
@@ -425,7 +449,9 @@ def test_profile3_counts_invariant_guard():
 
 def test_profile4_gram_guard(monkeypatch):
     # a wrong Gram block breaks one of G's own identities, named with n
-    # and both sides, before any count is derived from it
+    # and both sides, before any count is derived from it; edge_stats and
+    # paths_matrix, which fill G whole from the same blocks, check its
+    # diagonal
     t = random_tournament(9, seed=2)
     real = profiles._gram_tile
     d = t.out_degrees()
@@ -449,10 +475,12 @@ def test_profile4_gram_guard(monkeypatch):
                              rf"{links + 2} vs {links}$"):
         profile4(t)
     monkeypatch.setattr(profiles, "_gram_tile", off_diagonal)
-    with pytest.raises(InternalInvariantError,
-                       match=rf"^Gram diagonal G\[u,u\] = d_u fails at n=9: "
-                             rf"first at vertex 3, G {d[3] + 1} vs d {d[3]}$"):
-        profile4(t)
+    for kernel in (profile4, edge_stats, paths_matrix):
+        with pytest.raises(InternalInvariantError,
+                           match=rf"^Gram diagonal G\[u,u\] = d_u fails at "
+                                 rf"n=9: first at vertex 3, G {d[3] + 1} vs "
+                                 rf"d {d[3]}$"):
+            kernel(t)
 
 
 @pytest.mark.parametrize("lane", ["lo", "hi"])
@@ -490,8 +518,8 @@ def test_gram_second_moment_is_t4(small_random_tournaments,
                                   small_named_tournaments):
     # a T4 is the one 4-type with a pair beating the other pair
     for t in small_random_tournaments + small_named_tournaments:
-        g = profiles.gram_matrix(t)
-        assert g.dtype == np.float32 and np.array_equal(g, g.T)
+        g = profiles._gram(t)
+        assert np.array_equal(g, g.T)
         a = t.dense().astype(np.int64)
         assert np.array_equal(g, a @ a.T)
         second = sum(comb(int(g[u, v]), 2)
