@@ -10,7 +10,8 @@ edge-flip perturbations, and the two-block random mix.  Each states only
 its strict upper triangle; `_complete` sets the lower one.  Randomness
 comes from the counter-based stream in `rng` at each pair's lexicographic
 index, read a block of rows at a time: the pairs (u, u+1..n-1) of
-consecutive rows u are one contiguous run.
+consecutive rows u are one contiguous run.  A blow-up draws only the
+pairs inside its parts, each row's run of them at its own indices.
 
 TRN v1 files are ASCII and are parsed as bytes, one reader for files and
 text (text is taken as its UTF-8 bytes).  A non-ASCII byte is reported
@@ -57,15 +58,17 @@ def pair_index(u: int, v: int, n: int) -> int:
 class Tournament:
     """An immutable tournament on vertices 0..n-1.  The constructor keeps
     a read-only copy of the n x n boolean adjacency matrix it is given
-    and does not validate it; from_matrix does."""
+    and does not validate it; from_matrix does.  The out-degrees are
+    summed on first use and kept."""
 
-    __slots__ = ("n", "_dense")
+    __slots__ = ("n", "_dense", "_degrees")
 
     def __init__(self, dense: np.ndarray):
         d = np.array(dense, dtype=bool)
         d.flags.writeable = False
         self.n = d.shape[0]
         self._dense = d
+        self._degrees = None
 
     @classmethod
     def _adopt(cls, d: np.ndarray) -> "Tournament":
@@ -73,7 +76,7 @@ class Tournament:
         else holds: made read-only in place instead of copied."""
         t = cls.__new__(cls)
         d.flags.writeable = False
-        t.n, t._dense = d.shape[0], d
+        t.n, t._dense, t._degrees = d.shape[0], d, None
         return t
 
     # -- views ---------------------------------------------------------
@@ -87,7 +90,16 @@ class Tournament:
         return bool(self._dense[u, v])
 
     def out_degrees(self) -> np.ndarray:
-        return self._dense.sum(axis=1, dtype=np.int64)
+        """Out-degrees as a read-only int64 array, the same on every call:
+        one pass sums the matrix's bytes in uint16 (uint32 past 2**16
+        vertices), which holds every degree."""
+        if self._degrees is None:
+            wide = np.uint16 if self.n <= 2**16 else np.uint32
+            d = self._dense.view(np.uint8).sum(axis=1, dtype=wide)
+            d = d.astype(np.int64)
+            d.flags.writeable = False
+            self._degrees = d
+        return self._degrees
 
     # -- derived tournaments --------------------------------------------
 
@@ -224,6 +236,28 @@ def _upper_draws(seed: int, n: int, rows: int, test):
         yield r0, bits
 
 
+def _part_draws(seed: int, n: int, s: int, e: int, test):
+    """Yield (r0, bits) for the rows of the part s..e-1 in blocks of
+    about _DRAW_PAIRS pairs inside it: bits[i, j] = test(v) for the
+    stream value v of pair (r0 + i, s + j) when s + j > r0 + i, and
+    False elsewhere.  Row u's pairs in the part, (u, u+1..e-1), are one
+    run of the stream; a block's runs are read with one rng.values_at
+    call."""
+    step = max(1, _DRAW_PAIRS // (e - s))
+    for r0 in range(s, e - 1, step):
+        r1 = min(r0 + step, e - 1)
+        u = np.arange(r0, r1)
+        runs = e - 1 - u
+        first = u * (2 * n - u - 1) // 2       # pair_index(u, u + 1, n)
+        first[1:] -= np.cumsum(runs[:-1])
+        index = np.repeat(first, runs)
+        index += np.arange(len(index))
+        bits = np.zeros((r1 - r0, e - s), dtype=bool)
+        bits[~np.tri(r1 - r0, e - s, r0 - s, dtype=bool)] = test(
+            rng.values_at(seed, index))
+        yield r0, bits
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniformly random orientation.  Pair k (lexicographic order) is
     oriented u -> v iff stream value k has top bit 0."""
@@ -277,18 +311,23 @@ def part_sizes(weights: Sequence[float], n: int) -> list[int]:
 def blowup(spec: BlowupSpec, n: int, seed: int) -> Tournament:
     """Blow-up T(H; w) sampled at n vertices: part i gets part_sizes()[i]
     consecutive vertices; cross-part pairs follow the host arc; pairs
-    inside a part are oriented by the stream draw at their pair index."""
+    inside a part are oriented by the stream draw at their pair index.
+    Each part's rows right of it are set from the host's row by slicing,
+    and only the pairs inside a part are drawn."""
     _check_order(n)
     sizes = part_sizes(spec.weights, n)
     if min(sizes) == 0:
         k = sizes.index(0)
         raise TournamentError(
             f"part {k} is empty at n={n}; weight {spec.weights[k]} too small")
-    owner = np.repeat(np.arange(spec.host.n), sizes)
-    upper = spec.host.dense()[np.ix_(owner, owner)]
-    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v < 2**63):
-        r1 = r0 + len(bits)
-        np.copyto(upper[r0:r1], bits, where=owner[r0:r1, None] == owner)
+    host = spec.host.dense()
+    upper = np.zeros((n, n), dtype=bool)
+    e = 0
+    for i, size in enumerate(sizes):
+        s, e = e, e + size
+        upper[s:e, e:] = np.repeat(host[i, i + 1:], sizes[i + 1:])
+        for r0, bits in _part_draws(seed, n, s, e, lambda v: v < 2**63):
+            upper[r0:r0 + len(bits), s:e] = bits
     return _complete(upper)
 
 
@@ -460,11 +499,32 @@ def _trn_bits(codes: np.ndarray, d: np.ndarray, r0: int = 0):
     return None
 
 
+def _oriented_once(d: np.ndarray) -> bool:
+    """Whether the bool matrix `d` orients every pair exactly one way.
+    Its _BLOCK x _BLOCK blocks on and above the diagonal are compared
+    with the transposes of their mirror blocks, in one reused buffer."""
+    n = len(d)
+    buf = np.empty((min(_BLOCK, n),) * 2, dtype=bool)
+    for i0 in range(0, n, _BLOCK):
+        for j0 in range(i0, n, _BLOCK):
+            x = buf[:min(_BLOCK, n - i0), :min(_BLOCK, n - j0)]
+            np.not_equal(d[i0:i0 + _BLOCK, j0:j0 + _BLOCK],
+                         d[j0:j0 + _BLOCK, i0:i0 + _BLOCK].T, out=x)
+            if i0 == j0:
+                np.fill_diagonal(x, True)       # (u, u) is no pair
+            if not x.all():
+                return False
+    return True
+
+
 def _trn_asymmetry(d: np.ndarray):
     """The first pair, in row-major order, that the bool matrix `d`
-    orients both ways or not at all, as an error, or None.  Rows
-    d[r0:r1] are compared with the columns d[:, r0:r1], about
-    _PARSE_BYTES at a time."""
+    orients both ways or not at all, as an error, or None.  A matrix
+    that `_oriented_once` passes has none; any other is scanned again,
+    rows d[r0:r1] against the columns d[:, r0:r1], about _PARSE_BYTES
+    at a time, for its first bad pair."""
+    if _oriented_once(d):
+        return None
     n = len(d)
     step = max(1, _PARSE_BYTES // n)
     for r0 in range(0, n, step):
@@ -596,11 +656,11 @@ def read_trn(path) -> Tournament:
 
     A file in write_trn's layout is read a block of about _PARSE_BYTES
     at a time, each block checked and written into the n x n matrix:
-    beside the matrix the read holds one block, 1.0 n^2 traced bytes in
-    all at n = 2000.  Any other layout, and any file in that layout with
-    a bad row, is read again whole and parsed line by line, so every
-    error is the one the line rules give; that read also holds the
-    bytes, the lines and the join of the rows (4.06 n^2 for CRLF line
-    ends)."""
+    beside the matrix the read holds one block, and the pair check one
+    _BLOCK x _BLOCK buffer: 1.05 n^2 traced bytes in all at n = 2000.
+    Any other layout, and any file in that layout with a bad row, is
+    read again whole and parsed line by line, so every error is the one
+    the line rules give; that read also holds the bytes, the lines and
+    the join of the rows (4.06 n^2 for CRLF line ends)."""
     with open(path, "rb") as fh:
         return _read_trn(fh)

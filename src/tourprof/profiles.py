@@ -23,11 +23,14 @@ enumerated:
     dom_in(e) = n - 2 - d_v - thru(e)
 
 `_gram_blocks` yields exact blocks of G, from float32 tile products,
-and every count reads G from them.  `profile4` needs only its second
-moment: the T4 sets are the 4-sets with a pair beating the other pair,
-so t4 = sum_{u<v} C(G[u,v], 2).  c3 follows from the degrees (Goodman),
+as int32 while n <= 4096 and int64 above, and every count reads G from
+them.  `profile4` needs only its second moment: the T4 sets are the
+4-sets with a pair beating the other pair, so
+t4 = sum_{u<v} C(G[u,v], 2).  c3 follows from the degrees (Goodman),
 c4 from t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4, and w and l from the
-degree sums.  So it folds the blocks into exact sums and never holds G.
+degree sums.  So it folds the blocks into exact sums and never holds G:
+each block's sum and sum of squares in int64 (the squares, below
+2**24, are int32 while n <= 4096), then as Python ints.
 `edge_stats` and `paths_matrix` read every entry of G, so they fill it
 whole, as integers, from the same blocks (`_gram`).
 
@@ -68,18 +71,14 @@ def _sum_comb3(a: np.ndarray) -> int:
 def _check_exact(n: int) -> None:
     """The kernel's exactness precondition, checked before it allocates.
     G's entries are integers below n, exact in float32 (24-bit
-    significand) while n < 2**24; the float64 row sums of G**2 reach
-    n (n - 1)**2 and are exact below 2**53, which binds first."""
+    significand) while n < 2**24.  The second bound, n (n - 1)**2 <
+    2**53, binds first (n <= 208064) and keeps the kernel well inside
+    float64's exact range: a packed product stays below 2**36 (see
+    `_gram_blocks`), and the sums of G**2 are int64."""
     if not (n < 2**24 and n * (n - 1) ** 2 < 2**53):
         raise TournamentError(
             "the Gram kernel is exact only for n < 2**24 and "
             f"n*(n-1)**2 < 2**53, so n <= 208064 (got n={n})")
-
-
-def _exact_total(rows: np.ndarray) -> int:
-    """Sum of float64 row sums that are exact integers, as a Python int:
-    the total may pass 2**63 where no row does."""
-    return sum(rows.astype(np.int64).tolist())
 
 
 def _t4_minus_c4(n: int, c3: int) -> int:
@@ -167,9 +166,10 @@ def _pack_tile(a: np.ndarray, p0: int, c0: int, c1: int, scale,
                out: np.ndarray) -> np.ndarray:
     """Columns c0..c1 of the panel at row p0 of the bool matrix `a`,
     packed into `out` as lo + scale * hi: lo the rows p0..p0+B, hi the
-    next B rows as far as `a` has them, B = _GRAM_ROWS."""
-    lo = a[p0:p0 + _GRAM_ROWS, c0:c1]
-    hi = a[p0 + _GRAM_ROWS:p0 + 2 * _GRAM_ROWS, c0:c1]
+    next B rows as far as `a` has them, B = _GRAM_ROWS.  The bytes of
+    `a` are read as uint8, which converts faster than bool."""
+    lo = a[p0:p0 + _GRAM_ROWS, c0:c1].view(np.uint8)
+    hi = a[p0 + _GRAM_ROWS:p0 + 2 * _GRAM_ROWS, c0:c1].view(np.uint8)
     x, k = out[:len(lo), :c1 - c0], len(hi)
     np.multiply(hi, scale, out=x[:k])
     np.add(x[:k], lo[:k], out=x[:k])
@@ -191,19 +191,18 @@ def _panel_gram(a: np.ndarray, r0: int, p0: int, scale, dtype,
         for h0 in range(r0, r1, _GRAM_ROWS):
             h1 = min(h0 + _GRAM_ROWS, r1)
             left = left_buf[:h1 - h0, :c1 - c0]
-            np.copyto(left, a[h0:h1, c0:c1])
+            np.copyto(left, a[h0:h1, c0:c1].view(np.uint8))
             g[h0 - r0:h1 - r0] += _gram_tile(left, x)
     return g
 
 
 def _gram_blocks(t: Tournament):
-    """Exact blocks (r0, c0, g) of G = A A^T, g = G[r0:r0+len(g),
-    c0:c0+g.shape[1]] in float32 or float64, that cover every pair of
-    vertices: the 2B x 2B diagonal blocks whole, as two lanes, and each
-    block right of them once, B = _GRAM_ROWS.  A block is a lane of a
-    diagonal block iff c0 < r0 + 2B.  n is checked by `_check_exact`
-    when the generator first runs, and each diagonal block against
-    diag G = d.
+    """Exact integer blocks (r0, c0, g) of G = A A^T, g = G[r0:r0+len(g),
+    c0:c0+g.shape[1]], that cover every pair of vertices: the 2B x 2B
+    diagonal blocks whole, as two lanes, and each block right of them
+    once, B = _GRAM_ROWS.  A block is a lane of a diagonal block iff
+    c0 < r0 + 2B.  n is checked by `_check_exact` when the generator
+    first runs, and each diagonal block against diag G = d.
 
     G is never held whole, nor is A as floats.  Cut A into blocks of 2B
     rows, and pack each block into a panel of B rows,
@@ -211,26 +210,32 @@ def _gram_blocks(t: Tournament):
     b = (n-1).bit_length().  Since G is symmetric, one pass over its
     upper block-rows reads every pair: left block I, as it is, meets the
     panels J = I, I+1, ..., and the product g = A_I X_J^T holds two
-    2B x B blocks of G, hi = floor(g 2^-b) and lo = g - 2^b hi, yielded
-    in turn (hi only where the panel has rows).  A product is a sum of
-    tile products (`_gram_tile`) over _TILE_COLS columns, one for each
-    lane of the left block: the lane and the panel are converted and
-    packed into two fixed B x _TILE_COLS float32 buffers.  A tile's
-    partial sums are integers at most _TILE_COLS (2^b + 1), exact in
-    float32 (a tile is narrower from b = 15 on).  A product's are
-    integers lo + 2^b hi with lo, hi <= n - 1 < 2^b, below 2^(2b) and so
-    exact in any summation order: tiles are summed in float32 while
-    2b <= 24 (n <= 4096), else in float64, where 2b <= 36 under
-    `_check_exact`.  Beside the input the buffers take 8 B _TILE_COLS
-    bytes (1 MiB), whatever n, and the lanes two 2B x B blocks (1 MiB;
-    2 MiB in float64), freed before the next product if the caller
-    drops the block it holds."""
+    2B x B blocks of G, lo + 2^b hi, yielded in turn (hi only where the
+    panel has rows).  A product is a sum of tile products (`_gram_tile`)
+    over _TILE_COLS columns, one for each lane of the left block: the
+    lane and the panel are converted and packed into two fixed
+    B x _TILE_COLS float32 buffers.  A tile's partial sums are integers
+    at most _TILE_COLS (2^b + 1), exact in float32 (a tile is narrower
+    from b = 15 on).  A product's are integers lo + 2^b hi with
+    lo, hi <= n - 1 < 2^b, below 2^(2b) and so exact in any summation
+    order: tiles are summed in float32 while 2b <= 24 (n <= 4096), else
+    in float64, where 2b <= 36 under `_check_exact`.  The product is
+    converted once to an integer type and split there by shift and
+    mask, hi = g >> b and lo = g & (2^b - 1), lo in place: int32 while
+    2b <= 24, where lo^2 and hi^2 stay below 2^24, else int64.
+    Beside the input the buffers take 8 B _TILE_COLS bytes (1 MiB),
+    whatever n, and the lanes two 2B x B blocks (1 MiB; 2 MiB in
+    int64), freed before the next product if the caller drops the
+    block it holds."""
     n = t.n
     _check_exact(n)
     a = t.dense()
     d = t.out_degrees()
     bits = (n - 1).bit_length()
-    dtype = np.float32 if 2 * bits <= _FLOAT32_BITS else np.float64
+    if 2 * bits <= _FLOAT32_BITS:
+        dtype, itype = np.float32, np.int32
+    else:
+        dtype, itype = np.float64, np.int64
     scale = np.float32(2**bits)
     cols = min(_TILE_COLS, n, 2**_FLOAT32_BITS // (2**bits + 1))
     shape = (min(_GRAM_ROWS, n), cols)
@@ -239,13 +244,9 @@ def _gram_blocks(t: Tournament):
     for r0 in range(0, n, 2 * _GRAM_ROWS):
         for p0 in range(r0, n, 2 * _GRAM_ROWS):
             g = _panel_gram(a, r0, p0, scale, dtype, left_buf, panel_buf)
-            # hi = floor(g / 2^b) and lo = g - 2^b hi, exactly and with
-            # no temporary block: g becomes lo
-            hi = g / scale
-            np.floor(hi, out=hi)
-            hi *= scale
-            g -= hi
-            hi /= scale
+            g = g.astype(itype)         # lo + 2^b hi, exactly
+            hi = g >> bits
+            g &= 2**bits - 1            # g becomes lo
             if p0 == r0:                # the lanes of the diagonal block
                 diag = np.concatenate((g[:_GRAM_ROWS].diagonal(),
                                        hi[_GRAM_ROWS:].diagonal()))
@@ -289,12 +290,12 @@ def paths_matrix(t: Tournament) -> np.ndarray:
 
 
 def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
-    """(sum g, sum g**2) over a block of G whose entries are integers
-    below 2**b, from float64 row sums that are exact integers.  g is
-    squared in place, exactly in float32 while 2b <= 24."""
-    total = _exact_total(g.sum(axis=1, dtype=np.float64))
+    """(sum g, sum g**2) over an integer block of G, summed in int64.  g
+    is squared in place: its entries are below 2**b, so the squares fit
+    int32 while 2b <= 24 and int64 under `_check_exact`."""
+    total = int(g.sum(dtype=np.int64))
     g *= g
-    return total, _exact_total(g.sum(axis=1, dtype=np.float64))
+    return total, int(g.sum(dtype=np.int64))
 
 
 def profile4(t: Tournament) -> Profile4Counts:
@@ -314,10 +315,8 @@ def profile4(t: Tournament) -> Profile4Counts:
 
     The sums are folded from the blocks of `_gram_blocks`, with weight 1
     on the lanes of a diagonal block and 2 on the blocks right of them.
-    A float64 row sum of a block, of G or of G^2, is an integer below
-    n (n - 1)^2, exact under `_check_exact`; the row sums become Python
-    ints before they are doubled or added up, since 2 n (n - 1)^2
-    passes 2^53 near the limit."""
+    A block's sums, of G or of G^2, are int64 (below 2^17 (n - 1)^2)
+    and become Python ints before they are doubled or added up."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
@@ -624,7 +623,7 @@ class FlipState:
         if self.n < 4:
             raise TournamentError("FlipState needs n >= 4")
         self.a = t.dense().astype(np.int64)
-        self.deg = t.out_degrees()
+        self.deg = t.out_degrees().copy()     # commit moves degrees
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
         self.c4_count = profile4(t).c4_count

@@ -19,7 +19,9 @@ k-th draw returns does not depend on the block size.  The annealer and
 `sample_profile4` read the stream by index instead, in bounded blocks
 of `values`, and turn a block into vertices with `below`, which equals
 `Stream.next_below` value for value; the draws each makes are those a
-Stream would make in its documented order.
+Stream would make in its documented order.  `values_at` reads the
+values at any array of indices (a blow-up's pairs inside its parts)
+with the same mix as `values`.
 """
 
 from __future__ import annotations
@@ -50,8 +52,22 @@ def value(seed: int, index: int) -> int:
 def values(seed: int, start: int, count: int) -> np.ndarray:
     """Vectorized block [start, start+count) of the stream, dtype uint64,
     computed in place: at most two arrays of `count` values are alive."""
+    return _mix(seed, np.arange(start + 1, start + count + 1,
+                                dtype=np.uint64))
+
+
+def values_at(seed: int, index: np.ndarray) -> np.ndarray:
+    """value(seed, i) for each stream index i >= 0 of the integer array
+    `index`, dtype uint64, computed in place of one uint64 copy of it."""
+    z = np.array(index, dtype=np.uint64)
+    z += np.uint64(1)
+    return _mix(seed, z)
+
+
+def _mix(seed: int, z: np.ndarray) -> np.ndarray:
+    """value(seed, i) in place of each entry i + 1 of the uint64 array z:
+    the stream's counter and the SplitMix64 finalizer."""
     with np.errstate(over="ignore"):
-        z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         z *= np.uint64(GOLDEN)
         z += np.uint64(seed & MASK64)
         z ^= z >> np.uint64(30)

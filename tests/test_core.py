@@ -13,7 +13,7 @@ from tourprof.core import (BlowupSpec, DataFormatError, MixSpec, Tournament,
                            from_matrix, from_trn_text, interval, mix,
                            pair_index, part_sizes, random_tournament,
                            read_trn, to_trn_text, transitive, write_trn)
-from tourprof.profiles import profile3, profile4
+from tourprof.profiles import FlipState, profile3, profile4
 
 from tourprof import core
 from conftest import brute_profile3, complete_upper, row_by_row_draws
@@ -124,6 +124,30 @@ def test_pickle_round_trip_is_equal_and_read_only(protocol):
     assert u == t and u.n == 9 and hash(u) == hash(t)
     assert not u.dense().flags.writeable
     assert u.dense().dtype == bool
+
+
+def test_out_degrees_are_summed_once_and_read_only(
+        small_random_tournaments, small_named_tournaments):
+    corpus = (small_random_tournaments + small_named_tournaments
+              + [random_tournament(300, 4), random_tournament(2000, 5)])
+    for t in corpus:
+        d = t.out_degrees()
+        want = t.dense().sum(axis=1)
+        assert d.dtype == np.int64 and np.array_equal(d, want)
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0] += 1
+        assert np.array_equal(t.out_degrees(), want)
+    # FlipState moves degrees on its own copy
+    t = random_tournament(40, 8)
+    state = FlipState(t)
+    pairs = np.random.default_rng(0).integers(0, 40, size=(200, 2))
+    flips = [(int(u), int(v)) for u, v in pairs if u != v][:50]
+    assert len(flips) == 50
+    for u, v in flips:
+        state.flip(u, v)
+    assert not np.array_equal(state.deg, t.out_degrees())
+    assert np.array_equal(t.out_degrees(), t.dense().sum(axis=1))
 
 
 def test_random_tournament_deterministic_and_fair():
@@ -605,6 +629,45 @@ def test_trn_first_error_across_row_blocks(monkeypatch, block):
                               + newline).decode("ascii")) == t
         for faults, message in cases:
             assert parse(faults, newline) == message, faults
+
+
+def test_trn_pair_error_is_first_in_row_major_order_across_blocks(
+        tmp_path):
+    # n = 600 spans 256 x 256 blocks: (200, 210) lies in the first one,
+    # (5, 550) in the third block of the same block-row, yet row 5 comes
+    # first; each pair broken alone is found wherever its block is
+    n = 600
+    t = random_tournament(n, 3)
+    rows = to_trn_text(t).encode("ascii").splitlines()[1:]
+
+    def broken(pairs):
+        body = [bytearray(row) for row in rows]
+        for u, v in pairs:
+            body[v][u] = ord("1" if t.orient(u, v) else "0")
+        return body
+
+    def errors(pairs):
+        body = broken(pairs)
+        path = tmp_path / "t.trn"
+        path.write_bytes(b"\n".join([b"TRN v1 600"] + body) + b"\n")
+        got = []
+        with pytest.raises(DataFormatError) as info:
+            read_trn(path)
+        got.append(str(info.value))
+        for newline in (b"\n", b"\r\n"):
+            text = newline.join([b"TRN v1 600"] + body) + newline
+            with pytest.raises(DataFormatError) as info:
+                from_trn_text(text.decode("ascii"))
+            got.append(str(info.value))
+        return got
+
+    def message(u, v):
+        return (f"line {u + 2}: pair ({u}, {v}) is "
+                + ("oriented both ways" if t.orient(u, v) else "unoriented"))
+
+    assert errors([(5, 550), (200, 210)]) == [message(5, 550)] * 3
+    for u, v in ((0, 1), (255, 256), (300, 599), (598, 599)):
+        assert errors([(u, v)]) == [message(u, v)] * 3
 
 
 def test_trn_text_with_a_lone_surrogate_is_a_data_error():

@@ -11,6 +11,15 @@ def test_values_block_matches_scalar_stream():
         [rng.value(seed, 40 + i) for i in range(300)]
 
 
+def test_values_at_matches_scalar_stream():
+    # scattered, repeated and unsorted indices, up to 2**62
+    seed = rng.derive(7, 0x5EED)
+    index = np.array([0, 5, 5, 3, 1_000_003, 2**40 + 17, 2**62], np.int64)
+    assert [int(x) for x in rng.values_at(seed, index)] == \
+        [rng.value(seed, int(i)) for i in index]
+    assert rng.values_at(seed, index[:0]).dtype == np.uint64
+
+
 def test_stream_reads_the_counter_stream_in_order():
     # Interleaved draw kinds from a nonzero start, far enough to cross
     # several buffer refills: draw i is always value(seed, start + i).
