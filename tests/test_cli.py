@@ -451,6 +451,24 @@ def test_search_csv_schema(capsys):
     assert fields[6] in ("true", "false")
 
 
+# sha256 of the default `search --seed 0` CSV below the banner: both
+# default gammas at n = 64 under the default 60 000-move schedule, the
+# scan that perfbench's `scan` workload times.
+DEFAULT_SCAN_CSV_SHA256 = \
+    "d315c70a2909b58adbd3e1e5e002e6aff84776c6cb0f422b4e3a5e0f09762fdf"
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "in_process"])
+def test_default_search_golden(monkeypatch, capsys, cpus):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    code, out, _ = run(capsys, "search", "--seed", "0")
+    assert code == 0
+    banner, body = out.split("\n", 1)
+    assert banner == f"# tourprof {cli.__version__} search --seed 0"
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        DEFAULT_SCAN_CSV_SHA256
+
+
 def test_search_zero_moves_is_usage_error(capsys):
     code, out, err = run(capsys, "search", "--n", "8", "--moves", "0")
     assert code == 2 and out == ""
