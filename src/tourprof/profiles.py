@@ -574,6 +574,14 @@ def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     return SampleProfile4(n=n, samples=samples, counts=counts)
 
 
+def _flip_delta(p: int, d_src: int, d_dst: int, w: int) -> tuple[int, int]:
+    """(dc3, dc4) of reversing the arc src -> dst from p = P2[src, dst],
+    both degrees and w = (P2[src] + P2[dst] + deg) . (A[src] - A[dst])."""
+    q = p + 1 + d_dst - d_src
+    return d_src - d_dst - 1, (p * (p - 1) // 2 - q * (q - 1) // 2
+                               + (p + 1) * (1 - d_src) + q * d_dst + w)
+
+
 class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
@@ -607,16 +615,20 @@ class FlipState:
         dc4 = C(p, 2) - C(q, 2) + (p + 1)(1 - deg[src]) + q deg[dst]
               + (P2[src] + P2[dst] + deg) . (A[src] - A[dst]):
 
-    two contiguous rows of P2 and of A, and one dot product.
-    `arc_deltas` is the same formula for many arcs against one state,
-    one gathered row per endpoint.
+    two contiguous rows of P2 and of A, and one dot product.  With the
+    identity for q and Goodman's dc3 = deg[src] - deg[dst] - 1, p is the
+    only entry of P2 that `_flip_delta` needs.  `pair_terms` gathers
+    these terms for many unordered pairs at once, before orientation.
 
     `commit` adds a priced delta to the counts, moves one unit of
-    out-degree from src to dst and reverses the arc as a rank-1 update
-    of rows and columns src and dst of P2; the annealer orients and
-    prices each proposal once and commits what it priced.  `delta(u, v)`
-    and `flip(u, v)` do the same for an unordered pair, checked.  c3 and
-    c4 fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
+    out-degree from src to dst and reverses the arc by four rank-1
+    updates of rows and columns src and dst of P2, in place on views
+    kept from construction.  It clears A[src, dst] first, so the updates
+    read a matrix that is 0 at (src, dst) and (dst, src): the diagonal
+    of P2 stays 0.  The annealer orients and prices each proposal once
+    and commits what it priced; `delta(u, v)` and `flip(u, v)` do the
+    same for an unordered pair, checked.  c3 and c4 fix t4 through
+    t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
         self.n = t.n
@@ -627,6 +639,9 @@ class FlipState:
         self.p2 = paths_matrix(t)
         self.c3_count = profile3(t).c3_count
         self.c4_count = profile4(t).c4_count
+        self._a_rows, self._a_cols = list(self.a), list(self.a.T)
+        self._p2_rows, self._p2_cols = list(self.p2), list(self.p2.T)
+        self._w, self._d = np.empty((2, self.n), np.int64)   # arc_delta's
 
     # -- derived views --------------------------------------------------
 
@@ -649,32 +664,30 @@ class FlipState:
     def arc_delta(self, src: int, dst: int) -> tuple[int, int]:
         """(dc3, dc4) of reversing src -> dst, which must be a current
         arc (not checked); the state is unchanged."""
-        p2, deg, a = self.p2, self.deg, self.a
-        p, q = p2.item(src, dst), p2.item(dst, src)
-        w = p2[src] + p2[dst]
+        deg, p2_rows, a_rows = self.deg, self._p2_rows, self._a_rows
+        d_src, d_dst = deg.item(src), deg.item(dst)
+        w = np.add(p2_rows[src], p2_rows[dst], out=self._w)
         w += deg
-        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2
-               + (p + 1) * (1 - deg.item(src)) + q * deg.item(dst)
-               + int(w.dot(a[src] - a[dst])))
-        return p - q, dc4
+        d = np.subtract(a_rows[src], a_rows[dst], out=self._d)
+        return _flip_delta(self.p2.item(src, dst), d_src, d_dst,
+                           int(w.dot(d)))
 
-    def arc_deltas(self, src: np.ndarray, dst: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """arc_delta for each arc src[i] -> dst[i] against the same
-        state, as two int64 arrays (dc3, dc4); one row of P2 and of A per
-        endpoint is gathered, and the state is unchanged."""
+    def pair_terms(self, u: np.ndarray, v: np.ndarray, uv: np.ndarray,
+                   vu: np.ndarray) -> tuple[list, ...]:
+        """(A[u, v], P2[u, v], P2[v, u], deg[u], deg[v], W) for each
+        pair u[i] != v[i] against the same state, as lists of ints, with
+        W = (P2[u] + P2[v] + deg) . (A[u] - A[v]); uv and vu are the flat
+        indices u*n + v and v*n + u.  The state is unchanged."""
         p2, deg, a = self.p2, self.deg, self.a
-        p, q = p2[src, dst], p2[dst, src]
-        w = p2.take(src, axis=0)
-        w += p2.take(dst, axis=0)
+        w = p2.take(u, axis=0)
+        w += p2.take(v, axis=0)
         w += deg
-        d = a.take(src, axis=0)
-        d -= a.take(dst, axis=0)
+        d = a.take(u, axis=0)
+        d -= a.take(v, axis=0)
         w *= d
-        dc4 = (p * (p - 1) // 2 - q * (q - 1) // 2
-               + (p + 1) * (1 - deg.take(src)) + q * deg.take(dst)
-               + w.sum(axis=1))
-        return p - q, dc4
+        return (a.take(uv).tolist(), p2.take(uv).tolist(),
+                p2.take(vu).tolist(), deg.take(u).tolist(),
+                deg.take(v).tolist(), w.sum(axis=1).tolist())
 
     def delta(self, u: int, v: int) -> tuple[int, int]:
         """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
@@ -683,21 +696,14 @@ class FlipState:
     def commit(self, src: int, dst: int, dc3: int, dc4: int) -> None:
         """Reverse the current arc src -> dst (not checked) and add its
         delta, as priced by arc_delta, to the counts."""
-        a, p2 = self.a, self.p2
-
-        # P2 updates for A[src,dst]: 1 -> 0 and A[dst,src]: 0 -> 1, using
-        # pre-flip rows/columns of A.  The two changed arc entries meet
-        # only in the diagonal terms P2[src,src] and P2[dst,dst], which
-        # must stay 0; reset them after the rank-1 updates.
-        p2[src, :] -= a[dst, :]
-        p2[:, src] += a[:, dst]
-        p2[dst, :] += a[src, :]
-        p2[:, dst] -= a[:, src]
-        p2[src, src] = 0
-        p2[dst, dst] = 0
-
-        a[src, dst] = 0
-        a[dst, src] = 1
+        a_rows, a_cols = self._a_rows, self._a_cols
+        p2_rows, p2_cols = self._p2_rows, self._p2_cols
+        self.a[src, dst] = 0        # first: keeps the diagonal of P2 at 0
+        np.subtract(p2_rows[src], a_rows[dst], out=p2_rows[src])
+        np.add(p2_cols[src], a_cols[dst], out=p2_cols[src])
+        np.add(p2_rows[dst], a_rows[src], out=p2_rows[dst])
+        np.subtract(p2_cols[dst], a_cols[src], out=p2_cols[dst])
+        self.a[dst, src] = 1
         self.deg[src] -= 1
         self.deg[dst] += 1
 

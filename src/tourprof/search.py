@@ -16,20 +16,19 @@ index through a bounded window of rng.values.
 
 Between two accepted moves the state does not change, and a rejected
 proposal is uphill, so it reads exactly 3 values.  Once a few proposals
-in a row have been rejected, the next k are therefore known in advance
-(their pairs sit at stream indices pos + 3i and pos + 3i + 1) and can be
-priced against the same state in one call, FlipState.arc_deltas.  The
-first _SCALAR_RUN proposals after an accept are priced alone by
-FlipState.arc_delta (two rows of P2, two rows of A and the out-degree
-vector, one dot product); then batches of _FIRST_BATCH, doubling up to
-_MAX_BATCH, until one holds an accept.  Every float decision (the
-penalized objective, delta <= 0, the exponential against the uniform,
-the cooling step) is still taken in Python, once per proposal and in
-order, so every run is bit-identical to pricing each proposal alone.
-Proposals priced after an accepted one are dropped: the stream resumes
-after the accepted proposal's last draw, 2 values on if it was
-downhill, 3 if uphill.  The warmup makes no move, reads 2 values per
-proposal and is priced in batches of _MAX_BATCH.
+in a row have been rejected, the next k are known in advance (pairs at
+stream indices pos + 3i and pos + 3i + 1): after an accept, _SCALAR_RUN
+are priced alone by FlipState.arc_delta, then batches of _FIRST_BATCH,
+doubling up to _MAX_BATCH, are gathered by FlipState.pair_terms until
+one holds an accept.  The loop orients a gathered pair and finishes its
+delta (profiles._flip_delta) only when it reaches it, and takes every
+float decision (the penalized objective, delta <= 0, the exponential
+against the uniform, the cooling step) once per proposal and in order,
+so every run is bit-identical to pricing each proposal alone.  The
+pairs gathered after an accepted one are dropped: the stream resumes
+after its last draw, 2 values on if it was downhill, 3 if uphill.  The
+warmup makes no move, reads 2 values per proposal and is gathered in
+batches of _MAX_BATCH.
 
 The default penalty of 500 keeps the equilibrium drift |c3 - gamma|
 near sqrt(step)/(2*penalty), well under the 0.003 target at n = 64;
@@ -59,8 +58,8 @@ from . import rng
 from .bounds import conjectured_min_c4, lb_flag
 from .core import (BlowupSpec, InternalInvariantError, Tournament,
                    TournamentError, blowup, random_tournament, transitive)
-from .profiles import (FlipState, Profile3Counts, Profile4Counts, profile3,
-                       profile4)
+from .profiles import (FlipState, Profile3Counts, Profile4Counts, _flip_delta,
+                       profile3, profile4)
 
 DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
@@ -70,6 +69,9 @@ _SCALAR_RUN = 4         # rejections priced one by one after an accept
 _FIRST_BATCH = 8        # then batches of proposals, doubling in size
 _MAX_BATCH = 64         # up to this many; also the warmup's batch size
 _WINDOW = 1024          # stream values fetched from rng.values at a time
+
+# traced peak 28.3-28.8 n^2 bytes at n = 1000-2000: A, P2, an audit's P2
+_ANNEAL_MAX_N = math.isqrt((2 << 30) // 29)     # 29 n^2 <= 2 GiB: 8605
 
 
 @dataclass(frozen=True)
@@ -163,35 +165,29 @@ def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
 
 class _Window:
     """The annealer's stream, read by absolute index through a block of
-    rng.values that starts at stream index `base`: the uint64 values
-    `vals` (for the uniforms), and at each index j the proposal that
-    draws j and j + 1, u = below(n) and v among the n - 1 other
-    vertices, as int64 arrays `u` and `v`."""
+    rng.values from stream index `base`: the values as uniforms, and at
+    each index j the proposal that draws j and j + 1, u = below(n) and v
+    among the other n - 1 vertices, as lists `u` and `v` and as `pairs`,
+    rows u, v, u*n + v and v*n + u for FlipState.pair_terms."""
 
     def __init__(self, seed: int, n: int):
         self.seed, self.n = seed, n
-        self.base, self.vals = 0, np.empty(0, dtype=np.uint64)
+        self.base, self.uniform = 0, []
 
     def at(self, index: int, count: int) -> int:
         """Offset of stream index `index` in the block, refetched from
         `index` unless indices index .. index + count - 1 are all there."""
         off = index - self.base
-        if off < 0 or off + count > len(self.vals):
-            self.base, off = index, 0
+        if off < 0 or off + count > len(self.uniform):
+            self.base, off, n = index, 0, self.n
             vals = rng.values(self.seed, index, max(count, _WINDOW) + 1)
-            self.u = rng.below(vals[:-1], self.n)
-            self.v = rng.below(vals[1:], self.n - 1)
-            self.v += self.v >= self.u
-            self.vals = vals[:-1]
+            u = rng.below(vals[:-1], n)
+            v = rng.below(vals[1:], n - 1)
+            v += v >= u
+            self.u, self.v = u.tolist(), v.tolist()
+            self.pairs = np.stack((u, v, u * n + v, v * n + u))
+            self.uniform = (vals[:-1] / 2.0**64).tolist()
         return off
-
-    def arcs(self, state: FlipState, off: int, k: int, stride: int):
-        """The k proposals at offsets off + stride * i, oriented as the
-        current arcs (src, dst) of `state`."""
-        u = self.u[off:off + stride * k:stride]
-        v = self.v[off:off + stride * k:stride]
-        fwd = state.a[u, v] != 0
-        return np.where(fwd, u, v), np.where(fwd, v, u)
 
 
 def anneal(n: int, gamma: float, seed: int,
@@ -206,6 +202,10 @@ def anneal(n: int, gamma: float, seed: int,
         raise ValueError(f"gamma must be in [0, 1/4], got {gamma}")
     if not (math.isfinite(penalty) and penalty >= 0):
         raise ValueError(f"penalty must be finite and >= 0, got {penalty}")
+    if n > _ANNEAL_MAX_N:
+        raise ValueError(f"annealing at n={n} needs about {29 * n * n} "
+                         f"bytes (29 n^2), more than the 2 GiB limit "
+                         f"(n <= {_ANNEAL_MAX_N})")
     schedule = schedule or AnnealSchedule()
 
     state = FlipState(_warm_start(n, gamma, seed))
@@ -222,9 +222,11 @@ def anneal(n: int, gamma: float, seed: int,
     for start in range(0, schedule.warmup, _MAX_BATCH):
         k = min(_MAX_BATCH, schedule.warmup - start)
         off = window.at(2 * start, 2 * k)
-        src, dst = window.arcs(state, off, k, 2)
-        dc3s, dc4s = (x.tolist() for x in state.arc_deltas(src, dst))
-        for dc3, dc4 in zip(dc3s, dc4s):
+        fwd, puv, pvu, du, dv, w = state.pair_terms(
+            *window.pairs[:, off:off + 2 * k:2])
+        for i in range(k):
+            dc3, dc4 = (_flip_delta(puv[i], du[i], dv[i], w[i]) if fwd[i]
+                        else _flip_delta(pvu[i], dv[i], du[i], -w[i]))
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
@@ -248,20 +250,24 @@ def anneal(n: int, gamma: float, seed: int,
         # the next k sit at pos + 3i and price against one state.
         k = 1 if run < _SCALAR_RUN else min(batch, schedule.moves - done)
         off = window.at(pos, 3 * k)
-        uniform = window.vals.item
-        if k == 1:
-            u, v = window.u.item(off), window.v.item(off)
-            src, dst = (u, v) if a[u, v] else (v, u)
-            dc3, dc4 = state.arc_delta(src, dst)
-            srcs, dsts, dc3s, dc4s = (src,), (dst,), (dc3,), (dc4,)
-        else:
-            srcs, dsts = window.arcs(state, off, k, 3)
-            dc3s, dc4s = (x.tolist() for x in state.arc_deltas(srcs, dsts))
+        uniform = window.uniform
         c3, c4 = state.c3_count, state.c4_count
-        for i, (dc3, dc4) in enumerate(zip(dc3s, dc4s)):
+        if k == 1:
+            src, dst = window.u[off], window.v[off]
+            if not a.item(src, dst):
+                src, dst = dst, src
+            dc3, dc4 = state.arc_delta(src, dst)
+        else:
+            fwd, puv, pvu, du, dv, w = state.pair_terms(
+                *window.pairs[:, off:off + 3 * k:3])
+        for i in range(k):
+            if k > 1:
+                dc3, dc4 = (_flip_delta(puv[i], du[i], dv[i], w[i])
+                            if fwd[i] else
+                            _flip_delta(pvu[i], dv[i], du[i], -w[i]))
             new = penalized(c3 + dc3, c4 + dc4)
             delta = new - cur
-            accept = delta <= 0.0 or (uniform(off + 3 * i + 2) / 2.0**64
+            accept = delta <= 0.0 or (uniform[off + 3 * i + 2]
                                       < math.exp(-delta / temp))
             temp *= factor
             if accept:
@@ -276,7 +282,11 @@ def anneal(n: int, gamma: float, seed: int,
         # proposals priced after the accepted one are dropped, and the
         # stream resumes after its last draw
         run, batch = 0, _FIRST_BATCH
-        state.commit(int(srcs[i]), int(dsts[i]), dc3, dc4)
+        if k > 1:
+            src, dst = window.u[off + 3 * i], window.v[off + 3 * i]
+            if not fwd[i]:
+                src, dst = dst, src
+        state.commit(src, dst, dc3, dc4)
         cur = new
         accepted += 1
         if cur < best - 1e-15:

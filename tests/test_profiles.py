@@ -646,33 +646,63 @@ def test_flip_state_delta_on_tied_warm_start():
     st.audit()
 
 
-def test_arc_deltas_match_arc_delta_and_recount_on_tied_warm_start():
-    # Every arc of the tied n = 64 warm start, priced in one call, then
-    # again after 40 commits: arc_deltas equals arc_delta arc for arc,
-    # and the exact profiles of each flipped tournament measure it.
+def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
+    # 300 drawn pairs of the tied n = 64 warm start, each in both orders,
+    # gathered in one call, then again after 40 commits: oriented as the
+    # annealer orients them, the terms give arc_delta arc for arc, and
+    # the exact profiles of each flipped tournament measure it.
     from tourprof.search import _warm_start
     n = 64
     st = FlipState(_warm_start(n, 1 / 16, 0))
     stream = rng.Stream(1616)
+    def draw():
+        x = stream.next_below(n)
+        r = stream.next_below(n - 1)
+        return x, r if r < x else r + 1
+
     for _ in range(2):
+        u, v = np.array([draw() for _ in range(300)]).T
+        u, v = np.concatenate([u, v]), np.concatenate([v, u])
+        terms = st.pair_terms(u, v, u * n + v, v * n + u)
         a = st.a.copy()
-        src, dst = (x.astype(np.int64) for x in np.nonzero(a))
-        dc3, dc4 = st.arc_deltas(src, dst)
-        assert dc3.dtype == dc4.dtype == np.int64
         c3, c4 = st.c3_count, st.c4_count
-        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-            want = st.arc_delta(s, d)
-            assert (int(dc3[i]), int(dc4[i])) == want, (s, d)
+        for i, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
+            fwd, puv, pvu, dx, dy, w = (col[i] for col in terms)
+            assert all(type(t) is int for t in (fwd, puv, pvu, dx, dy, w))
+            assert terms[5][(i + 300) % 600] == -w
+            if fwd:
+                s, d, p, d_s, d_d = x, y, puv, dx, dy
+            else:
+                s, d, p, d_s, d_d, w = y, x, pvu, dy, dx, -w
+            assert a[s, d] == 1
+            got = profiles._flip_delta(p, d_s, d_d, w)
+            assert got == st.arc_delta(s, d), (s, d)
             a[s, d], a[d, s] = 0, 1
             flipped = Tournament(a.astype(bool))
             assert (profile3(flipped).c3_count - c3,
-                    profile4(flipped).c4_count - c4) == want, (s, d)
+                    profile4(flipped).c4_count - c4) == got, (s, d)
             a[s, d], a[d, s] = 1, 0
         for _ in range(40):
-            u = stream.next_below(n)
-            r = stream.next_below(n - 1)
-            st.flip(u, r if r < u else r + 1)
+            st.flip(*draw())
     st.audit()
+
+
+def test_commit_keeps_the_diagonal_zero_on_tied_warm_start():
+    # commit resets no diagonal entry: after 2 000 random commits on the
+    # tied warm start the state equals one built from its tournament
+    from tourprof.search import _warm_start
+    n = 64
+    st = FlipState(_warm_start(n, 1 / 16, 0))
+    stream = rng.Stream(2024)
+    for _ in range(2000):
+        u = stream.next_below(n)
+        r = stream.next_below(n - 1)
+        st.flip(u, r if r < u else r + 1)
+    fresh = FlipState(st.tournament())
+    for name in ("a", "p2", "deg"):
+        assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
+    assert (st.c3_count, st.c4_count) == (fresh.c3_count, fresh.c4_count)
+    assert not np.diagonal(st.p2).any()
 
 
 def test_flip_state_audit_names_the_drift():

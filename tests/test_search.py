@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
 import os
+import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -106,12 +108,12 @@ def test_anneal_long_cold_phase_equals_the_scalar_oracle(monkeypatch, n,
     # double up to the cap before an accept resets them; the warmup (2
     # draws a proposal) spans three batches
     sizes = []
-    real = FlipState.arc_deltas
+    real = FlipState.pair_terms
 
-    def arc_deltas(self, src, dst):
-        sizes.append(len(src))
-        return real(self, src, dst)
-    monkeypatch.setattr(FlipState, "arc_deltas", arc_deltas)
+    def pair_terms(self, u, v, uv, vu):
+        sizes.append(len(u))
+        return real(self, u, v, uv, vu)
+    monkeypatch.setattr(FlipState, "pair_terms", pair_terms)
     sched = AnnealSchedule(moves=12_000, warmup=2 * search._MAX_BATCH + 7,
                            cool=1e-12, audit_every=97)
     got = anneal(n, gamma, seed, schedule=sched)
@@ -157,6 +159,39 @@ def test_anneal_validation():
     for penalty in (-1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             anneal(16, 0.1, seed=0, penalty=penalty)
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(n, gamma, seed):
+    raise _Reached(n)
+
+
+def test_anneal_refuses_orders_past_its_memory_bound(monkeypatch, capsys):
+    # the bound is checked before the warm start, which is stubbed here:
+    # the largest order reaches it, the next is refused with nothing n x n
+    # allocated, and the command line reports it as a usage error
+    monkeypatch.setattr(search, "_warm_start", _reached)
+    top = search._ANNEAL_MAX_N
+    assert top == 8605 and 29 * top**2 <= 2**31 < 29 * (top + 1)**2
+    with pytest.raises(_Reached):
+        anneal(top, 0.25, seed=0)
+    msg = ("annealing at n=8606 needs about 2147833844 bytes (29 n^2), "
+           "more than the 2 GiB limit (n <= 8605)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            anneal(top + 1, 0.25, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (top + 1) ** 2
+    code = cli.main(["search", "--n", str(top + 1), "--moves", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"tourprof: {msg}\n"
 
 
 def test_anneal_seed_changes_outcome():
