@@ -588,9 +588,8 @@ class FlipState:
 
     Keeps A as an int64 matrix, the out-degree vector deg and the path
     matrix P2[a, b] = #{w : a -> w -> b}, built as P2 = deg 1^T - A - G
-    (`paths_matrix`) from the Gram matrix G = A A^T that `_gram_blocks`
-    yields; c4 starts from `profile4`, the second moment of the same
-    blocks.  For an arc u -> v, the n - 2 other vertices split into
+    from the Gram matrix G = A A^T (`paths_matrix`); c4 starts from
+    `profile4`.  For an arc u -> v, the n - 2 other vertices split into
     cyc = P2[v, u], thru = P2[u, v] and the dominated counts
     deg[u] - 1 - thru and n - 2 - deg[v] - thru, which sum to the degree
     identity
@@ -625,9 +624,8 @@ class FlipState:
     updates of rows and columns src and dst of P2, in place on views
     kept from construction.  It clears A[src, dst] first, so the updates
     read a matrix that is 0 at (src, dst) and (dst, src): the diagonal
-    of P2 stays 0.  The annealer orients and prices each proposal once
-    and commits what it priced; `delta(u, v)` and `flip(u, v)` do the
-    same for an unordered pair, checked.  c3 and c4 fix t4 through
+    of P2 stays 0.  `delta(u, v)` and `flip(u, v)` price and make the
+    flip of an unordered pair, checked.  c3 and c4 fix t4 through
     t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):

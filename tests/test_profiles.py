@@ -655,6 +655,7 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     n = 64
     st = FlipState(_warm_start(n, 1 / 16, 0))
     stream = rng.Stream(1616)
+
     def draw():
         x = stream.next_below(n)
         r = stream.next_below(n - 1)
