@@ -574,7 +574,7 @@ def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     return SampleProfile4(n=n, samples=samples, counts=counts)
 
 
-def _flip_delta(p: int, d_src: int, d_dst: int, w: int) -> tuple[int, int]:
+def flip_delta(p: int, d_src: int, d_dst: int, w: int) -> tuple[int, int]:
     """(dc3, dc4) of reversing the arc src -> dst from p = P2[src, dst],
     both degrees and w = (P2[src] + P2[dst] + deg) . (A[src] - A[dst])."""
     q = p + 1 + d_dst - d_src
@@ -616,7 +616,7 @@ class FlipState:
 
     two contiguous rows of P2 and of A, and one dot product.  With the
     identity for q and Goodman's dc3 = deg[src] - deg[dst] - 1, p is the
-    only entry of P2 that `_flip_delta` needs.  `pair_terms` gathers
+    only entry of P2 that `flip_delta` needs.  `pair_terms` gathers
     these terms for many unordered pairs at once, before orientation.
 
     `commit` adds a priced delta to the counts, moves one unit of
@@ -667,8 +667,8 @@ class FlipState:
         w = np.add(p2_rows[src], p2_rows[dst], out=self._w)
         w += deg
         d = np.subtract(a_rows[src], a_rows[dst], out=self._d)
-        return _flip_delta(self.p2.item(src, dst), d_src, d_dst,
-                           int(w.dot(d)))
+        return flip_delta(self.p2.item(src, dst), d_src, d_dst,
+                          int(w.dot(d)))
 
     def pair_terms(self, u: np.ndarray, v: np.ndarray, uv: np.ndarray,
                    vu: np.ndarray) -> tuple[list, ...]:

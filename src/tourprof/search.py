@@ -21,7 +21,7 @@ stream indices pos + 3i and pos + 3i + 1): after an accept, _SCALAR_RUN
 are priced alone by FlipState.arc_delta, then batches of _FIRST_BATCH,
 doubling up to _MAX_BATCH, are gathered by FlipState.pair_terms until
 one holds an accept.  The loop orients a gathered pair and finishes its
-delta (profiles._flip_delta) only when it reaches it, and takes every
+delta (profiles.flip_delta) only when it reaches it, and takes every
 float decision (the penalized objective, delta <= 0, the exponential
 against the uniform, the cooling step) once per proposal and in order,
 so every run is bit-identical to pricing each proposal alone.  The
@@ -58,8 +58,8 @@ from . import rng
 from .bounds import conjectured_min_c4, lb_flag
 from .core import (BlowupSpec, InternalInvariantError, Tournament,
                    TournamentError, blowup, random_tournament, transitive)
-from .profiles import (FlipState, Profile3Counts, Profile4Counts, _flip_delta,
-                       profile3, profile4)
+from .profiles import (FlipState, Profile3Counts, Profile4Counts,
+                       flip_delta, profile3, profile4)
 
 DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
@@ -71,7 +71,8 @@ _MAX_BATCH = 64         # up to this many; also the warmup's batch size
 _WINDOW = 1024          # stream values fetched from rng.values at a time
 
 # traced peak 28.3-28.8 n^2 bytes at n = 1000-2000: A, P2, an audit's P2
-_ANNEAL_MAX_N = math.isqrt((2 << 30) // 29)     # 29 n^2 <= 2 GiB: 8605
+_ANNEAL_BYTES_PER_N2 = 29
+_ANNEAL_MAX_N = math.isqrt((2 << 30) // _ANNEAL_BYTES_PER_N2)     # 8605
 
 
 @dataclass(frozen=True)
@@ -203,9 +204,10 @@ def anneal(n: int, gamma: float, seed: int,
     if not (math.isfinite(penalty) and penalty >= 0):
         raise ValueError(f"penalty must be finite and >= 0, got {penalty}")
     if n > _ANNEAL_MAX_N:
-        raise ValueError(f"annealing at n={n} needs about {29 * n * n} "
-                         f"bytes (29 n^2), more than the 2 GiB limit "
-                         f"(n <= {_ANNEAL_MAX_N})")
+        raise ValueError(
+            f"annealing at n={n} needs about {_ANNEAL_BYTES_PER_N2 * n * n} "
+            f"bytes ({_ANNEAL_BYTES_PER_N2} n^2), more than the 2 GiB limit "
+            f"(n <= {_ANNEAL_MAX_N})")
     schedule = schedule or AnnealSchedule()
 
     state = FlipState(_warm_start(n, gamma, seed))
@@ -225,8 +227,8 @@ def anneal(n: int, gamma: float, seed: int,
         fwd, puv, pvu, du, dv, w = state.pair_terms(
             *window.pairs[:, off:off + 2 * k:2])
         for i in range(k):
-            dc3, dc4 = (_flip_delta(puv[i], du[i], dv[i], w[i]) if fwd[i]
-                        else _flip_delta(pvu[i], dv[i], du[i], -w[i]))
+            dc3, dc4 = (flip_delta(puv[i], du[i], dv[i], w[i]) if fwd[i]
+                        else flip_delta(pvu[i], dv[i], du[i], -w[i]))
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
@@ -262,9 +264,9 @@ def anneal(n: int, gamma: float, seed: int,
                 *window.pairs[:, off:off + 3 * k:3])
         for i in range(k):
             if k > 1:
-                dc3, dc4 = (_flip_delta(puv[i], du[i], dv[i], w[i])
+                dc3, dc4 = (flip_delta(puv[i], du[i], dv[i], w[i])
                             if fwd[i] else
-                            _flip_delta(pvu[i], dv[i], du[i], -w[i]))
+                            flip_delta(pvu[i], dv[i], du[i], -w[i]))
             new = penalized(c3 + dc3, c4 + dc4)
             delta = new - cur
             accept = delta <= 0.0 or (uniform[off + 3 * i + 2]

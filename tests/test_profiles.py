@@ -676,7 +676,7 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
             else:
                 s, d, p, d_s, d_d, w = y, x, pvu, dy, dx, -w
             assert a[s, d] == 1
-            got = profiles._flip_delta(p, d_s, d_d, w)
+            got = profiles.flip_delta(p, d_s, d_d, w)
             assert got == st.arc_delta(s, d), (s, d)
             a[s, d], a[d, s] = 0, 1
             flipped = Tournament(a.astype(bool))
