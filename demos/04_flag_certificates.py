@@ -6,7 +6,7 @@ Flag certificates: machine-checkable lower bounds
 A sum-of-squares certificate over edge-rooted flags proves
 c4 >= mu (c3 - gamma) + lambda for every large tournament.  The package
 can write down the one-flag certificate in closed form, lift it to
-4-flags, and verify any certificate numerically.
+4-flags, and prove any certificate in exact rational arithmetic.
 """
 from tourprof import (enumerate_flags, enumerate_types, lb_flag,
                       lemma1_certificate, moment_consistency_check,
@@ -37,15 +37,18 @@ print("one block row sums to 1:",
 # %%
 # The closed-form certificate at triangle density gamma: one squared
 # linear form in the 3-flag densities, giving
-# lambda = 18 gamma^2 / (1 + 8 gamma).
+# lambda = 18 gamma^2 / (1 + 8 gamma), less a margin of 1e-12 that pays
+# for rounding the certificate to floats.  The verifier proves it
+# exactly; its slacks kappa_H are exact fractions.
 
 gamma = 1 / 16
 cert = lemma1_certificate(gamma)
 rep = verify_certificate(cert)
 print(f"\ngamma = {gamma}: valid = {rep.valid}, lambda = {rep.lam:.8f}"
       f"  (lb_flag = {lb_flag(gamma):.8f})")
-print("slack per 4-type (all ~0: the bound is tight type by type):",
-      [round(v, 12) for v in rep.kappas.values()])
+print("slack per 4-type (all ~1e-12, the margin: the bound is tight "
+      "type by type):", ", ".join(f"{float(v):.3g}"
+                                  for v in rep.kappas.values()))
 
 # %%
 # search_certificate returns the better of the zero certificate and the

@@ -65,13 +65,6 @@ def ub_c4_from_c3(c3: float) -> float:
     return 2.0 * c3
 
 
-def ub_t4_from_t3(t3: float) -> float:
-    """t4 >= 2 t3 - 1 rearranged as the upper boundary in figure axes."""
-    if not 0.75 - 1e-15 <= t3 <= 1.0 + 1e-15:
-        raise ValueError(f"t3 must be in [3/4, 1], got {t3}")
-    return 2.0 * t3 - 1.0
-
-
 def ub_c4_from_t4(t4: float) -> float:
     """c4 <= min(t4, 1 - t4)."""
     if not 0.0 <= t4 <= 1.0 + 1e-15:

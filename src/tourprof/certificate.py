@@ -1,0 +1,239 @@
+"""Flag-algebra certificates, FLAGCERT v1 files, and their exact
+verification, in pure Python: `verify --cert` imports no numpy.
+
+A certificate (gamma, mu, lambda, Q) for flag order k in {3, 4} proves
+c4 >= lambda at c3 = gamma in the limit when Q is positive semidefinite
+and, for every tournament type H of order N = 2k - 2,
+
+    kappa_H = d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> - lambda >= 0
+
+(flags derives the inequality).  verify_certificate decides this
+exactly.  The floats of a certificate are dyadic rationals and are read
+as such.  It proves Q + delta I >= 0 by a fraction-free pivoted LDL^T,
+with delta the least of 0 and DELTA that succeeds, and then checks
+kappa_H - delta tr(p_H) >= 0 for every H: the shift costs each kappa_H
+delta tr(p_H), since <delta I, p_H> = delta tr(p_H).
+
+The data come from DATA_FILE, which `tourprof flags data` writes from
+flags.product_table(k) and the profile counts, and which a test rebuilds
+byte for byte: for each type H its code, its cyclic-triangle and C4
+counts (d_C3 = c3 / C(N, 3), d_C4 = c4 / C(N, 4)) and the integer
+configuration counts behind p_H = counts / total.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, isfinite, lcm
+
+from .base import DataFormatError, _read_ascii
+
+FLAG_COUNTS = {2: 1, 3: 4, 4: 16}
+DATA_FILE = os.path.join(os.path.dirname(__file__), "flagdata.json")
+# The shift tried when Q itself is not proved PSD.  A rounded rank-one Q
+# is often indefinite by about 1e-16; every certificate that
+# search_certificate writes keeps kappa_H >= 1e-12, which pays for it.
+DELTA = 1e-13
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Sum-of-squares style lower-bound certificate for c4 at c3 = gamma.
+    gamma, mu and lam are floats and q is the symmetric f x f matrix Q
+    as a tuple of float rows, (Q + Q^T) / 2 of the rows given."""
+    k: int
+    gamma: float
+    mu: float
+    lam: float
+    q: tuple
+
+    def __post_init__(self):
+        if self.k not in (3, 4):
+            raise ValueError(f"certificates have k = 3 or 4, got {self.k}")
+        f = FLAG_COUNTS[self.k]
+        rows = [[float(x) for x in row] for row in self.q]
+        if len(rows) != f or any(len(row) != f for row in rows):
+            raise ValueError(f"Q must be {f}x{f} for k={self.k}")
+        scalars = [float(x) for x in (self.gamma, self.mu, self.lam)]
+        if not all(map(isfinite, scalars + sum(rows, []))):
+            raise ValueError("certificate entries must be finite")
+        for name, x in zip(("gamma", "mu", "lam"), scalars):
+            object.__setattr__(self, name, x)
+        object.__setattr__(self, "q", tuple(
+            tuple(0.5 * (a + b) for a, b in zip(row, col))
+            for row, col in zip(rows, zip(*rows))))
+
+
+@dataclass(frozen=True)
+class CertVerification:
+    """The exact verdict.  kappas maps each type code to kappa_H as a
+    Fraction and min_kappa is the least of them; delta is the shift
+    proved (0 or DELTA), nan when Q + DELTA I is not PSD (psd_ok false).
+    valid means psd_ok and kappa_H >= delta tr(p_H) for every H."""
+    valid: bool
+    lam: float
+    min_kappa: Fraction
+    delta: float
+    psd_ok: bool
+    kappas: dict
+
+
+@lru_cache(maxsize=None)
+def _data() -> dict:
+    with open(DATA_FILE, encoding="ascii") as fh:
+        return json.load(fh)
+
+
+@lru_cache(maxsize=None)
+def _types(k: int) -> tuple:
+    """(type order N, total, rows): one row (code, c3, c4, tr, terms) per
+    type, where tr is the trace of its counts matrix and terms lists the
+    (flat index, count) of its nonzero entries."""
+    table = _data()[str(k)]
+    rows = []
+    for code, c3, c4, counts in table["types"]:
+        flat = [c for row in counts for c in row]
+        f = len(counts)
+        rows.append((code, c3, c4, sum(flat[::f + 1]),
+                     [(ix, c) for ix, c in enumerate(flat) if c]))
+    return table["type_order"], table["total"], rows
+
+
+def _is_psd(a: list) -> bool:
+    """Whether the symmetric integer matrix a (a list of rows, which it
+    overwrites) is positive semidefinite.  Fraction-free (Bareiss)
+    elimination, pivoting on the largest remaining diagonal entry: after
+    each step the rest is a positive multiple of the Schur complement,
+    so it is PSD iff a is.  With no positive diagonal entry left, the
+    rest is PSD iff it is zero."""
+    rest = list(range(len(a)))
+    prev = 1
+    while rest:
+        p = max(rest, key=lambda i: a[i][i])
+        d = a[p][p]
+        if d <= 0:
+            return all(a[i][j] == 0 for i in rest for j in rest)
+        rest.remove(p)
+        piv = a[p]
+        for i in rest:
+            row, s = a[i], piv[i]
+            for j in rest:
+                row[j] = (d * row[j] - s * piv[j]) // prev
+        prev = d
+    return True
+
+
+def verify_certificate(cert: Certificate) -> CertVerification:
+    """Decide exactly whether cert proves c4 >= lambda at c3 = gamma (see
+    the module docstring): every float is the integer X / 2^E over one
+    common power of two, and each kappa_H is summed in integers over the
+    common denominator L 4^E, with L = lcm(C(N,3), C(N,4), total)."""
+    order, total, types = _types(cert.k)
+    scalars = (cert.gamma, cert.mu, cert.lam, DELTA)
+    qflat = [x for row in cert.q for x in row]
+    ratios = [x.as_integer_ratio() for x in scalars + tuple(qflat)]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    g, m, lam, delta, *q = [num << (e - den.bit_length() + 1)
+                            for num, den in ratios]
+    f = len(cert.q)
+    psd_ok = False
+    for shift in (0, delta):
+        a = [q[i * f:(i + 1) * f] for i in range(f)]
+        for i in range(f):
+            a[i][i] += shift
+        if _is_psd(a):
+            psd_ok = True
+            break
+    c3_den, c4_den = comb(order, 3), comb(order, 4)
+    lcd = lcm(c3_den, c4_den, total)
+    p, per_conf = 1 << e, (lcd // total) << e
+    scale = lcd << (2 * e)
+    kappas, valid = {}, psd_ok
+    for code, c3, c4, tr, terms in types:
+        s = (c4 * (lcd // c4_den) * p * p
+             - m * (c3 * (lcd // c3_den) * p - g * lcd)
+             - lam * lcd * p
+             - per_conf * sum(q[ix] * c for ix, c in terms))
+        valid = valid and s >= shift * tr * per_conf
+        kappas[code] = Fraction(s, scale)
+    return CertVerification(
+        valid=valid, lam=cert.lam, min_kappa=min(kappas.values()),
+        delta=(DELTA if shift else 0.0) if psd_ok else float("nan"),
+        psd_ok=psd_ok, kappas=kappas)
+
+
+# -- FLAGCERT v1 ------------------------------------------------------------
+
+
+def certificate_to_text(cert: Certificate) -> str:
+    lines = [f"FLAGCERT v1 {cert.k} {len(cert.q)}",
+             repr(cert.gamma), repr(cert.mu), repr(cert.lam)]
+    for row in cert.q:
+        lines.append(" ".join(repr(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _lines(text: str) -> list:
+    r"""The lines of a FLAGCERT text, ended only at \n, \r\n or \r as
+    TRN lines are (bytes.splitlines; str.splitlines would also end them
+    at \v, \f and \x1c-\x1e)."""
+    data = text.encode("utf-8", "surrogatepass")
+    return [ln.decode("utf-8", "surrogatepass") for ln in data.splitlines()]
+
+
+def certificate_from_text(text: str) -> Certificate:
+    lines = _lines(text)
+    if not lines:
+        raise DataFormatError("line 1: empty FLAGCERT input")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != "FLAGCERT" or head[1] != "v1":
+        raise DataFormatError(
+            f"line 1: expected 'FLAGCERT v1 <k> <f>', got {lines[0]!r}")
+    try:
+        k, f = int(head[2]), int(head[3])
+    except ValueError:
+        raise DataFormatError("line 1: k and f must be integers") from None
+    if k not in (3, 4):
+        raise DataFormatError(f"line 1: unsupported flag order {k}")
+    if f != FLAG_COUNTS[k]:
+        raise DataFormatError(
+            f"line 1: expected f={FLAG_COUNTS[k]} for k={k}, got {f}")
+    if len(lines) < 4 + f:
+        raise DataFormatError(f"line {len(lines) + 1}: truncated certificate")
+    scalars = []
+    for idx, name in ((1, "gamma"), (2, "mu"), (3, "lambda")):
+        try:
+            scalars.append(float(lines[idx]))
+        except ValueError:
+            raise DataFormatError(
+                f"line {idx + 1}: bad {name} value {lines[idx]!r}") from None
+        if not isfinite(scalars[-1]):
+            raise DataFormatError(
+                f"line {idx + 1}: {name} must be finite, got {lines[idx]!r}")
+    q = []
+    for r in range(f):
+        parts = lines[4 + r].split()
+        if len(parts) != f:
+            raise DataFormatError(
+                f"line {5 + r}: expected {f} entries, got {len(parts)}")
+        try:
+            q.append([float(x) for x in parts])
+        except ValueError:
+            raise DataFormatError(f"line {5 + r}: bad matrix entry") from None
+        if not all(map(isfinite, q[-1])):
+            raise DataFormatError(f"line {5 + r}: matrix entries must be finite")
+    return Certificate(k=k, gamma=scalars[0], mu=scalars[1], lam=scalars[2],
+                       q=q)
+
+
+def write_certificate(cert: Certificate, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(certificate_to_text(cert))
+
+
+def read_certificate(path) -> Certificate:
+    return certificate_from_text(_read_ascii(path).decode("ascii"))

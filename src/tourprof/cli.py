@@ -18,16 +18,41 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import __version__
+from .base import DataFormatError, InternalInvariantError
 
-from . import __version__, bounds, flags as flagmod, search as searchmod
-from .core import (BlowupSpec, DataFormatError, InternalInvariantError,
-                   MixSpec, Tournament, blowup, cyclic, flip_perturb,
-                   interval, mix, random_tournament, read_trn, transitive,
-                   write_trn)
-from .profiles import (edge_stats, moments, profile3, profile4,
-                       sample_profile4, verify_identities, x_cdf)
+if TYPE_CHECKING:
+    from .core import Tournament
+
+# core, profiles, bounds, search and flags import numpy, so each command
+# imports what it needs when it runs, and `verify --cert` loads none of
+# them.  The core and profiles names below are bound into this module
+# by _bind() on the first command that needs them, keeping a name that
+# was rebound here before then (a tracer's wrapper); reading one from
+# outside binds them too.
+_CORE = ("BlowupSpec", "MixSpec", "blowup", "cyclic", "flip_perturb",
+         "interval", "mix", "random_tournament", "read_trn", "transitive",
+         "write_trn")
+_PROFILES = ("edge_stats", "moments", "profile3", "profile4",
+             "sample_profile4", "verify_identities", "x_cdf")
+
+
+def _bind() -> None:
+    from . import core, profiles
+    names = globals()
+    for module, attrs in ((core, _CORE), (profiles, _PROFILES)):
+        for attr in attrs:
+            names.setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name):
+    if name in _CORE or name in _PROFILES:
+        _bind()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -100,6 +125,7 @@ def _make_input(text: str) -> Tournament:
 
 
 def _cmd_gen(args) -> int:
+    _bind()
     seed = args.seed
     name = args.construction
     if name == "transitive":
@@ -161,6 +187,7 @@ def _profile_row(t: Tournament, args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    _bind()
     if args.counts and args.mode == "sample":
         raise ValueError("--counts requires exact mode")
     return _profile_row(_make_input(args.input), args)
@@ -169,6 +196,7 @@ def _cmd_profile(args) -> int:
 def _cmd_edge_stats(args) -> int:
     if args.moments and args.cdf is not None:
         raise ValueError("edge-stats takes --moments or --cdf, not both")
+    _bind()
     t = _make_input(args.input)
     if args.moments:
         rep = moments(t).as_floats()
@@ -198,6 +226,7 @@ def _write_rows(out, columns) -> None:
     per write: each chunk is formatted by one %-operation over its
     flattened values, which is far faster than a format per row and
     keeps the Python objects to one chunk's worth."""
+    import numpy as np
     row = ",".join(["%d"] * len(columns)) + "\n"
     fmt = row * _CSV_CHUNK
     for i in range(0, len(columns[0]), _CSV_CHUNK):
@@ -208,6 +237,7 @@ def _write_rows(out, columns) -> None:
 def _cmd_curve(args) -> int:
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
+    from . import bounds
     step = 0.25 / (args.grid - 1)
     grid = [i * step for i in range(args.grid)]
     table = bounds.curve_dataset(grid, which=f"fig{args.fig}")
@@ -227,6 +257,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    from . import flags as flagmod
+    _bind()
     if args.action == "enumerate":
         types = flagmod.enumerate_types(args.k)
         _banner(args)
@@ -243,6 +275,12 @@ def _cmd_flags(args) -> int:
                   file=sys.stderr)
         else:
             sys.stdout.write(flagmod.table_to_text(table))
+        return 0
+    if args.action == "data":
+        if args.out:
+            flagmod.write_flag_data(args.out)
+        else:
+            sys.stdout.write(flagmod.flag_data_text())
         return 0
     if args.action == "search":
         cert = flagmod.search_certificate(args.gamma, k=args.k)
@@ -269,14 +307,17 @@ def _cmd_flags(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search as searchmod
     gammas = ([float(g) for g in args.gamma.split(",")]
               if args.gamma is not None else list(searchmod.DEFAULT_GAMMAS))
     seeds = ([int(s) for s in args.seeds.split(",")]
              if args.seeds is not None else [args.seed])
+    penalty = searchmod.DEFAULT_PENALTY if args.penalty is None \
+        else args.penalty
     schedule = searchmod.AnnealSchedule(moves=args.moves) \
         if args.moves is not None else None
     points = searchmod.boundary_scan(gammas, n=args.n, seeds=seeds,
-                                     penalty=args.penalty,
+                                     penalty=penalty,
                                      schedule=schedule)
     _banner(args)
     print("gamma,n,seed,c3,c4,objective,discovery_flag")
@@ -291,15 +332,16 @@ def _cmd_verify(args) -> int:
     if args.cert and args.input:
         raise ValueError("verify takes --cert or --in, not both")
     if args.cert:
-        cert = flagmod.read_certificate(args.cert)
-        report = flagmod.verify_certificate(cert)
+        from .certificate import read_certificate, verify_certificate
+        report = verify_certificate(read_certificate(args.cert))
         _banner(args)
-        print("valid,lambda,min_kappa,min_eigenvalue")
+        print("valid,lambda,min_kappa,delta")
         print(",".join([str(report.valid).lower(), _fmt(report.lam),
-                        _fmt(report.min_kappa),
-                        _fmt(report.min_eigenvalue)]))
+                        _fmt(float(report.min_kappa)),
+                        _fmt(report.delta)]))
         return 0
     if args.input:
+        _bind()
         t = _make_input(args.input)
         report = verify_identities(t)
         _banner(args)
@@ -367,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fl = sub.add_parser("flags", help="flag algebra operations")
     fl.add_argument("action",
-                    choices=("enumerate", "table", "search", "moment-check"))
+                    choices=("enumerate", "table", "search", "moment-check",
+                             "data"))
     fl.add_argument("--k", type=int, default=3,
                     help="type order (enumerate) or flag order (others)")
     fl.add_argument("--gamma", type=float, default=0.0625)
@@ -383,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--seed", type=int, default=0)
     se.add_argument("--seeds", default=None,
                     help="comma separated seed list (overrides --seed)")
-    se.add_argument("--penalty", type=float,
-                    default=searchmod.DEFAULT_PENALTY)
+    se.add_argument("--penalty", type=float, default=None)
     se.add_argument("--moves", type=int, default=None)
     se.set_defaults(func=_cmd_search)
 

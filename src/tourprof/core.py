@@ -33,18 +33,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rng
-
-
-class TournamentError(ValueError):
-    """A construction precondition or matrix validity check failed."""
-
-
-class DataFormatError(ValueError):
-    """An on-disk artifact (TRN/FLAGCERT) is malformed."""
-
-
-class InternalInvariantError(RuntimeError):
-    """A mathematically guaranteed identity failed; indicates a bug."""
+# The error classes live in the numpy-free base module; they are
+# re-exported here, so core.DataFormatError is base.DataFormatError.
+from .base import (DataFormatError, InternalInvariantError, TournamentError,
+                   _ascii)
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -626,26 +618,6 @@ def write_trn(t: Tournament, path) -> None:
     text."""
     with open(path, "wb") as fh:
         _write_trn(t, fh)
-
-
-def _ascii(data: bytes) -> bytes:
-    r"""`data` itself if it is ASCII.  Else the first non-ASCII byte is a
-    DataFormatError that names its line (lines end at \n, \r\n or \r)
-    and its column, both counted from 1."""
-    if not data.isascii():
-        pos = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
-        # a stand-in byte after the ASCII prefix lands where the bad one is
-        where = (data[:pos] + b"x").splitlines()
-        raise DataFormatError(
-            f"line {len(where)}: non-ASCII byte 0x{data[pos]:02x} "
-            f"at column {len(where[-1])}")
-    return data
-
-
-def _read_ascii(path) -> bytes:
-    """The bytes of an ASCII file (TRN, FLAGCERT), checked by _ascii."""
-    with open(path, "rb") as fh:
-        return _ascii(fh.read())
 
 
 def read_trn(path) -> Tournament:

@@ -25,36 +25,40 @@ in the limit: it is valid when Q is positive semidefinite and
 
     kappa_H = d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> - lambda >= 0
 
-for every type H of order 2k - 2.  One evaluator, _kappas, computes
-every kappa_H + lambda from the counts array, for both
-verify_certificate and search_certificate.  lemma1_certificate gives
-the closed-form k = 3 certificate; search_certificate returns the
-better of it (lifted to 4-flags at k = 4) and the zero certificate, and
-does not search beyond those two candidates.
+for every type H of order 2k - 2.  Certificates, their FLAGCERT files
+and verify_certificate, which decides this exactly and without numpy,
+live in tourprof.certificate and are re-exported here; it reads the
+counts from the data file that flag_data_text writes.
+lemma1_certificate gives the closed-form k = 3 certificate;
+search_certificate returns the better of it (lifted to 4-flags at
+k = 4) and the zero certificate, choosing in floating point (_kappas),
+and does not search beyond those two candidates.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb, isfinite
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .core import (DataFormatError, InternalInvariantError, Tournament,
-                   _read_ascii, from_code)
+# Certificates, their files and their exact verification need no numpy;
+# they live in .certificate and are re-exported here.
+from .certificate import (FLAG_COUNTS, Certificate, CertVerification,
+                          certificate_from_text, certificate_to_text,
+                          read_certificate, verify_certificate,
+                          write_certificate)
+from .core import InternalInvariantError, Tournament, from_code
 from .profiles import classify4, edge_stats, profile3, profile4
 
 MAX_TYPE_ORDER = 6
 TYPE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56}
-FLAG_COUNTS = {2: 1, 3: 4, 4: 16}
 FLAG3_NAMES = {(0, 1): "cyc", (1, 0): "thru", (1, 1): "dom_out", (0, 0): "dom_in"}
-
-KAPPA_TOL = 1e-9
-PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,6 @@ def enumerate_flags(k: int) -> tuple:
         raise InternalInvariantError(
             f"expected {FLAG_COUNTS[k]} flags of order {k}, got {len(flags)}")
     return tuple(flags)
-
-
-def flag_index_by_name(k: int, name: str) -> int:
-    for f in enumerate_flags(k):
-        if f.name == name:
-            return f.index
-    raise ValueError(f"no flag named {name!r} at order {k}")
 
 
 def _induced_codes(dense: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -265,51 +262,10 @@ def _kappas(table: ProductTable, gamma: float, mu: float,
 # -- certificates ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Sum-of-squares style lower-bound certificate for c4 at c3 = gamma."""
-    k: int
-    gamma: float
-    mu: float
-    lam: float
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
-        f = len(enumerate_flags(self.k))
-        if q.shape != (f, f):
-            raise ValueError(f"Q must be {f}x{f} for k={self.k}, got {q.shape}")
-        object.__setattr__(self, "q", 0.5 * (q + q.T))
-
-
-@dataclass(frozen=True)
-class CertVerification:
-    valid: bool
-    lam: float
-    min_kappa: float
-    min_eigenvalue: float
-    psd_ok: bool
-    kappas: dict
-
-
-def verify_certificate(cert: Certificate) -> CertVerification:
-    """Check Q >= 0 (eigenvalue tolerance 1e-9 * (1 + ||Q||_F)) and
-    kappa_H >= -1e-9 for every type H of order 2k - 2, in floating point:
-    kappas maps each type code to kappa_H = d_C4(H) - mu (d_C3(H) -
-    gamma) - <Q, p_H> - lambda, with p_H read from product_table(k)."""
-    table = product_table(cert.k)
-    q = cert.q
-    eigs = np.linalg.eigvalsh(q)
-    min_eig = float(eigs[0])
-    psd_ok = min_eig >= -PSD_TOL * (1.0 + float(np.linalg.norm(q)))
-    kappas = dict(zip((h.code for h in table.types),
-                      (_kappas(table, cert.gamma, cert.mu, q)
-                       - cert.lam).tolist()))
-    min_kappa = min(kappas.values())
-    return CertVerification(valid=psd_ok and min_kappa >= -KAPPA_TOL,
-                            lam=cert.lam, min_kappa=min_kappa,
-                            min_eigenvalue=min_eig, psd_ok=psd_ok,
-                            kappas=kappas)
+# What lemma1_certificate and search_certificate subtract from lambda, so
+# that every kappa_H is about 1e-12 and the exact check passes after
+# rounding and certificate.DELTA's shift.
+LAMBDA_MARGIN = 1e-12
 
 
 def _lemma1_parameters(gamma: float) -> tuple:
@@ -338,10 +294,13 @@ def _lemma1_q(t: float, k: int) -> np.ndarray:
 def lemma1_certificate(gamma: float) -> Certificate:
     """The closed-form rank-1 certificate from Cauchy-Schwarz applied to
     t X - Z with t = (1 + 8 gamma)/(3 gamma): Q = (6/t^2) v v^T where v
-    expresses t X - Z in the 3-flag basis.  Certifies
-    lambda = 18 gamma^2 / (1 + 8 gamma) with every kappa_H = 0."""
+    expresses t X - Z in the 3-flag basis.  Every kappa_H is 0 at
+    lambda = 18 gamma^2 / (1 + 8 gamma); the certificate claims that
+    less LAMBDA_MARGIN, as search_certificate does, so that it still
+    verifies exactly once Q and lambda are rounded to floats."""
     t, mu, lam = _lemma1_parameters(gamma)
-    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam, q=_lemma1_q(t, 3))
+    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam - LAMBDA_MARGIN,
+                       q=_lemma1_q(t, 3))
 
 
 def search_certificate(gamma: float, k: int = 3) -> Certificate:
@@ -350,12 +309,13 @@ def search_certificate(gamma: float, k: int = 3) -> Certificate:
     Returns the better (larger min_H kappa_H at lambda = 0) of two fixed
     candidates: Q = 0 with mu = 0, and the Lemma 1 form
     Q = (6/t^2) v v^T with its mu, where v is t X - Z in the 3-flag
-    basis (k = 3) or its averaged lift to 4-flags (k = 4).  lambda is
-    that min_H kappa_H less 1e-12, so every kappa_H >= 1e-12.
+    basis (k = 3) or its averaged lift to 4-flags (k = 4), both priced
+    in floating point.  lambda is that min_H kappa_H less LAMBDA_MARGIN
+    (1e-12), so every kappa_H is about 1e-12.
 
     It does not search or optimise Q, so at both k lambda is
-    lb_flag(gamma) - 1e-12 up to rounding.  The result is deterministic
-    and always passes verify_certificate."""
+    lb_flag(gamma) - 1e-12 up to rounding.  The result is deterministic,
+    and it is returned only if verify_certificate proves it exactly."""
     if k not in (3, 4):
         raise ValueError("certificate search supports k = 3 or 4")
     t, mu1, _ = _lemma1_parameters(gamma)
@@ -368,7 +328,7 @@ def search_certificate(gamma: float, k: int = 3) -> Certificate:
     candidates = [(np.zeros((f, f)), 0.0), (_lemma1_q(t, k), mu1)]
     q, mu = max(candidates, key=lambda c: min_kappa(*c))
     cert = Certificate(k=k, gamma=gamma, mu=float(mu),
-                       lam=float(min_kappa(q, mu)) - 1e-12, q=q)
+                       lam=float(min_kappa(q, mu)) - LAMBDA_MARGIN, q=q)
     if not verify_certificate(cert).valid:
         raise InternalInvariantError("search produced an invalid certificate")
     return cert
@@ -412,79 +372,28 @@ def moment_consistency_check(t: Tournament) -> MomentConsistency:
                              all_ok=all(a == b for a, b in entries.values()))
 
 
-# -- FLAGCERT v1 ------------------------------------------------------------
+# -- the verifier's data file -------------------------------------------------
 
 
-def certificate_to_text(cert: Certificate) -> str:
-    f = cert.q.shape[0]
-    lines = [f"FLAGCERT v1 {cert.k} {f}",
-             repr(float(cert.gamma)), repr(float(cert.mu)),
-             repr(float(cert.lam))]
-    for row in cert.q:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+def flag_data_text() -> str:
+    """The text of certificate.DATA_FILE, JSON: for k = 3 and 4, the
+    type order and configuration total of product_table(k), and one line
+    per type in code order, [code, c3 count, c4 count, counts matrix]."""
+    blocks = []
+    for k in (3, 4):
+        table = product_table(k)
+        rows = ",\n".join(
+            json.dumps([h.code, profile3(h.rep).c3_count,
+                        profile4(h.rep).c4_count, m], separators=(",", ":"))
+            for h, m in zip(table.types, table.counts.tolist()))
+        blocks.append(f'"{k}":{{"type_order":{table.type_order},'
+                      f'"total":{table.total},"types":[\n{rows}]}}')
+    return "{" + ",\n".join(blocks) + "}\n"
 
 
-def _lines(text: str) -> list:
-    r"""The lines of a FLAGCERT text, ended only at \n, \r\n or \r as
-    TRN lines are (bytes.splitlines; str.splitlines would also end them
-    at \v, \f and \x1c-\x1e)."""
-    data = text.encode("utf-8", "surrogatepass")
-    return [ln.decode("utf-8", "surrogatepass") for ln in data.splitlines()]
-
-
-def certificate_from_text(text: str) -> Certificate:
-    lines = _lines(text)
-    if not lines:
-        raise DataFormatError("line 1: empty FLAGCERT input")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "FLAGCERT" or head[1] != "v1":
-        raise DataFormatError(
-            f"line 1: expected 'FLAGCERT v1 <k> <f>', got {lines[0]!r}")
-    try:
-        k, f = int(head[2]), int(head[3])
-    except ValueError:
-        raise DataFormatError("line 1: k and f must be integers") from None
-    if k not in (3, 4):
-        raise DataFormatError(f"line 1: unsupported flag order {k}")
-    if f != FLAG_COUNTS[k]:
-        raise DataFormatError(
-            f"line 1: expected f={FLAG_COUNTS[k]} for k={k}, got {f}")
-    if len(lines) < 4 + f:
-        raise DataFormatError(f"line {len(lines) + 1}: truncated certificate")
-    scalars = []
-    for idx, name in ((1, "gamma"), (2, "mu"), (3, "lambda")):
-        try:
-            scalars.append(float(lines[idx]))
-        except ValueError:
-            raise DataFormatError(
-                f"line {idx + 1}: bad {name} value {lines[idx]!r}") from None
-        if not isfinite(scalars[-1]):
-            raise DataFormatError(
-                f"line {idx + 1}: {name} must be finite, got {lines[idx]!r}")
-    q = np.zeros((f, f))
-    for r in range(f):
-        parts = lines[4 + r].split()
-        if len(parts) != f:
-            raise DataFormatError(
-                f"line {5 + r}: expected {f} entries, got {len(parts)}")
-        try:
-            q[r] = [float(x) for x in parts]
-        except ValueError:
-            raise DataFormatError(f"line {5 + r}: bad matrix entry") from None
-        if not np.isfinite(q[r]).all():
-            raise DataFormatError(f"line {5 + r}: matrix entries must be finite")
-    return Certificate(k=k, gamma=scalars[0], mu=scalars[1], lam=scalars[2],
-                       q=q)
-
-
-def write_certificate(cert: Certificate, path) -> None:
+def write_flag_data(path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(certificate_to_text(cert))
-
-
-def read_certificate(path) -> Certificate:
-    return certificate_from_text(_read_ascii(path).decode("ascii"))
+        fh.write(flag_data_text())
 
 
 # -- FLAGTAB v1 -------------------------------------------------------------

@@ -10,7 +10,7 @@ from tourprof.bounds import (REPLACE_THRESHOLD, _blowup_profile,
                              curve_dataset, lb_flag, lb_variance,
                              min_fourth_power_sum, mix_profile_prediction,
                              predict_blowup_profile, replace_step,
-                             ub_c4_from_c3, ub_c4_from_t4, ub_t4_from_t3)
+                             ub_c4_from_c3, ub_c4_from_t4)
 from tourprof.core import (BlowupSpec, MixSpec, Tournament, cyclic, mix,
                            random_tournament, transitive)
 from tourprof.profiles import profile3, profile4
@@ -38,9 +38,6 @@ def test_upper_bounds():
     assert ub_c4_from_c3(0.2) == 0.4
     assert ub_c4_from_t4(0.5) == 0.5
     assert ub_c4_from_t4(0.9) == pytest.approx(0.1)
-    assert ub_t4_from_t3(1.0) == 1.0
-    with pytest.raises(ValueError):
-        ub_t4_from_t3(0.5)     # t3 >= 3/4 always
     with pytest.raises(ValueError):
         lb_flag(0.3)
 

@@ -401,17 +401,19 @@ def test_verify_cert_and_in_is_usage_error(tmp_path, capsys):
 
 
 # sha256 of the `verify --cert` CSV below the banner for the certificate
-# that search_certificate(gamma, k) writes, recorded while the product
-# tables were still stored as Fractions.
+# that search_certificate(gamma, k) writes, recorded when the verdict
+# became exact: min_kappa is the exact least kappa_H, and the delta
+# column (0 or 1e-13, the shift that proved Q + delta I PSD) replaced the
+# float min_eigenvalue.  valid and lambda read as before.
 VERIFY_CSV_SHA256 = {
-    (3, 0.03): "bb6b5dbf4723613cff0256ebca89b39acf286e5f1f618b183d2bd943e20013fa",
-    (3, 1 / 16): "5ffcdadac681b09cd1f3e938f63e7c9f8311e799fc11f9d0d28e475a142a7e33",
-    (3, 0.1): "fed9590d12dc89efef841881e7b9f76e5dc798b1450e7fa6549885a8b6a21313",
-    (3, 1 / 4): "f4b358f68b14b185c8b3df23923528b9d7473c8263bb7b9868806b4dae474fe0",
-    (4, 0.03): "51d3aa72c856cfd6d84a394e87fa36fcbf58d682fc30c555eb082175f3c2f098",
-    (4, 1 / 16): "102109f9649d5643195b0f9e7cce16684b8f3ba6de229fa3021bd034a97079fe",
-    (4, 0.1): "f4c52c37c59961656a40f6bbee680a1eeb72d4b9206143b684c577e04ae38e4a",
-    (4, 1 / 4): "ce8646de9926b4f44b0d56d701d9aa1b3857df4e6ccac8f866594e1433121737",
+    (3, 0.03): "236039905119ff9b704a3bfc95133a3163327bed18bef3ec01fa15fb582b1ccc",
+    (3, 1 / 16): "cf883b8da3baa4d1ebdc3cc31b5075032b25bdd0a77bf12f123c136626bee833",
+    (3, 0.1): "4e4d335a2ff05cef45e2284c2b71011423e5a22358a98b3ba5ce36674f01c341",
+    (3, 1 / 4): "e357bf875c84bdc46e3535c82076774c8cbee1e95d187001e21fcc8ab6dd4e96",
+    (4, 0.03): "fe69d26c557a9c3aab8bdeed3581c2962e63bdcd98151fa51999a9db46f42a83",
+    (4, 1 / 16): "9ef00bb95a7cb6d784acf8aa719a48bc55991e4718f290fa14bd85cf941932bf",
+    (4, 0.1): "ad2e8a3447ac99bddf69a0fb86e5bfcc36f6364fea122bb6f3ec8b6f30cb97a4",
+    (4, 1 / 4): "fbff6a5605b1aeb952f4ba1d0a1efcd58646ca99a05541a19d2e1e9314e14d47",
 }
 
 
@@ -518,12 +520,12 @@ def test_piped_search_writes_one_banner_and_the_serial_bytes(monkeypatch,
 HEAVY_MODULES = ("numpy.ma", "multiprocessing", "concurrent.futures")
 
 
-def loaded_by(*argv):
-    """Which of HEAVY_MODULES a fresh process running `tourprof argv` has
+def loaded_by(*argv, modules=HEAVY_MODULES):
+    """Which of `modules` a fresh process running `tourprof argv` has
     imported when main returns."""
     code = ("import sys\nfrom tourprof.cli import main\n"
             "status = main(sys.argv[1:])\n"
-            f"print([m for m in {HEAVY_MODULES!r} if m in sys.modules],"
+            f"print([m for m in {modules!r} if m in sys.modules],"
             " file=sys.stderr)\n"
             "sys.exit(status)")
     proc = subprocess.run([sys.executable, "-c", code, *argv],
@@ -536,7 +538,8 @@ def test_certify_commands_load_no_heavy_modules(tmp_path):
     cert = str(tmp_path / "c.cert")
     assert loaded_by("flags", "search", "--k", "4", "--gamma", "0.1",
                      "--out", cert) == []
-    assert loaded_by("verify", "--cert", cert) == []
+    assert loaded_by("verify", "--cert", cert,
+                     modules=HEAVY_MODULES + ("numpy",)) == []
 
 
 @pytest.mark.parametrize("gammas", ["0.0625", "0.0625,0.25"])

@@ -1,17 +1,22 @@
 import hashlib
+import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tourprof import certificate
+from tourprof.cli import main
 from tourprof.core import (BlowupSpec, DataFormatError, _upper_code, blowup,
                            canonical_code, cyclic, from_code,
                            random_tournament, transitive)
 from tourprof.flags import (Certificate, _canonical_map, certificate_from_text,
                             certificate_to_text, enumerate_flags,
-                            enumerate_types, flag_index_by_name,
-                            lemma1_certificate, moment_consistency_check,
+                            enumerate_types, lemma1_certificate,
+                            moment_consistency_check,
                             product_table, read_certificate,
                             search_certificate, subtype_density,
                             table_to_text, verify_certificate,
@@ -103,8 +108,8 @@ def test_subtype_density_spec_points():
 def test_product_table_k3_values():
     tab = product_table(3)
     assert tab.total == 12 and len(tab.types) == 4
-    ix = flag_index_by_name(3, "cyc")
-    iy = flag_index_by_name(3, "thru")
+    ix, iy = (next(f.index for f in tab.flags if f.name == name)
+              for name in ("cyc", "thru"))
     by_name = {classify4(h.rep): h.code for h in tab.types}
     assert tab.tables[by_name["T4"]][iy][iy] == Fraction(1, 6)
     assert tab.tables[by_name["C4"]][ix][ix] == Fraction(1, 6)
@@ -160,6 +165,72 @@ def test_negative_eigenvalue_rejected():
     assert not rep.psd_ok and not rep.valid
 
 
+def test_raised_lambda_is_refused():
+    # 5e-10 above what the certificate proves: its tightest kappa_H are
+    # negative, though by less than the old float tolerance of 1e-9
+    cert = search_certificate(0.1, k=4)
+    assert verify_certificate(cert).valid
+    rep = verify_certificate(replace(cert, lam=cert.lam + 5e-10))
+    assert rep.psd_ok and not rep.valid
+    assert -5e-10 < rep.min_kappa < -4e-10
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_q_indefinite_beyond_the_shift_is_refused(k):
+    # Q = -(e/f) J has the one nonzero eigenvalue -e and Q + 1e-13 I is
+    # PSD only when e <= 1e-13; lambda = -1e-12 leaves every kappa_H
+    # enough slack for the shift, so only the PSD proof decides
+    f = len(enumerate_flags(k))
+    for e, proved in ((1e-12, False), (1e-14, True)):
+        cert = Certificate(k=k, gamma=0.1, mu=0.0, lam=-1e-12,
+                           q=np.full((f, f), -e / f))
+        rep = verify_certificate(cert)
+        assert rep.min_kappa >= 1e-12
+        assert rep.psd_ok is rep.valid is proved
+        if proved:
+            assert rep.delta == certificate.DELTA
+        else:
+            assert math.isnan(rep.delta)
+
+
+def test_zero_q_proves_without_a_shift():
+    for k in (3, 4):
+        f = len(enumerate_flags(k))
+        rep = verify_certificate(Certificate(k=k, gamma=0.1, mu=0.0, lam=0.0,
+                                             q=np.zeros((f, f))))
+        assert rep.valid and rep.delta == 0
+        assert isinstance(rep.min_kappa, Fraction) and rep.min_kappa == 0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_flags_search_certificates_are_proved(tmp_path, capsys, k):
+    path = tmp_path / "c.cert"
+    for i in range(1, 11):
+        assert main(["flags", "search", "--k", str(k), "--gamma",
+                     repr(i / 40), "--out", str(path)]) == 0
+        rep = verify_certificate(read_certificate(path))
+        assert rep.valid, i
+        assert rep.min_kappa > 0
+    capsys.readouterr()
+
+
+def test_flag_data_file_is_rebuilt_byte_for_byte(tmp_path, capsys):
+    path = tmp_path / "flagdata.json"
+    assert main(["flags", "data", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == Path(certificate.DATA_FILE).read_bytes()
+
+
+def test_flag_data_file_is_package_data():
+    # stands in for building a wheel and looking for the file in it
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert Path(certificate.DATA_FILE).name in package_data["tourprof"]
+    assert Path(certificate.DATA_FILE).parent == root / "src" / "tourprof"
+
+
 def test_certificate_dimension_mismatch():
     with pytest.raises(ValueError):
         Certificate(k=3, gamma=0.1, mu=0.0, lam=0.0, q=np.zeros((5, 5)))
@@ -200,7 +271,7 @@ def test_search_certificate_k4_valid_and_deterministic():
     a = search_certificate(0.1, k=4)
     b = search_certificate(0.1, k=4)
     assert verify_certificate(a).valid
-    assert a.lam == b.lam and (a.q == b.q).all()
+    assert a.lam == b.lam and a.q == b.q
     with pytest.raises(ValueError):
         search_certificate(0.1, k=5)
 
@@ -236,7 +307,7 @@ def test_moment_consistency_random_small():
 
 def test_moment_consistency_transitive_x_rows_zero():
     rep = moment_consistency_check(transitive(8))
-    ix = flag_index_by_name(3, "cyc")
+    ix = next(f.index for f in enumerate_flags(3) if f.name == "cyc")
     for j in range(4):
         assert rep.entries[(ix, j)] == (0, 0)
         assert rep.entries[(j, ix)] == (0, 0)
@@ -250,7 +321,7 @@ def test_flagcert_round_trip(tmp_path):
     write_certificate(cert, path)
     back = read_certificate(path)
     assert (back.gamma, back.mu, back.lam) == (cert.gamma, cert.mu, cert.lam)
-    assert (back.q == cert.q).all()
+    assert back.q == cert.q
     assert verify_certificate(back).valid
 
 
@@ -290,4 +361,4 @@ def test_flagcert_and_flagtab_line_ends_parse_alike():
             certificate_to_text(cert).replace("\n", end))
         assert (back.k, back.gamma, back.mu, back.lam) == \
             (cert.k, cert.gamma, cert.mu, cert.lam)
-        assert (back.q == cert.q).all()
+        assert back.q == cert.q
