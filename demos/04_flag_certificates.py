@@ -52,7 +52,8 @@ print("slack per 4-type (all ~1e-12, the margin: the bound is tight "
 
 # %%
 # search_certificate returns the better of the zero certificate and the
-# closed form (lifted to 4-flags at k = 4), so it recovers the same bound.
+# closed form (lifted to 4-flags at k = 4), each priced by its exact
+# least kappa_H, so it recovers the same bound.
 
 found = search_certificate(gamma, k=3)
 print("\nsearch at gamma = 1/16: lambda =", f"{verify_certificate(found).lam:.8f}")

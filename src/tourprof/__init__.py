@@ -25,13 +25,12 @@ _EXPORTS = {
         "mix_profile_prediction", "predict_blowup_profile", "replace_step",
         "ub_c4_from_c3", "ub_c4_from_t4"),
     "certificate": (
-        "Certificate", "read_certificate", "verify_certificate",
-        "write_certificate"),
+        "Certificate", "lemma1_certificate", "read_certificate",
+        "search_certificate", "verify_certificate", "write_certificate"),
     "flags": (
         "Flag", "ProductTable", "TournamentType", "enumerate_flags",
-        "enumerate_types", "lemma1_certificate", "moment_consistency_check",
-        "product_table", "search_certificate", "subtype_density",
-        "write_table"),
+        "enumerate_types", "moment_consistency_check", "product_table",
+        "subtype_density", "write_table"),
     "search": (
         "AnnealResult", "AnnealSchedule", "ScanPoint", "anneal",
         "boundary_scan", "objective"),

@@ -1,5 +1,6 @@
-"""Flag-algebra certificates, FLAGCERT v1 files, and their exact
-verification, in pure Python: `verify --cert` imports no numpy.
+"""Flag-algebra certificates, FLAGCERT v1 files, their exact
+verification and the certificate search, in pure Python: `verify
+--cert` and `flags search` import no numpy.
 
 A certificate (gamma, mu, lambda, Q) for flag order k in {3, 4} proves
 c4 >= lambda at c3 = gamma in the limit when Q is positive semidefinite
@@ -13,31 +14,40 @@ as such.  It proves Q + delta I >= 0 by a fraction-free pivoted LDL^T,
 with delta the least of 0 and DELTA that succeeds, and then checks
 kappa_H - delta tr(p_H) >= 0 for every H: the shift costs each kappa_H
 delta tr(p_H), since <delta I, p_H> = delta tr(p_H).
+lemma1_certificate gives the closed-form k = 3 certificate;
+search_certificate returns the better of it (lifted to 4-flags at
+k = 4) and the zero certificate, priced by the same exact kappa_H, and
+does not search beyond those two candidates.
 
 The data come from DATA_FILE, which `tourprof flags data` writes from
 flags.product_table(k) and the profile counts, and which a test rebuilds
-byte for byte: for each type H its code, its cyclic-triangle and C4
-counts (d_C3 = c3 / C(N, 3), d_C4 = c4 / C(N, 4)) and the integer
-configuration counts behind p_H = counts / total.
+byte for byte: the codes of the k-flags, and for each type H its code,
+its cyclic-triangle and C4 counts (d_C3 = c3 / C(N, 3), d_C4 =
+c4 / C(N, 4)) and the integer configuration counts behind
+p_H = counts / total.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isfinite, lcm
 
-from .base import DataFormatError, _read_ascii
+from .base import DataFormatError, InternalInvariantError, _read_ascii
 
 FLAG_COUNTS = {2: 1, 3: 4, 4: 16}
 DATA_FILE = os.path.join(os.path.dirname(__file__), "flagdata.json")
 # The shift tried when Q itself is not proved PSD.  A rounded rank-one Q
 # is often indefinite by about 1e-16; every certificate that
-# search_certificate writes keeps kappa_H >= 1e-12, which pays for it.
+# search_certificate writes keeps kappa_H near 1e-12, which pays for it.
 DELTA = 1e-13
+# What lemma1_certificate and search_certificate subtract from lambda, so
+# that every kappa_H is about 1e-12 and the exact check passes after
+# rounding and DELTA's shift.
+LAMBDA_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,6 +174,87 @@ def verify_certificate(cert: Certificate) -> CertVerification:
         valid=valid, lam=cert.lam, min_kappa=min(kappas.values()),
         delta=(DELTA if shift else 0.0) if psd_ok else float("nan"),
         psd_ok=psd_ok, kappas=kappas)
+
+
+# -- the two candidates ----------------------------------------------------
+
+
+def _lemma1_parameters(gamma: float) -> tuple:
+    if not 0.0 < gamma <= 0.25:
+        raise ValueError(f"gamma must be in (0, 1/4], got {gamma}")
+    t = (1.0 + 8.0 * gamma) / (3.0 * gamma)
+    mu = 12.0 / t - 16.0 / (t * t)
+    lam = 18.0 * gamma * gamma / (1.0 + 8.0 * gamma)
+    return t, mu, lam
+
+
+def _lemma1_q(t: float, k: int) -> list:
+    """Q = (6/t^2) v v^T for the k-flags, as a list of rows.  The 3-flag
+    basis expresses t X - Z as (t - 3) cyc + thru - dom_out - dom_in (the
+    unit is 1 = cyc + thru + dom_out + dom_in and Z = 1 + 2X - 2Y); v
+    gives each k-flag the mean of those coefficients over its unlabeled
+    vertices w (E_w of the form, written as a k-flag sum).  The arcs
+    0 - w and 1 - w are bits of the flag's code: pair-lex order, first
+    pair most significant, set when the lower vertex beats the higher.
+    Q is not finite when t^2 overflows, at gamma below about 2.5e-155."""
+    # coeff[u -> w][v -> w] = [[dom_in, cyc], [thru, dom_out]]
+    coeff = ((-1.0, t - 3.0), (1.0, -1.0))
+    npair = k * (k - 1) // 2
+    v = []
+    for code in _data()[str(k)]["flags"]:
+        # pair (0, w) is pair number w - 1 and (1, w) is k + w - 3
+        bit = [code >> (npair - 1 - i) & 1 for i in range(npair)]
+        terms = [coeff[bit[w - 1]][bit[k + w - 3]] for w in range(2, k)]
+        v.append(sum(terms) / len(terms))
+    c = 6.0 / (t * t)
+    return [[c * (a * b) for b in v] for a in v]
+
+
+def lemma1_certificate(gamma: float) -> Certificate:
+    """The closed-form rank-1 certificate from Cauchy-Schwarz applied to
+    t X - Z with t = (1 + 8 gamma)/(3 gamma): Q = (6/t^2) v v^T where v
+    expresses t X - Z in the 3-flag basis.  Every kappa_H is 0 at
+    lambda = 18 gamma^2 / (1 + 8 gamma); the certificate claims that
+    less LAMBDA_MARGIN, as search_certificate does, so that it still
+    verifies exactly once Q and lambda are rounded to floats."""
+    t, mu, lam = _lemma1_parameters(gamma)
+    q = _lemma1_q(t, 3)
+    if not all(map(isfinite, sum(q, []))):
+        raise ValueError(f"gamma={gamma!r} is too small for the Lemma 1 "
+                         "certificate: its Q overflows")
+    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam - LAMBDA_MARGIN, q=q)
+
+
+def search_certificate(gamma: float, k: int = 3) -> Certificate:
+    """Certificate at c3 = gamma for flag order k in {3, 4}.
+
+    Returns the better (larger exact min_H kappa_H at lambda = 0) of two
+    fixed candidates: Q = 0 with mu = 0, and the Lemma 1 form
+    Q = (6/t^2) v v^T with its mu, where v is t X - Z in the 3-flag
+    basis (k = 3) or its averaged lift to 4-flags (k = 4).  A Lemma 1
+    candidate that is not finite (tiny gamma) drops out.  lambda is that
+    min_H kappa_H rounded to a float, less LAMBDA_MARGIN (1e-12), so
+    every kappa_H is about 1e-12.
+
+    It does not search or optimise Q, so at both k lambda is
+    lb_flag(gamma) - 1e-12 up to rounding.  The result is deterministic,
+    and it is returned only if verify_certificate proves it exactly."""
+    if k not in (3, 4):
+        raise ValueError("certificate search supports k = 3 or 4")
+    t, mu1, _ = _lemma1_parameters(gamma)
+    f = FLAG_COUNTS[k]
+    candidates = [Certificate(k=k, gamma=gamma, mu=0.0, lam=0.0,
+                              q=[[0.0] * f] * f)]
+    q1 = _lemma1_q(t, k)
+    if all(map(isfinite, sum(q1, []))):
+        candidates.append(Certificate(k=k, gamma=gamma, mu=mu1, lam=0.0,
+                                      q=q1))
+    kappa, best = max(((verify_certificate(c).min_kappa, c)
+                       for c in candidates), key=lambda kc: kc[0])
+    cert = replace(best, lam=float(kappa) - LAMBDA_MARGIN)
+    if not verify_certificate(cert).valid:
+        raise InternalInvariantError("search produced an invalid certificate")
+    return cert
 
 
 # -- FLAGCERT v1 ------------------------------------------------------------

@@ -27,11 +27,11 @@ if TYPE_CHECKING:
     from .core import Tournament
 
 # core, profiles, bounds, search and flags import numpy, so each command
-# imports what it needs when it runs, and `verify --cert` loads none of
-# them.  The core and profiles names below are bound into this module
-# by _bind() on the first command that needs them, keeping a name that
-# was rebound here before then (a tracer's wrapper); reading one from
-# outside binds them too.
+# imports what it needs when it runs, and `verify --cert` and `flags
+# search` load none of them.  The core and profiles names below are
+# bound into this module by _bind() on the first command that needs
+# them, keeping a name that was rebound here before then (a tracer's
+# wrapper); reading one from outside binds them too.
 _CORE = ("BlowupSpec", "MixSpec", "blowup", "cyclic", "flip_perturb",
          "interval", "mix", "random_tournament", "read_trn", "transitive",
          "write_trn")
@@ -257,9 +257,19 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    if args.action == "search":
+        from . import certificate
+        cert = certificate.search_certificate(args.gamma, k=args.k)
+        if args.out:
+            certificate.write_certificate(cert, args.out)
+            print(f"# tourprof {__version__} lambda={_fmt(cert.lam)} "
+                  f"-> {args.out}", file=sys.stderr)
+        else:
+            sys.stdout.write(certificate.certificate_to_text(cert))
+        return 0
     from . import flags as flagmod
-    _bind()
     if args.action == "enumerate":
+        _bind()
         types = flagmod.enumerate_types(args.k)
         _banner(args)
         print("index,code,c3_count")
@@ -282,18 +292,10 @@ def _cmd_flags(args) -> int:
         else:
             sys.stdout.write(flagmod.flag_data_text())
         return 0
-    if args.action == "search":
-        cert = flagmod.search_certificate(args.gamma, k=args.k)
-        if args.out:
-            flagmod.write_certificate(cert, args.out)
-            print(f"# tourprof {__version__} lambda={_fmt(cert.lam)} "
-                  f"-> {args.out}", file=sys.stderr)
-        else:
-            sys.stdout.write(flagmod.certificate_to_text(cert))
-        return 0
     if args.action == "moment-check":
         if args.input is None:
             raise ValueError("moment-check needs --in")
+        _bind()
         t = _make_input(args.input)
         report = flagmod.moment_consistency_check(t)
         _banner(args)

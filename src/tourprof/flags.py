@@ -25,14 +25,12 @@ in the limit: it is valid when Q is positive semidefinite and
 
     kappa_H = d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> - lambda >= 0
 
-for every type H of order 2k - 2.  Certificates, their FLAGCERT files
-and verify_certificate, which decides this exactly and without numpy,
-live in tourprof.certificate and are re-exported here; it reads the
-counts from the data file that flag_data_text writes.
-lemma1_certificate gives the closed-form k = 3 certificate;
-search_certificate returns the better of it (lifted to 4-flags at
-k = 4) and the zero certificate, choosing in floating point (_kappas),
-and does not search beyond those two candidates.
+for every type H of order 2k - 2.  Certificates, their FLAGCERT files,
+verify_certificate, which decides this exactly, and the closed-form
+lemma1_certificate and search_certificate, which price their candidates
+by the same exact kappa_H, live in tourprof.certificate without numpy
+and are re-exported here.  They read the flag codes and the counts
+from the data file that flag_data_text writes.
 """
 
 from __future__ import annotations
@@ -47,12 +45,13 @@ from typing import Optional
 
 import numpy as np
 
-# Certificates, their files and their exact verification need no numpy;
-# they live in .certificate and are re-exported here.
-from .certificate import (FLAG_COUNTS, Certificate, CertVerification,
-                          certificate_from_text, certificate_to_text,
-                          read_certificate, verify_certificate,
-                          write_certificate)
+# Certificates, their files, their exact verification and their search
+# need no numpy; they live in .certificate and are re-exported here.
+from .certificate import (FLAG_COUNTS, LAMBDA_MARGIN, Certificate,
+                          CertVerification, certificate_from_text,
+                          certificate_to_text, lemma1_certificate,
+                          read_certificate, search_certificate,
+                          verify_certificate, write_certificate)
 from .core import InternalInvariantError, Tournament, from_code
 from .profiles import classify4, edge_stats, profile3, profile4
 
@@ -238,102 +237,6 @@ def product_table(k: int) -> ProductTable:
                         total=total, counts=counts)
 
 
-@lru_cache(maxsize=None)
-def _cycle_densities(order: int, codes: tuple) -> tuple:
-    """(d_C3, d_C4): read-only float arrays of the cyclic triangle and
-    C4 densities of the types with these codes, in the given order."""
-    reps = [from_code(code, order) for code in codes]
-    d_c3 = np.array([profile3(r).c3_count for r in reps]) / comb(order, 3)
-    d_c4 = np.array([profile4(r).c4_count for r in reps]) / comb(order, 4)
-    d_c3.flags.writeable = d_c4.flags.writeable = False
-    return d_c3, d_c4
-
-
-def _kappas(table: ProductTable, gamma: float, mu: float,
-            q: np.ndarray) -> np.ndarray:
-    """d_C4(H) - mu (d_C3(H) - gamma) - <Q, p_H> for every type H of the
-    table, in type order (lambda not yet subtracted)."""
-    d_c3, d_c4 = _cycle_densities(table.type_order,
-                                  tuple(h.code for h in table.types))
-    p = table.counts / table.total
-    return d_c4 - mu * (d_c3 - gamma) - (p * q).sum(axis=(1, 2))
-
-
-# -- certificates ----------------------------------------------------------
-
-
-# What lemma1_certificate and search_certificate subtract from lambda, so
-# that every kappa_H is about 1e-12 and the exact check passes after
-# rounding and certificate.DELTA's shift.
-LAMBDA_MARGIN = 1e-12
-
-
-def _lemma1_parameters(gamma: float) -> tuple:
-    if not 0.0 < gamma <= 0.25:
-        raise ValueError(f"gamma must be in (0, 1/4], got {gamma}")
-    t = (1.0 + 8.0 * gamma) / (3.0 * gamma)
-    mu = 12.0 / t - 16.0 / (t * t)
-    lam = 18.0 * gamma * gamma / (1.0 + 8.0 * gamma)
-    return t, mu, lam
-
-
-def _lemma1_q(t: float, k: int) -> np.ndarray:
-    """Q = (6/t^2) v v^T for the k-flags.  The 3-flag basis expresses
-    t X - Z as (t - 3) cyc + thru - dom_out - dom_in (the unit is
-    1 = cyc + thru + dom_out + dom_in and Z = 1 + 2X - 2Y); v gives each
-    k-flag the mean of those coefficients over its unlabeled vertices w
-    (E_w of the form, written as a k-flag sum)."""
-    # coeff[u -> w, v -> w] = [[dom_in, cyc], [thru, dom_out]]
-    coeff = np.array([[-1.0, t - 3.0], [1.0, -1.0]])
-    reps = np.stack([f.rep.dense() for f in enumerate_flags(k)])
-    v = coeff[reps[:, 0, 2:].astype(np.intp),
-              reps[:, 1, 2:].astype(np.intp)].mean(axis=1)
-    return (6.0 / (t * t)) * np.outer(v, v)
-
-
-def lemma1_certificate(gamma: float) -> Certificate:
-    """The closed-form rank-1 certificate from Cauchy-Schwarz applied to
-    t X - Z with t = (1 + 8 gamma)/(3 gamma): Q = (6/t^2) v v^T where v
-    expresses t X - Z in the 3-flag basis.  Every kappa_H is 0 at
-    lambda = 18 gamma^2 / (1 + 8 gamma); the certificate claims that
-    less LAMBDA_MARGIN, as search_certificate does, so that it still
-    verifies exactly once Q and lambda are rounded to floats."""
-    t, mu, lam = _lemma1_parameters(gamma)
-    return Certificate(k=3, gamma=gamma, mu=mu, lam=lam - LAMBDA_MARGIN,
-                       q=_lemma1_q(t, 3))
-
-
-def search_certificate(gamma: float, k: int = 3) -> Certificate:
-    """Certificate at c3 = gamma for flag order k in {3, 4}.
-
-    Returns the better (larger min_H kappa_H at lambda = 0) of two fixed
-    candidates: Q = 0 with mu = 0, and the Lemma 1 form
-    Q = (6/t^2) v v^T with its mu, where v is t X - Z in the 3-flag
-    basis (k = 3) or its averaged lift to 4-flags (k = 4), both priced
-    in floating point.  lambda is that min_H kappa_H less LAMBDA_MARGIN
-    (1e-12), so every kappa_H is about 1e-12.
-
-    It does not search or optimise Q, so at both k lambda is
-    lb_flag(gamma) - 1e-12 up to rounding.  The result is deterministic,
-    and it is returned only if verify_certificate proves it exactly."""
-    if k not in (3, 4):
-        raise ValueError("certificate search supports k = 3 or 4")
-    t, mu1, _ = _lemma1_parameters(gamma)
-    table = product_table(k)
-    f = len(table.flags)
-
-    def min_kappa(q, mu):
-        return _kappas(table, gamma, mu, q).min()
-
-    candidates = [(np.zeros((f, f)), 0.0), (_lemma1_q(t, k), mu1)]
-    q, mu = max(candidates, key=lambda c: min_kappa(*c))
-    cert = Certificate(k=k, gamma=gamma, mu=float(mu),
-                       lam=float(min_kappa(q, mu)) - LAMBDA_MARGIN, q=q)
-    if not verify_certificate(cert).valid:
-        raise InternalInvariantError("search produced an invalid certificate")
-    return cert
-
-
 # -- finite-n moment consistency -------------------------------------------
 
 
@@ -372,22 +275,26 @@ def moment_consistency_check(t: Tournament) -> MomentConsistency:
                              all_ok=all(a == b for a, b in entries.values()))
 
 
-# -- the verifier's data file -------------------------------------------------
+# -- the certificate data file -----------------------------------------------
 
 
 def flag_data_text() -> str:
     """The text of certificate.DATA_FILE, JSON: for k = 3 and 4, the
-    type order and configuration total of product_table(k), and one line
-    per type in code order, [code, c3 count, c4 count, counts matrix]."""
+    type order and configuration total of product_table(k), its flag
+    codes in flag order, and one line per type in code order, [code,
+    c3 count, c4 count, counts matrix]."""
     blocks = []
     for k in (3, 4):
         table = product_table(k)
+        codes = json.dumps([fl.code for fl in table.flags],
+                           separators=(",", ":"))
         rows = ",\n".join(
             json.dumps([h.code, profile3(h.rep).c3_count,
                         profile4(h.rep).c4_count, m], separators=(",", ":"))
             for h, m in zip(table.types, table.counts.tolist()))
         blocks.append(f'"{k}":{{"type_order":{table.type_order},'
-                      f'"total":{table.total},"types":[\n{rows}]}}')
+                      f'"total":{table.total},"flags":{codes},'
+                      f'"types":[\n{rows}]}}')
     return "{" + ",\n".join(blocks) + "}\n"
 
 

@@ -10,7 +10,8 @@ import pytest
 from tourprof import cli, profiles, search
 from tourprof.cli import main
 from tourprof.core import random_tournament, read_trn, write_trn
-from tourprof.flags import search_certificate, write_certificate
+from tourprof.certificate import (read_certificate, search_certificate,
+                                  write_certificate)
 from tourprof.profiles import profile3, profile4
 
 
@@ -400,20 +401,41 @@ def test_verify_cert_and_in_is_usage_error(tmp_path, capsys):
     assert "--cert or --in, not both" in err
 
 
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_flags_search_at_tiny_gamma_writes_the_zero_certificate(tmp_path,
+                                                                k):
+    # t^2 overflows at gamma = 1e-300, so the Lemma 1 candidate is not
+    # finite and drops out; nothing but the banner reaches stderr
+    path = tmp_path / "c.cert"
+    proc = subprocess.run([sys.executable, "-m", "tourprof.cli", "flags",
+                           "search", "--k", k, "--gamma", "1e-300",
+                           "--out", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == \
+        f"# tourprof {cli.__version__} lambda=-1e-12 -> {path}\n"
+    cert = read_certificate(path)
+    assert (cert.k, cert.gamma, cert.mu, cert.lam) == \
+        (int(k), 1e-300, 0.0, -1e-12)
+    assert all(x == 0 for row in cert.q for x in row)
+
+
 # sha256 of the `verify --cert` CSV below the banner for the certificate
 # that search_certificate(gamma, k) writes, recorded when the verdict
 # became exact: min_kappa is the exact least kappa_H, and the delta
 # column (0 or 1e-13, the shift that proved Q + delta I PSD) replaced the
-# float min_eigenvalue.  valid and lambda read as before.
+# float min_eigenvalue.  valid and lambda read as before.  The k = 4
+# rows were recorded again when search_certificate came to price its
+# candidates exactly: lambda moved in its last bits, so min_kappa did.
 VERIFY_CSV_SHA256 = {
     (3, 0.03): "236039905119ff9b704a3bfc95133a3163327bed18bef3ec01fa15fb582b1ccc",
     (3, 1 / 16): "cf883b8da3baa4d1ebdc3cc31b5075032b25bdd0a77bf12f123c136626bee833",
     (3, 0.1): "4e4d335a2ff05cef45e2284c2b71011423e5a22358a98b3ba5ce36674f01c341",
     (3, 1 / 4): "e357bf875c84bdc46e3535c82076774c8cbee1e95d187001e21fcc8ab6dd4e96",
-    (4, 0.03): "fe69d26c557a9c3aab8bdeed3581c2962e63bdcd98151fa51999a9db46f42a83",
-    (4, 1 / 16): "9ef00bb95a7cb6d784acf8aa719a48bc55991e4718f290fa14bd85cf941932bf",
-    (4, 0.1): "ad2e8a3447ac99bddf69a0fb86e5bfcc36f6364fea122bb6f3ec8b6f30cb97a4",
-    (4, 1 / 4): "fbff6a5605b1aeb952f4ba1d0a1efcd58646ca99a05541a19d2e1e9314e14d47",
+    (4, 0.03): "18ba629946efb329cfd011a84d0906221d9b41cdbcbe8c6a41c7929e42a3088d",
+    (4, 1 / 16): "cf883b8da3baa4d1ebdc3cc31b5075032b25bdd0a77bf12f123c136626bee833",
+    (4, 0.1): "1ae9c89b0c07b572cb97301f9b1499d1cd790892ad5c6c1993b31ecaddea9985",
+    (4, 1 / 4): "e357bf875c84bdc46e3535c82076774c8cbee1e95d187001e21fcc8ab6dd4e96",
 }
 
 
@@ -536,10 +558,11 @@ def loaded_by(*argv, modules=HEAVY_MODULES):
 
 def test_certify_commands_load_no_heavy_modules(tmp_path):
     cert = str(tmp_path / "c.cert")
-    assert loaded_by("flags", "search", "--k", "4", "--gamma", "0.1",
-                     "--out", cert) == []
-    assert loaded_by("verify", "--cert", cert,
-                     modules=HEAVY_MODULES + ("numpy",)) == []
+    heavy = HEAVY_MODULES + ("numpy",)
+    for k in ("3", "4"):
+        assert loaded_by("flags", "search", "--k", k, "--gamma", "0.1",
+                         "--out", cert, modules=heavy) == []
+    assert loaded_by("verify", "--cert", cert, modules=heavy) == []
 
 
 @pytest.mark.parametrize("gammas", ["0.0625", "0.0625,0.25"])

@@ -248,6 +248,8 @@ def test_lemma1_certificate_grid():
         lemma1_certificate(0.0)
     with pytest.raises(ValueError):
         lemma1_certificate(0.3)
+    with pytest.raises(ValueError, match="gamma=1e-300"):
+        lemma1_certificate(1e-300)
 
 
 def test_lemma1_finite_slack_against_construction():
@@ -276,18 +278,63 @@ def test_search_certificate_k4_valid_and_deterministic():
         search_certificate(0.1, k=5)
 
 
-# sha256 of certificate_to_text(search_certificate(gamma, k)), recorded
-# while a subgradient search still followed the two candidates; it never
-# changed a byte, so removing it must not either.
+def _float_search(gamma, k):
+    """(mu, Q, lambda) as search_certificate chose them in numpy floats
+    before it priced its candidates exactly: the Lemma 1 v lifted from
+    the flags' matrices, and the float min_H kappa_H of each candidate."""
+    t = (1.0 + 8.0 * gamma) / (3.0 * gamma)
+    mu1 = 12.0 / t - 16.0 / (t * t)
+    table = product_table(k)
+    coeff = np.array([[-1.0, t - 3.0], [1.0, -1.0]])
+    reps = np.stack([f.rep.dense() for f in table.flags])
+    v = coeff[reps[:, 0, 2:].astype(np.intp),
+              reps[:, 1, 2:].astype(np.intp)].mean(axis=1)
+    order = table.type_order
+    d_c3 = np.array([profile3(h.rep).c3_count
+                     for h in table.types]) / math.comb(order, 3)
+    d_c4 = np.array([profile4(h.rep).c4_count
+                     for h in table.types]) / math.comb(order, 4)
+    p = table.counts / table.total
+
+    def min_kappa(q, mu):
+        return (d_c4 - mu * (d_c3 - gamma) - (p * q).sum(axis=(1, 2))).min()
+
+    f = len(table.flags)
+    candidates = [(np.zeros((f, f)), 0.0),
+                  ((6.0 / (t * t)) * np.outer(v, v), mu1)]
+    q, mu = max(candidates, key=lambda c: min_kappa(*c))
+    return mu, q, float(min_kappa(q, mu)) - certificate.LAMBDA_MARGIN
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_search_certificate_matches_the_float_reference(k):
+    # the exact pricing picks the same candidate: Q and mu agree bit for
+    # bit (signed zeros included) and lambda only in its last bits
+    for i in range(1, 101):
+        gamma = i / 400
+        cert = search_certificate(gamma, k)
+        mu, q, lam = _float_search(gamma, k)
+        assert float(mu).hex() == cert.mu.hex(), i
+        assert [x.hex() for x in q.ravel().tolist()] == \
+            [x.hex() for row in cert.q for x in row], i
+        assert abs(cert.lam - lam) <= 1e-15, i
+        assert verify_certificate(cert).valid, i
+
+
+# sha256 of certificate_to_text(search_certificate(gamma, k)).  The
+# k = 3 bytes date from when a subgradient search still followed the two
+# candidates.  The k = 4 bytes were recorded when the candidates came to
+# be priced by the exact kappa_H instead of in floating point: Q and mu
+# kept every bit, and lambda moved in its last bits.
 CERT_SHA256 = {
     (3, 0.03): "a9dd3dca264349b8a916a349be2fc190bfecf673cf600383f3a261be1dadc15a",
-    (4, 0.03): "e12f4fbc37c3f5c409cfec4ded364a062778d98edbc23ca2a192d7739c33ebe8",
+    (4, 0.03): "1e20be2bfcf5294ce5b9840dc2e17cb1565dcb01d509c6c2a77e76729ea6f012",
     (3, 1 / 16): "3a30afaf5a5af24d4dc02b585699427f43b4284abbd53ccc29cda75f40032e50",
-    (4, 1 / 16): "79043b2abeb176adba1d19fcefd1841b575214f551d9a8efd4973bd143e5d787",
+    (4, 1 / 16): "500d1eb53bc53bc5f5a88a942bdde69e13a9d61874c3f64b4446e4ea34f683d5",
     (3, 0.1): "f29117a679e38adf2cd313560b4a05a9dfe7e16c5fcbfcd5a6b15460a22b99ce",
-    (4, 0.1): "097d114432b5371dd413f844f27714c37e1178179a4f08754f9eebd2d813fbb9",
+    (4, 0.1): "d8deb6103a6f76cfa35261e26be2402437b1d4ef2327f221d66a4d2717a6d7b0",
     (3, 1 / 4): "12d5e3f0953808c59b04c16101c57e9f6f548f258a899fcf1326dfb093792d84",
-    (4, 1 / 4): "6cfac512bb589ceeee299ebc907e908884d81162f35516e45be030e242c43b2b",
+    (4, 1 / 4): "f3d626717bc5d49427691f26bd0033116a6f57e5c2778779e3132f31d5a7cef3",
 }
 
 
