@@ -39,7 +39,8 @@ print("one block row sums to 1:",
 # linear form in the 3-flag densities, giving
 # lambda = 18 gamma^2 / (1 + 8 gamma), less a margin of 1e-12 that pays
 # for rounding the certificate to floats.  The verifier proves it
-# exactly; its slacks kappa_H are exact fractions.
+# exactly; it gives each slack kappa_H as an integer numerator over one
+# common denominator, kappa_den.
 
 gamma = 1 / 16
 cert = lemma1_certificate(gamma)
@@ -47,7 +48,7 @@ rep = verify_certificate(cert)
 print(f"\ngamma = {gamma}: valid = {rep.valid}, lambda = {rep.lam:.8f}"
       f"  (lb_flag = {lb_flag(gamma):.8f})")
 print("slack per 4-type (all ~1e-12, the margin: the bound is tight "
-      "type by type):", ", ".join(f"{float(v):.3g}"
+      "type by type):", ", ".join(f"{v / rep.kappa_den:.3g}"
                                   for v in rep.kappas.values()))
 
 # %%

@@ -1,6 +1,7 @@
 """Flag-algebra certificates, FLAGCERT v1 files, their exact
 verification and the certificate search, in pure Python: `verify
---cert` and `flags search` import no numpy.
+--cert` and `flags search` import no numpy, and neither dataclasses nor
+fractions (Certificate and CertVerification are plain records).
 
 A certificate (gamma, mu, lambda, Q) for flag order k in {3, 4} proves
 c4 >= lambda at c3 = gamma in the limit when Q is positive semidefinite
@@ -13,7 +14,8 @@ exactly.  The floats of a certificate are dyadic rationals and are read
 as such.  It proves Q + delta I >= 0 by a fraction-free pivoted LDL^T,
 with delta the least of 0 and DELTA that succeeds, and then checks
 kappa_H - delta tr(p_H) >= 0 for every H: the shift costs each kappa_H
-delta tr(p_H), since <delta I, p_H> = delta tr(p_H).
+delta tr(p_H), since <delta I, p_H> = delta tr(p_H).  Every kappa_H is
+an integer numerator over one common denominator, kappa_den.
 lemma1_certificate gives the closed-form k = 3 certificate;
 search_certificate returns the better of it (lifted to 4-flags at
 k = 4) and the zero certificate, priced by the same exact kappa_H, and
@@ -31,10 +33,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isfinite, lcm
+from operator import index
 
 from .base import DataFormatError, InternalInvariantError, _read_ascii
 
@@ -50,46 +51,90 @@ DELTA = 1e-13
 LAMBDA_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Sum-of-squares style lower-bound certificate for c4 at c3 = gamma.
-    gamma, mu and lam are floats and q is the symmetric f x f matrix Q
-    as a tuple of float rows, (Q + Q^T) / 2 of the rows given."""
-    k: int
-    gamma: float
-    mu: float
-    lam: float
-    q: tuple
+class _Record:
+    """An immutable record of the fields named by its class's __slots__,
+    in their order: value equality, hashing, a repr that names the
+    fields, pickling, and replace().  A plain class, because dataclasses
+    would load inspect and ast into every `verify --cert` process."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k not in (3, 4):
-            raise ValueError(f"certificates have k = 3 or 4, got {self.k}")
-        f = FLAG_COUNTS[self.k]
-        rows = [[float(x) for x in row] for row in self.q]
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built (so normalised and
+        checked) by the constructor, as a new record is."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())),
+                             **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Certificate(_Record):
+    """Sum-of-squares style lower-bound certificate for c4 at c3 = gamma.
+    k is an int, gamma, mu and lam are floats and q is the symmetric
+    f x f matrix Q as a tuple of float rows, (Q + Q^T) / 2 of the rows
+    given."""
+    __slots__ = ("k", "gamma", "mu", "lam", "q")
+
+    def __init__(self, k, gamma, mu, lam, q):
+        try:
+            k = index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
+        if k not in (3, 4):
+            raise ValueError(f"certificates have k = 3 or 4, got {k}")
+        f = FLAG_COUNTS[k]
+        rows = [[float(x) for x in row] for row in q]
         if len(rows) != f or any(len(row) != f for row in rows):
-            raise ValueError(f"Q must be {f}x{f} for k={self.k}")
-        scalars = [float(x) for x in (self.gamma, self.mu, self.lam)]
+            raise ValueError(f"Q must be {f}x{f} for k={k}")
+        scalars = [float(x) for x in (gamma, mu, lam)]
         if not all(map(isfinite, scalars + sum(rows, []))):
             raise ValueError("certificate entries must be finite")
-        for name, x in zip(("gamma", "mu", "lam"), scalars):
-            object.__setattr__(self, name, x)
-        object.__setattr__(self, "q", tuple(
-            tuple(0.5 * (a + b) for a, b in zip(row, col))
-            for row, col in zip(rows, zip(*rows))))
+        q = tuple(tuple(0.5 * (a + b) for a, b in zip(row, col))
+                  for row, col in zip(rows, zip(*rows)))
+        if not all(map(isfinite, sum(q, ()))):
+            raise ValueError("(Q + Q^T) / 2 overflows")
+        self._set(k, *scalars, q)
 
 
-@dataclass(frozen=True)
-class CertVerification:
-    """The exact verdict.  kappas maps each type code to kappa_H as a
-    Fraction and min_kappa is the least of them; delta is the shift
-    proved (0 or DELTA), nan when Q + DELTA I is not PSD (psd_ok false).
-    valid means psd_ok and kappa_H >= delta tr(p_H) for every H."""
-    valid: bool
-    lam: float
-    min_kappa: Fraction
-    delta: float
-    psd_ok: bool
-    kappas: dict
+class CertVerification(_Record):
+    """The exact verdict.  kappas maps each type code to the integer
+    numerator of kappa_H over the common denominator kappa_den, and
+    min_kappa is the least kappa_H as a float (correctly rounded, as
+    int / int is); delta is the shift proved (0 or DELTA), nan when
+    Q + DELTA I is not PSD (psd_ok false).  valid means psd_ok and
+    kappa_H >= delta tr(p_H) for every H."""
+    __slots__ = ("valid", "lam", "min_kappa", "delta", "psd_ok", "kappas",
+                 "kappa_den")
+
+    def __init__(self, valid, lam, min_kappa, delta, psd_ok, kappas,
+                 kappa_den):
+        self._set(valid, lam, min_kappa, delta, psd_ok, kappas, kappa_den)
 
 
 @lru_cache(maxsize=None)
@@ -169,11 +214,11 @@ def verify_certificate(cert: Certificate) -> CertVerification:
              - lam * lcd * p
              - per_conf * sum(q[ix] * c for ix, c in terms))
         valid = valid and s >= shift * tr * per_conf
-        kappas[code] = Fraction(s, scale)
+        kappas[code] = s
     return CertVerification(
-        valid=valid, lam=cert.lam, min_kappa=min(kappas.values()),
+        valid=valid, lam=cert.lam, min_kappa=min(kappas.values()) / scale,
         delta=(DELTA if shift else 0.0) if psd_ok else float("nan"),
-        psd_ok=psd_ok, kappas=kappas)
+        psd_ok=psd_ok, kappas=kappas, kappa_den=scale)
 
 
 # -- the two candidates ----------------------------------------------------
@@ -249,9 +294,15 @@ def search_certificate(gamma: float, k: int = 3) -> Certificate:
     if all(map(isfinite, sum(q1, []))):
         candidates.append(Certificate(k=k, gamma=gamma, mu=mu1, lam=0.0,
                                       q=q1))
-    kappa, best = max(((verify_certificate(c).min_kappa, c)
-                       for c in candidates), key=lambda kc: kc[0])
-    cert = replace(best, lam=float(kappa) - LAMBDA_MARGIN)
+    best, rep = candidates[0], verify_certificate(candidates[0])
+    for cand in candidates[1:]:
+        r = verify_certificate(cand)
+        # the exact least kappa_H of cand against best's: a/b > c/d
+        # with b, d > 0 is a d > c b; a tie keeps the earlier candidate
+        if (min(r.kappas.values()) * rep.kappa_den
+                > min(rep.kappas.values()) * r.kappa_den):
+            best, rep = cand, r
+    cert = best.replace(lam=rep.min_kappa - LAMBDA_MARGIN)
     if not verify_certificate(cert).valid:
         raise InternalInvariantError("search produced an invalid certificate")
     return cert
@@ -317,8 +368,11 @@ def certificate_from_text(text: str) -> Certificate:
             raise DataFormatError(f"line {5 + r}: bad matrix entry") from None
         if not all(map(isfinite, q[-1])):
             raise DataFormatError(f"line {5 + r}: matrix entries must be finite")
-    return Certificate(k=k, gamma=scalars[0], mu=scalars[1], lam=scalars[2],
-                       q=q)
+    try:
+        return Certificate(k=k, gamma=scalars[0], mu=scalars[1],
+                           lam=scalars[2], q=q)
+    except ValueError as exc:    # the one check left: Q's symmetrisation
+        raise DataFormatError(f"lines 5-{4 + f}: {exc}") from None
 
 
 def write_certificate(cert: Certificate, path) -> None:

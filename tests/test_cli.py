@@ -558,7 +558,10 @@ def loaded_by(*argv, modules=HEAVY_MODULES):
 
 def test_certify_commands_load_no_heavy_modules(tmp_path):
     cert = str(tmp_path / "c.cert")
-    heavy = HEAVY_MODULES + ("numpy",)
+    # numpy, and the stdlib that dataclasses (inspect) and fractions
+    # (decimal) bring, would each cost a fresh process milliseconds
+    heavy = HEAVY_MODULES + ("numpy", "dataclasses", "inspect", "fractions",
+                             "decimal")
     for k in ("3", "4"):
         assert loaded_by("flags", "search", "--k", k, "--gamma", "0.1",
                          "--out", cert, modules=heavy) == []

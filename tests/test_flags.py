@@ -1,7 +1,8 @@
 import hashlib
 import math
-from dataclasses import replace
+import pickle
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -170,7 +171,7 @@ def test_raised_lambda_is_refused():
     # negative, though by less than the old float tolerance of 1e-9
     cert = search_certificate(0.1, k=4)
     assert verify_certificate(cert).valid
-    rep = verify_certificate(replace(cert, lam=cert.lam + 5e-10))
+    rep = verify_certificate(cert.replace(lam=cert.lam + 5e-10))
     assert rep.psd_ok and not rep.valid
     assert -5e-10 < rep.min_kappa < -4e-10
 
@@ -199,7 +200,7 @@ def test_zero_q_proves_without_a_shift():
         rep = verify_certificate(Certificate(k=k, gamma=0.1, mu=0.0, lam=0.0,
                                              q=np.zeros((f, f))))
         assert rep.valid and rep.delta == 0
-        assert isinstance(rep.min_kappa, Fraction) and rep.min_kappa == 0
+        assert min(rep.kappas.values()) == 0 and rep.min_kappa == 0
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -234,6 +235,73 @@ def test_flag_data_file_is_package_data():
 def test_certificate_dimension_mismatch():
     with pytest.raises(ValueError):
         Certificate(k=3, gamma=0.1, mu=0.0, lam=0.0, q=np.zeros((5, 5)))
+
+
+def test_certificate_k_is_an_int():
+    # a float k was once kept as given and wrote 'FLAGCERT v1 3.0 4',
+    # which read_certificate refuses
+    for k in (3.0, 3.5, "3", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            Certificate(k=k, gamma=0.1, mu=0.0, lam=0.0, q=np.zeros((4, 4)))
+    for k in (True, 5, np.int64(2)):
+        with pytest.raises(ValueError, match="k = 3 or 4"):
+            Certificate(k=k, gamma=0.1, mu=0.0, lam=0.0, q=np.zeros((4, 4)))
+
+
+def test_accepted_certificates_round_trip():
+    # whatever the constructor accepts, FLAGCERT writes and reads back
+    # to an equal certificate with the same text
+    rng = np.random.default_rng(5)
+    skew = rng.standard_normal((16, 16)) * 1e-3
+    certs = [
+        Certificate(k=np.int64(4), gamma=np.float64(0.1), mu=np.float32(0.5),
+                    lam=0, q=skew),
+        Certificate(k=np.int32(3), gamma=1 / 16, mu=-0.0, lam=-1e-12,
+                    q=[[-0.0] * 4, [0.0] * 4, [1e-300] * 4, [5e-324] * 4]),
+        Certificate(k=4, gamma=0.25, mu=1e300, lam=-1e300,
+                    q=[tuple(range(16))] * 16),
+        lemma1_certificate(0.07), search_certificate(0.03, 4),
+    ]
+    for cert in certs:
+        assert type(cert.k) is int
+        assert all(type(x) is float for x in
+                   (cert.gamma, cert.mu, cert.lam, *sum(cert.q, ())))
+        text = certificate_to_text(cert)
+        back = certificate_from_text(text)
+        assert back == cert and certificate_to_text(back) == text
+
+
+def test_certificate_record():
+    cert = lemma1_certificate(0.07)
+    same = Certificate(cert.k, cert.gamma, cert.mu, cert.lam, cert.q)
+    assert same == cert and hash(same) == hash(cert)
+    assert same != cert.replace(lam=0.0) and cert != (cert.k, cert.gamma)
+    assert eval(repr(cert), {"Certificate": Certificate}) == cert
+    assert pickle.loads(pickle.dumps(cert)) == cert
+    with pytest.raises(AttributeError):
+        cert.lam = 0.0
+    with pytest.raises(AttributeError):
+        del cert.q
+    # replace() normalises as the constructor does, and knows the fields
+    lower = cert.replace(lam=0, q=[[1.0, 2.0] + [0.0] * 2] + [[0.0] * 4] * 3)
+    assert lower.lam == 0.0 and type(lower.lam) is float
+    assert lower.q[0][1] == lower.q[1][0] == 1.0
+    assert (lower.k, lower.gamma, lower.mu) == (cert.k, cert.gamma, cert.mu)
+    with pytest.raises(TypeError):
+        cert.replace(lambda_=0.0)
+
+
+def test_q_symmetrisation_overflow_is_a_data_error():
+    # finite entries whose mean overflows: refused, not a float('inf')
+    # left for the verifier to trip on
+    big = ("FLAGCERT v1 3 4\n0.1\n0.0\n0.0\n1.7e308 1.7e308 0 0\n"
+           "1.7e308 0 0 0\n" + "0 0 0 0\n" * 2)
+    with pytest.raises(DataFormatError, match=r"lines 5-8: \(Q \+ Q\^T\)"):
+        certificate_from_text(big)
+    with pytest.raises(ValueError, match="overflows"):
+        Certificate(k=3, gamma=0.1, mu=0.0, lam=0.0,
+                    q=[[1e308, 1.7e308, 0, 0], [1.7e308, 0, 0, 0]]
+                    + [[0] * 4] * 2)
 
 
 def test_lemma1_certificate_grid():
@@ -278,22 +346,30 @@ def test_search_certificate_k4_valid_and_deterministic():
         search_certificate(0.1, k=5)
 
 
+@lru_cache(maxsize=None)
+def _type_counts(k):
+    """The product table of order k and, per type, its C3 and C4 counts
+    and the binomials that make them densities, from the numpy code."""
+    table = product_table(k)
+    order = table.type_order
+    return (table,
+            np.array([profile3(h.rep).c3_count for h in table.types]),
+            np.array([profile4(h.rep).c4_count for h in table.types]),
+            math.comb(order, 3), math.comb(order, 4))
+
+
 def _float_search(gamma, k):
     """(mu, Q, lambda) as search_certificate chose them in numpy floats
     before it priced its candidates exactly: the Lemma 1 v lifted from
     the flags' matrices, and the float min_H kappa_H of each candidate."""
     t = (1.0 + 8.0 * gamma) / (3.0 * gamma)
     mu1 = 12.0 / t - 16.0 / (t * t)
-    table = product_table(k)
+    table, c3, c4, c3_den, c4_den = _type_counts(k)
     coeff = np.array([[-1.0, t - 3.0], [1.0, -1.0]])
     reps = np.stack([f.rep.dense() for f in table.flags])
     v = coeff[reps[:, 0, 2:].astype(np.intp),
               reps[:, 1, 2:].astype(np.intp)].mean(axis=1)
-    order = table.type_order
-    d_c3 = np.array([profile3(h.rep).c3_count
-                     for h in table.types]) / math.comb(order, 3)
-    d_c4 = np.array([profile4(h.rep).c4_count
-                     for h in table.types]) / math.comb(order, 4)
+    d_c3, d_c4 = c3 / c3_den, c4 / c4_den
     p = table.counts / table.total
 
     def min_kappa(q, mu):
@@ -319,6 +395,48 @@ def test_search_certificate_matches_the_float_reference(k):
             [x.hex() for row in cert.q for x in row], i
         assert abs(cert.lam - lam) <= 1e-15, i
         assert verify_certificate(cert).valid, i
+
+
+def _exact_kappas(cert):
+    """Each type code's kappa_H for cert as a Fraction, by the formula of
+    the float pricer above, from the numpy product table and profiles."""
+    table, c3, c4, c3_den, c4_den = _type_counts(cert.k)
+    gamma, mu, lam = map(Fraction, (cert.gamma, cert.mu, cert.lam))
+    values, where = np.unique(np.array(cert.q).ravel(), return_inverse=True)
+    # weight[h, u]: the count of type h on the entries of Q equal to values[u]
+    weight = (table.counts.reshape(len(table.types), -1)
+              @ np.eye(len(values), dtype=np.int64)[where.ravel()])
+    values = [Fraction(x) for x in values.tolist()]
+    kappas = {}
+    for h, a, b, w in zip(table.types, c3.tolist(), c4.tolist(),
+                          weight.tolist()):
+        pq = sum(x * c for x, c in zip(values, w) if c) / table.total
+        kappas[h.code] = (Fraction(b, c4_den) - mu * (Fraction(a, c3_den)
+                                                      - gamma) - pq - lam)
+    return kappas
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_verifier_kappas_are_exact(k):
+    # the integer numerators over kappa_den are the kappa_H of the numpy
+    # product table, and min_kappa is the least of them rounded once
+    for i in range(1, 101):
+        cert = search_certificate(i / 400, k)
+        rep, exact = verify_certificate(cert), _exact_kappas(cert)
+        assert type(rep.kappa_den) is int and rep.kappa_den > 0
+        assert {code: Fraction(num, rep.kappa_den)
+                for code, num in rep.kappas.items()} == exact, i
+        assert rep.min_kappa == float(min(exact.values())), i
+
+
+@pytest.mark.parametrize("gamma", [1 / 16, 1 / 4])
+def test_dyadic_t_proves_without_a_shift(gamma):
+    # t = (1 + 8 gamma) / (3 gamma) is 8 at 1/16 and 4 at 1/4, so Q =
+    # (6/t^2) v v^T is exact in floats and PSD as it stands
+    assert verify_certificate(lemma1_certificate(gamma)).delta == 0
+    for k in (3, 4):
+        rep = verify_certificate(search_certificate(gamma, k))
+        assert rep.valid and rep.delta == 0, k
 
 
 # sha256 of certificate_to_text(search_certificate(gamma, k)).  The
