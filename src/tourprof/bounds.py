@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -57,6 +57,29 @@ def lb_flag(c3: float) -> float:
     """c4 >= 18 c3^2 / (1 + 8 c3); equals 3/64 at c3 = 1/16 and 3/8 at 1/4."""
     c3 = _check_c3(c3)
     return 18.0 * c3 * c3 / (1.0 + 8.0 * c3)
+
+
+def lb_flag_n(n: int, c3_count: int) -> Fraction:
+    """The exact c4 density floor of an n-vertex tournament with c3_count
+    cyclic triangles, n >= 4: with g = c3/C(n,3), t = (1 + 8g)/(3g) and
+    lambda(g) = 18 g^2/(1 + 8g), which is lb_flag(g),
+
+        floor_n = lambda(g) - (6/t^2)((t - 3)^2 g + 1 - g)/(n - 3),
+
+    and 0 at c3 = 0.  It is Lemma 1 at finite n: with N_e the counts
+    (cyc, thru, dom_out, dom_in) of arc e and v = (t - 3, 1, -1, -1),
+
+        c4/C(n,4) = floor_n + (6/t^2) sum_e (v . N_e)^2 / (12 C(n,4)),
+
+    so a tournament below it is a miscount.  In c = c3_count and
+    N3 = C(n,3) it is 6c (3c(n - 3) - N3 + c) / ((n - 3) N3 (N3 + 8c))."""
+    n3 = comb(n, 3)
+    if n < 4 or not 0 <= c3_count <= n3:
+        raise ValueError(f"need n >= 4 and 0 <= c3_count <= C(n,3), got "
+                         f"n={n}, c3_count={c3_count}")
+    c = c3_count
+    return Fraction(6 * c * (3 * c * (n - 3) - n3 + c),
+                    (n - 3) * n3 * (n3 + 8 * c))
 
 
 def ub_c4_from_c3(c3: float) -> float:

@@ -18,8 +18,9 @@ delta tr(p_H), since <delta I, p_H> = delta tr(p_H).  Every kappa_H is
 an integer numerator over one common denominator, kappa_den.
 lemma1_certificate gives the closed-form k = 3 certificate;
 search_certificate returns the better of it (lifted to 4-flags at
-k = 4) and the zero certificate, priced by the same exact kappa_H, and
-does not search beyond those two candidates.
+k = 4) and the zero certificate, priced by the same exact kappa_H
+(`_kappas`), and does not search beyond those two candidates; only the
+one it returns goes through the PSD proof.
 
 The data come from DATA_FILE, which `tourprof flags data` writes from
 flags.product_table(k) and the profile counts, and which a test rebuilds
@@ -182,11 +183,12 @@ def _is_psd(a: list) -> bool:
     return True
 
 
-def verify_certificate(cert: Certificate) -> CertVerification:
-    """Decide exactly whether cert proves c4 >= lambda at c3 = gamma (see
-    the module docstring): every float is the integer X / 2^E over one
-    common power of two, and each kappa_H is summed in integers over the
-    common denominator L 4^E, with L = lcm(C(N,3), C(N,4), total)."""
+def _kappas(cert: Certificate) -> tuple:
+    """(q, delta, per_conf, kappas, kappa_den): every float of cert as
+    the integer X / 2^E over one common power of two, q the flat Q and
+    delta DELTA, and each kappa_H summed in integers over the common
+    denominator kappa_den = L 4^E, with L = lcm(C(N,3), C(N,4), total);
+    a type's <I, p_H> is tr(p_H) per_conf / kappa_den."""
     order, total, types = _types(cert.k)
     scalars = (cert.gamma, cert.mu, cert.lam, DELTA)
     qflat = [x for row in cert.q for x in row]
@@ -194,6 +196,21 @@ def verify_certificate(cert: Certificate) -> CertVerification:
     e = max(den.bit_length() - 1 for _, den in ratios)
     g, m, lam, delta, *q = [num << (e - den.bit_length() + 1)
                             for num, den in ratios]
+    c3_den, c4_den = comb(order, 3), comb(order, 4)
+    lcd = lcm(c3_den, c4_den, total)
+    p, per_conf = 1 << e, (lcd // total) << e
+    kappas = {code: c4 * (lcd // c4_den) * p * p
+              - m * (c3 * (lcd // c3_den) * p - g * lcd)
+              - lam * lcd * p
+              - per_conf * sum(q[ix] * c for ix, c in terms)
+              for code, c3, c4, _, terms in types}
+    return q, delta, per_conf, kappas, lcd << (2 * e)
+
+
+def verify_certificate(cert: Certificate) -> CertVerification:
+    """Decide exactly whether cert proves c4 >= lambda at c3 = gamma (see
+    the module docstring), from the integers of `_kappas`."""
+    q, delta, per_conf, kappas, scale = _kappas(cert)
     f = len(cert.q)
     psd_ok = False
     for shift in (0, delta):
@@ -203,18 +220,8 @@ def verify_certificate(cert: Certificate) -> CertVerification:
         if _is_psd(a):
             psd_ok = True
             break
-    c3_den, c4_den = comb(order, 3), comb(order, 4)
-    lcd = lcm(c3_den, c4_den, total)
-    p, per_conf = 1 << e, (lcd // total) << e
-    scale = lcd << (2 * e)
-    kappas, valid = {}, psd_ok
-    for code, c3, c4, tr, terms in types:
-        s = (c4 * (lcd // c4_den) * p * p
-             - m * (c3 * (lcd // c3_den) * p - g * lcd)
-             - lam * lcd * p
-             - per_conf * sum(q[ix] * c for ix, c in terms))
-        valid = valid and s >= shift * tr * per_conf
-        kappas[code] = s
+    valid = psd_ok and all(kappas[code] >= shift * tr * per_conf
+                           for code, _, _, tr, _ in _types(cert.k)[2])
     return CertVerification(
         valid=valid, lam=cert.lam, min_kappa=min(kappas.values()) / scale,
         delta=(DELTA if shift else 0.0) if psd_ok else float("nan"),
@@ -294,15 +301,15 @@ def search_certificate(gamma: float, k: int = 3) -> Certificate:
     if all(map(isfinite, sum(q1, []))):
         candidates.append(Certificate(k=k, gamma=gamma, mu=mu1, lam=0.0,
                                       q=q1))
-    best, rep = candidates[0], verify_certificate(candidates[0])
-    for cand in candidates[1:]:
-        r = verify_certificate(cand)
+    best = None
+    for cand in candidates:
+        *_, kappas, den = _kappas(cand)
+        least = min(kappas.values())
         # the exact least kappa_H of cand against best's: a/b > c/d
         # with b, d > 0 is a d > c b; a tie keeps the earlier candidate
-        if (min(r.kappas.values()) * rep.kappa_den
-                > min(rep.kappas.values()) * r.kappa_den):
-            best, rep = cand, r
-    cert = best.replace(lam=rep.min_kappa - LAMBDA_MARGIN)
+        if best is None or least * best_den > best_least * den:
+            best, best_least, best_den = cand, least, den
+    cert = best.replace(lam=best_least / best_den - LAMBDA_MARGIN)
     if not verify_certificate(cert).valid:
         raise InternalInvariantError("search produced an invalid certificate")
     return cert

@@ -31,8 +31,8 @@ c4 from t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4, and w and l from the
 degree sums.  So it folds the blocks into exact sums and never holds G:
 each block's sum and sum of squares in int64 (the squares, below
 2**24, are int32 while n <= 4096), then as Python ints.
-`edge_stats` and `paths_matrix` read every entry of G, so they fill it
-whole, as integers, from the same blocks (`_gram`).
+`edge_stats` reads every entry of G, so it fills it whole, as
+integers, from the same blocks (`_gram`).
 
 `edge_stats` gathers G at the arcs for the per-arc answers (the
 edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
@@ -40,8 +40,7 @@ edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
 edge drawn uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc
 = 3 c3, sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4
 and sum_e cyc * thru = 2 c4), which `verify_identities` checks at the
-arcs.  `FlipState` keeps the path matrix P2 = A A = d 1^T - A - G
-(`paths_matrix`).
+arcs.  `FlipState` keeps G itself, updated in place across flips.
 """
 
 from __future__ import annotations
@@ -273,10 +272,15 @@ def _gram(t: Tournament) -> np.ndarray:
     _check_exact(n)     # before G is allocated: the generator checks late
     g = np.empty((n, n), np.min_scalar_type(n - 1))
     for r0, c0, block in _gram_blocks(t):
-        r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
-        g[r0:r1, c0:c1] = block
-        g[c0:c1, r0:r1] = block.T
+        _put(g, r0, c0, block)
     return g
+
+
+def _put(g: np.ndarray, r0: int, c0: int, block: np.ndarray) -> None:
+    """Write a block of `_gram_blocks` and its mirror image into g."""
+    r1, c1 = r0 + block.shape[0], c0 + block.shape[1]
+    g[r0:r1, c0:c1] = block
+    g[c0:c1, r0:r1] = block.T
 
 
 def paths_matrix(t: Tournament) -> np.ndarray:
@@ -287,15 +291,6 @@ def paths_matrix(t: Tournament) -> np.ndarray:
     p2 = t.out_degrees()[:, None] - g
     p2 -= t.dense()
     return p2
-
-
-def _sum_and_squares(g: np.ndarray) -> tuple[int, int]:
-    """(sum g, sum g**2) over an integer block of G, summed in int64.  g
-    is squared in place: its entries are below 2**b, so the squares fit
-    int32 while 2b <= 24 and int64 under `_check_exact`."""
-    total = int(g.sum(dtype=np.int64))
-    g *= g
-    return total, int(g.sum(dtype=np.int64))
 
 
 def profile4(t: Tournament) -> Profile4Counts:
@@ -311,22 +306,36 @@ def profile4(t: Tournament) -> Profile4Counts:
     and sum_v C(e_v, 3) those with a sink, the T4 and W sets.  Beside
     diag G = d, which `_gram_blocks` checks, G is checked against
     sum_{u!=v} G = 2 sum_w C(e_w, 2), since w is a common out-neighbour
-    of each ordered pair of its in-neighbours.
-
-    The sums are folded from the blocks of `_gram_blocks`, with weight 1
-    on the lanes of a diagonal block and 2 on the blocks right of them.
-    A block's sums, of G or of G^2, are int64 (below 2^17 (n - 1)^2)
-    and become Python ints before they are doubled or added up."""
+    of each ordered pair of its in-neighbours."""
     n = t.n
     if n < 4:
         return Profile4Counts(n, 0, 0, 0, 0)
-    sum_g = sum_g2 = 0                  # over all u, v: diagonal included
+    sums = _fold_gram(t)                # checks n before anything is read
+    return _profile4_from_sums(n, t.out_degrees(), *sums)
+
+
+def _fold_gram(t: Tournament, visit=None) -> tuple[int, int]:
+    """(sum G, sum G^2) over all u, v from one pass of `_gram_blocks`,
+    weight 1 on the lanes of a diagonal block and 2 right of them, as
+    Python ints from each block's int64 sums (below 2^17 (n - 1)^2).
+    `visit(r0, c0, g)`, if given, sees each block before it is squared
+    in place: its entries are below 2^b, so the squares fit int32 while
+    2b <= 24 and int64 under `_check_exact`."""
+    sum_g = sum_g2 = 0
     for r0, c0, g in _gram_blocks(t):
+        if visit is not None:
+            visit(r0, c0, g)
         weight = 1 if c0 < r0 + 2 * _GRAM_ROWS else 2
-        s, s2 = _sum_and_squares(g)
-        sum_g, sum_g2 = sum_g + weight * s, sum_g2 + weight * s2
+        sum_g += weight * int(g.sum(dtype=np.int64))
+        g *= g
+        sum_g2 += weight * int(g.sum(dtype=np.int64))
         del g                           # freed before the next product
-    d = t.out_degrees()
+    return sum_g, sum_g2
+
+
+def _profile4_from_sums(n: int, d: np.ndarray, sum_g: int,
+                        sum_g2: int) -> Profile4Counts:
+    """`profile4`'s counts from the out-degrees d and `_fold_gram`'s sums."""
     e = n - 1 - d
     comb2_d, pairs = _sum_comb2(d), comb(n, 2)    # pairs = sum_v d_v
     sum_g -= pairs
@@ -574,72 +583,61 @@ def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     return SampleProfile4(n=n, samples=samples, counts=counts)
 
 
-def flip_delta(p: int, d_src: int, d_dst: int, w: int) -> tuple[int, int]:
-    """(dc3, dc4) of reversing the arc src -> dst from p = P2[src, dst],
-    both degrees and w = (P2[src] + P2[dst] + deg) . (A[src] - A[dst])."""
-    q = p + 1 + d_dst - d_src
-    return d_src - d_dst - 1, (p * (p - 1) // 2 - q * (q - 1) // 2
-                               + (p + 1) * (1 - d_src) + q * d_dst + w)
+def flip_delta(d_src: int, d_dst: int, w: int) -> tuple[int, int]:
+    """(dc3, dc4) of reversing the arc src -> dst from both out-degrees
+    and w = (G[src] + G[dst] - deg) . (A[src] - A[dst]), as polynomials:
+    C(x, 2) = x (x - 1) / 2, so C(-1, 2) = 1."""
+    return d_src - d_dst - 1, ((d_src - 1) * (d_src - 2)
+                               - (d_dst - 1) * (d_dst - 2)) // 2 + 1 - w
 
 
 class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
-    Keeps A as an int64 matrix, the out-degree vector deg and the path
-    matrix P2[a, b] = #{w : a -> w -> b}, built as P2 = deg 1^T - A - G
-    from the Gram matrix G = A A^T (`paths_matrix`); c4 starts from
-    `profile4`.  For an arc u -> v, the n - 2 other vertices split into
-    cyc = P2[v, u], thru = P2[u, v] and the dominated counts
-    deg[u] - 1 - thru and n - 2 - deg[v] - thru, which sum to the degree
-    identity
+    Keeps A as an int64 matrix, the out-degrees deg and G = A A^T in
+    int64 (diag G = deg), filled by one pass of `_gram_blocks` that also
+    gives c4.  An arc u -> v has thru = P2[u, v] = deg[u] - 1 - G[u, v]
+    and cyc = P2[v, u] = deg[v] - G[u, v], where P2 = A A =
+    deg 1^T - A - G counts 2-paths.  Reversing src -> dst changes c3 by
+    thru - cyc = deg[src] - deg[dst] - 1 and c4 by C(p, 2) - C(q, 2) + q
+    with p = thru, q = cyc, plus the sum of P2[dst, x] + P2[x, src] over
+    x in F + dst less that of P2[src, x] + P2[x, dst] over x in B, where
+    F = {x : src -> x -> dst} and B = {x : dst -> x -> src}.  F + dst
+    less B is A[src] - A[dst]; written by G, every G[src, dst] cancels:
 
-        P2[v, u] = P2[u, v] + 1 + deg[v] - deg[u].
+        dc4 = C(deg[src] - 1, 2) - C(deg[dst] - 1, 2) + 1
+              - (G[src] + G[dst] - deg) . (A[src] - A[dst]),
 
-    `arc_delta` prices reversing the arc src -> dst without changing any
-    state.  With p = P2[src, dst], q = P2[dst, src], F = {x : src -> x ->
-    dst} and B = {x : dst -> x -> src}, dc3 = p - q and
+    two degrees and one dot product of contiguous rows (`flip_delta`).
+    `arc_delta` prices one arc and `pair_terms` many unordered pairs at
+    once, before orientation; neither changes the state.  `commit` adds
+    a priced delta to the counts, moves one unit of out-degree from src
+    to dst and reverses the arc in place, on row and column views kept
+    from construction, in the order
 
-        dc4 = C(p, 2) - C(q, 2) + q
-              - sum_{x in B} (P2[src, x] + P2[x, dst])
-              + sum_{x in F + dst} (P2[dst, x] + P2[x, src]),
+        G[src, :] -= A[:, dst];  A[src, dst] = 0;  G[:, src] -= A[:, dst]
+        G[:, dst] += A[:, src];  A[dst, src] = 1;  G[dst, :] += A[:, src]
 
-    where the term of dst itself is P2[dst, dst] + P2[dst, src] = q.
-    Each column entry there sits at an arc: dst -> x for x in B and
-    src -> x for x in F + dst, so the identity turns it into a row entry
-    plus 1 + deg[x] - deg[dst] or 1 + deg[x] - deg[src].  Since
-    |F + dst| = p + 1, |B| = q and the indicator of F + dst minus that
-    of B is the integer row difference A[src] - A[dst],
-
-        dc4 = C(p, 2) - C(q, 2) + (p + 1)(1 - deg[src]) + q deg[dst]
-              + (P2[src] + P2[dst] + deg) . (A[src] - A[dst]):
-
-    two contiguous rows of P2 and of A, and one dot product.  With the
-    identity for q and Goodman's dc3 = deg[src] - deg[dst] - 1, p is the
-    only entry of P2 that `flip_delta` needs.  `pair_terms` gathers
-    these terms for many unordered pairs at once, before orientation.
-
-    `commit` adds a priced delta to the counts, moves one unit of
-    out-degree from src to dst and reverses the arc by four rank-1
-    updates of rows and columns src and dst of P2, in place on views
-    kept from construction.  It clears A[src, dst] first, so the updates
-    read a matrix that is 0 at (src, dst) and (dst, src): the diagonal
-    of P2 stays 0.  `delta(u, v)` and `flip(u, v)` price and make the
-    flip of an unordered pair, checked.  c3 and c4 fix t4 through
-    t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
+    so each diagonal entry moves once: G stays symmetric with
+    diag G = deg and needs no reset.  `delta(u, v)` and `flip(u, v)`
+    price and make the flip of an unordered pair, checked.  c3 and c4
+    fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
-        self.n = t.n
-        if self.n < 4:
+        self.n = n = t.n
+        if n < 4:
             raise TournamentError("FlipState needs n >= 4")
+        _check_exact(n)                     # before anything n x n
         self.a = t.dense().astype(np.int64)
         self.deg = t.out_degrees().copy()     # commit moves degrees
-        self.p2 = paths_matrix(t)
+        self.g = np.empty((n, n), np.int64)
+        sums = _fold_gram(t, lambda *block: _put(self.g, *block))
         self.c3_count = profile3(t).c3_count
-        self.c4_count = profile4(t).c4_count
+        self.c4_count = _profile4_from_sums(n, self.deg, *sums).c4_count
         self._a_rows, self._a_cols = list(self.a), list(self.a.T)
-        self._p2_rows, self._p2_cols = list(self.p2), list(self.p2.T)
-        self._w, self._d = np.empty((2, self.n), np.int64)   # arc_delta's
+        self._g_rows, self._g_cols = list(self.g), list(self.g.T)
+        self._w, self._d = np.empty((2, n), np.int64)   # arc_delta's
 
     # -- derived views --------------------------------------------------
 
@@ -662,29 +660,26 @@ class FlipState:
     def arc_delta(self, src: int, dst: int) -> tuple[int, int]:
         """(dc3, dc4) of reversing src -> dst, which must be a current
         arc (not checked); the state is unchanged."""
-        deg, p2_rows, a_rows = self.deg, self._p2_rows, self._a_rows
-        d_src, d_dst = deg.item(src), deg.item(dst)
-        w = np.add(p2_rows[src], p2_rows[dst], out=self._w)
-        w += deg
+        deg, g_rows, a_rows = self.deg, self._g_rows, self._a_rows
+        w = np.add(g_rows[src], g_rows[dst], out=self._w)
+        w -= deg
         d = np.subtract(a_rows[src], a_rows[dst], out=self._d)
-        return flip_delta(self.p2.item(src, dst), d_src, d_dst,
-                          int(w.dot(d)))
+        return flip_delta(deg.item(src), deg.item(dst), int(w.dot(d)))
 
-    def pair_terms(self, u: np.ndarray, v: np.ndarray, uv: np.ndarray,
-                   vu: np.ndarray) -> tuple[list, ...]:
-        """(A[u, v], P2[u, v], P2[v, u], deg[u], deg[v], W) for each
-        pair u[i] != v[i] against the same state, as lists of ints, with
-        W = (P2[u] + P2[v] + deg) . (A[u] - A[v]); uv and vu are the flat
-        indices u*n + v and v*n + u.  The state is unchanged."""
-        p2, deg, a = self.p2, self.deg, self.a
-        w = p2.take(u, axis=0)
-        w += p2.take(v, axis=0)
-        w += deg
+    def pair_terms(self, u: np.ndarray, v: np.ndarray,
+                   uv: np.ndarray) -> tuple[list, ...]:
+        """(A[u, v], deg[u], deg[v], W) for each pair u[i] != v[i]
+        against the same state, as lists of ints, with
+        W = (G[u] + G[v] - deg) . (A[u] - A[v]); uv is the flat index
+        u*n + v.  The state is unchanged."""
+        g, deg, a = self.g, self.deg, self.a
+        w = g.take(u, axis=0)
+        w += g.take(v, axis=0)
+        w -= deg
         d = a.take(u, axis=0)
         d -= a.take(v, axis=0)
         w *= d
-        return (a.take(uv).tolist(), p2.take(uv).tolist(),
-                p2.take(vu).tolist(), deg.take(u).tolist(),
+        return (a.take(uv).tolist(), deg.take(u).tolist(),
                 deg.take(v).tolist(), w.sum(axis=1).tolist())
 
     def delta(self, u: int, v: int) -> tuple[int, int]:
@@ -694,14 +689,13 @@ class FlipState:
     def commit(self, src: int, dst: int, dc3: int, dc4: int) -> None:
         """Reverse the current arc src -> dst (not checked) and add its
         delta, as priced by arc_delta, to the counts."""
-        a_rows, a_cols = self._a_rows, self._a_cols
-        p2_rows, p2_cols = self._p2_rows, self._p2_cols
-        self.a[src, dst] = 0        # first: keeps the diagonal of P2 at 0
-        np.subtract(p2_rows[src], a_rows[dst], out=p2_rows[src])
-        np.add(p2_cols[src], a_cols[dst], out=p2_cols[src])
-        np.add(p2_rows[dst], a_rows[src], out=p2_rows[dst])
-        np.subtract(p2_cols[dst], a_cols[src], out=p2_cols[dst])
+        a_cols, g_rows, g_cols = self._a_cols, self._g_rows, self._g_cols
+        np.subtract(g_rows[src], a_cols[dst], out=g_rows[src])
+        self.a[src, dst] = 0
+        np.subtract(g_cols[src], a_cols[dst], out=g_cols[src])
+        np.add(g_cols[dst], a_cols[src], out=g_cols[dst])
         self.a[dst, src] = 1
+        np.add(g_rows[dst], a_cols[src], out=g_rows[dst])
         self.deg[src] -= 1
         self.deg[dst] += 1
 
@@ -713,19 +707,25 @@ class FlipState:
         src, dst = self._arc(u, v)
         self.commit(src, dst, *self.arc_delta(src, dst))
 
+    def _check_block(self, r0: int, c0: int, block: np.ndarray) -> None:
+        """Raise unless a recounted block of G and its mirror match G."""
+        for r, c, b in ((r0, c0, block), (c0, r0, block.T)):
+            mine = self.g[r:r + b.shape[0], c:c + b.shape[1]]
+            if not np.array_equal(mine, b):
+                i, j = np.argwhere(mine != b)[0].tolist()
+                raise InternalInvariantError(
+                    f"G matrix drifted at n={self.n}: first difference at "
+                    f"({r + i}, {c + j}), tracked {int(mine[i, j])} vs "
+                    f"recount {int(b[i, j])}")
+
     def audit(self) -> None:
-        """Recount P2, deg, c3, c4 and t4 from scratch; raise on any
-        drift, naming what drifted, n and both values (t4 checks the
-        identity that derives it from c3 and c4)."""
+        """Recount G, deg, c3, c4 and t4 from scratch, in one pass of
+        `_gram_blocks` over a snapshot of A and no second n x n matrix;
+        raise on any drift, naming what drifted, n and both values (t4
+        checks the identity that derives it from c3 and c4)."""
         n = self.n
         t = self.tournament()
-        p2 = paths_matrix(t)
-        if not np.array_equal(p2, self.p2):
-            r, c = (int(i) for i in np.argwhere(p2 != self.p2)[0])
-            raise InternalInvariantError(
-                f"P2 matrix drifted at n={n}: first difference at "
-                f"({r}, {c}), tracked {int(self.p2[r, c])} vs recount "
-                f"{int(p2[r, c])}")
+        sums = _fold_gram(t, self._check_block)
         deg = t.out_degrees()
         if not np.array_equal(deg, self.deg):
             x = int(np.flatnonzero(deg != self.deg)[0])
@@ -733,7 +733,7 @@ class FlipState:
                 f"degree vector drifted at n={n}: first difference at "
                 f"vertex {x}, tracked {int(self.deg[x])} vs recount "
                 f"{int(deg[x])}")
-        p4 = profile4(t)
+        p4 = _profile4_from_sums(n, deg, *sums)
         recount = {"c3": profile3(t).c3_count, "c4": p4.c4_count,
                    "t4": p4.t4_count}
         tracked = {"c3": self.c3_count, "c4": self.c4_count,

@@ -20,7 +20,8 @@ in a row have been rejected, the next k are known in advance (pairs at
 stream indices pos + 3i and pos + 3i + 1): after an accept, _SCALAR_RUN
 are priced alone by FlipState.arc_delta, then batches of _FIRST_BATCH,
 doubling up to _MAX_BATCH, are gathered by FlipState.pair_terms until
-one holds an accept.  The loop orients a gathered pair and finishes its
+one holds an accept.  A price is two degrees and one dot product over
+rows of G and A; the loop orients a gathered pair and finishes its
 delta (profiles.flip_delta) only when it reaches it, and takes every
 float decision (the penalized objective, delta <= 0, the exponential
 against the uniform, the cooling step) once per proposal and in order,
@@ -49,13 +50,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .bounds import conjectured_min_c4, lb_flag
+from .bounds import conjectured_min_c4, lb_flag_n
 from .core import (BlowupSpec, InternalInvariantError, Tournament,
                    TournamentError, blowup, random_tournament, transitive)
 from .profiles import (FlipState, Profile3Counts, Profile4Counts,
@@ -70,9 +72,10 @@ _FIRST_BATCH = 8        # then batches of proposals, doubling in size
 _MAX_BATCH = 64         # up to this many; also the warmup's batch size
 _WINDOW = 1024          # stream values fetched from rng.values at a time
 
-# traced peak 28.3-28.8 n^2 bytes at n = 1000-2000: A, P2, an audit's P2
-_ANNEAL_BYTES_PER_N2 = 29
-_ANNEAL_MAX_N = math.isqrt((2 << 30) // _ANNEAL_BYTES_PER_N2)     # 8605
+# traced peak 19.5, 18.9 and 18.5 n^2 bytes at n = 1500, 2000 and 3000:
+# A and G in int64, two bool snapshots of A and about 3 MB of Gram tiles
+_ANNEAL_BYTES_PER_N2 = 20
+_ANNEAL_MAX_N = math.isqrt((2 << 30) // _ANNEAL_BYTES_PER_N2)     # 10362
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ class _Window:
     rng.values from stream index `base`: the values as uniforms, and at
     each index j the proposal that draws j and j + 1, u = below(n) and v
     among the other n - 1 vertices, as lists `u` and `v` and as `pairs`,
-    rows u, v, u*n + v and v*n + u for FlipState.pair_terms."""
+    rows u, v and u*n + v for FlipState.pair_terms."""
 
     def __init__(self, seed: int, n: int):
         self.seed, self.n = seed, n
@@ -186,7 +189,7 @@ class _Window:
             v = rng.below(vals[1:], n - 1)
             v += v >= u
             self.u, self.v = u.tolist(), v.tolist()
-            self.pairs = np.stack((u, v, u * n + v, v * n + u))
+            self.pairs = np.stack((u, v, u * n + v))
             self.uniform = (vals[:-1] / 2.0**64).tolist()
         return off
 
@@ -196,7 +199,8 @@ def anneal(n: int, gamma: float, seed: int,
            schedule: Optional[AnnealSchedule] = None) -> AnnealResult:
     """Minimize c4 + penalty*(c3 - gamma)^2 over n-vertex tournaments by
     simulated annealing.  Deterministic in (n, gamma, seed, penalty,
-    schedule).  Returns the best state seen, re-profiled exactly."""
+    schedule).  Returns the best state seen, re-profiled exactly; its c4
+    below the proved floor bounds.lb_flag_n is a miscount, raised."""
     if n < 8:
         raise ValueError("annealing needs n >= 8")
     if not 0.0 <= gamma <= 0.25 + 1e-12:
@@ -224,11 +228,10 @@ def anneal(n: int, gamma: float, seed: int,
     for start in range(0, schedule.warmup, _MAX_BATCH):
         k = min(_MAX_BATCH, schedule.warmup - start)
         off = window.at(2 * start, 2 * k)
-        fwd, puv, pvu, du, dv, w = state.pair_terms(
-            *window.pairs[:, off:off + 2 * k:2])
+        fwd, du, dv, w = state.pair_terms(*window.pairs[:, off:off + 2 * k:2])
         for i in range(k):
-            dc3, dc4 = (flip_delta(puv[i], du[i], dv[i], w[i]) if fwd[i]
-                        else flip_delta(pvu[i], dv[i], du[i], -w[i]))
+            dc3, dc4 = (flip_delta(du[i], dv[i], w[i]) if fwd[i]
+                        else flip_delta(dv[i], du[i], -w[i]))
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
@@ -260,13 +263,12 @@ def anneal(n: int, gamma: float, seed: int,
                 src, dst = dst, src
             dc3, dc4 = state.arc_delta(src, dst)
         else:
-            fwd, puv, pvu, du, dv, w = state.pair_terms(
+            fwd, du, dv, w = state.pair_terms(
                 *window.pairs[:, off:off + 3 * k:3])
         for i in range(k):
             if k > 1:
-                dc3, dc4 = (flip_delta(puv[i], du[i], dv[i], w[i])
-                            if fwd[i] else
-                            flip_delta(pvu[i], dv[i], du[i], -w[i]))
+                dc3, dc4 = (flip_delta(du[i], dv[i], w[i]) if fwd[i]
+                            else flip_delta(dv[i], du[i], -w[i]))
             new = penalized(c3 + dc3, c4 + dc4)
             delta = new - cur
             accept = delta <= 0.0 or (uniform[off + 3 * i + 2]
@@ -304,13 +306,11 @@ def anneal(n: int, gamma: float, seed: int,
         raise InternalInvariantError(
             f"best-state bookkeeping diverged from recount at n={n}: "
             f"tracked objective {best!r} vs recount {best_exact!r}")
-    # Sanity floor: no tournament can beat the Cauchy-Schwarz bound by
-    # more than the finite-n correction; a violation means miscounting.
-    c3f = min(p3.c3, 0.25)
-    if c3f > 0 and p4.c4 < lb_flag(c3f) - 5.0 / n:
+    floor = lb_flag_n(n, p3.c3_count)
+    if Fraction(p4.c4_count, comb(n, 4)) < floor:
         raise InternalInvariantError(
-            f"annealed c4={p4.c4:.6f} below analytic floor at "
-            f"c3={p3.c3:.6f}")
+            f"annealed c4={p4.c4:.6f} below the exact floor "
+            f"{float(floor):.6f} at n={n}, c3={p3.c3:.6f}")
     return AnnealResult(n=n, gamma=gamma, penalty=penalty, seed=seed,
                         tournament=best_t, profile3=p3, profile4=p4,
                         objective=best_exact, initial_objective=initial,

@@ -73,6 +73,14 @@ def brute_two_paths(t: Tournament):
              for y in range(t.n)] for x in range(t.n)]
 
 
+def brute_common_out(t: Tournament):
+    """Nested lists G[x][y] = #{w : x -> w and y -> w}, by walking every
+    triple."""
+    a = t.dense()
+    return [[sum(1 for w in range(t.n) if a[x, w] and a[y, w])
+             for y in range(t.n)] for x in range(t.n)]
+
+
 def brute_counts3_via_matrix(dense: np.ndarray):
     """c3 count from an int64 path matrix product, independent of the
     float32 kernel and of FlipState (exact in int64 for n < 2^20)."""
@@ -262,7 +270,7 @@ def scalar_anneal(n, gamma, seed, penalty=None, schedule=None):
     import math
 
     from tourprof import rng
-    from tourprof.bounds import lb_flag
+    from tourprof.bounds import lb_flag_n
     from tourprof.core import InternalInvariantError
     from tourprof.profiles import FlipState, profile3, profile4
     from tourprof.search import (DEFAULT_PENALTY, AnnealResult,
@@ -333,13 +341,12 @@ def scalar_anneal(n, gamma, seed, penalty=None, schedule=None):
         raise InternalInvariantError(
             f"best-state bookkeeping diverged from recount at n={n}: "
             f"tracked objective {best!r} vs recount {best_exact!r}")
-    # Sanity floor: no tournament can beat the Cauchy-Schwarz bound by
-    # more than the finite-n correction; a violation means miscounting.
-    c3f = min(p3.c3, 0.25)
-    if c3f > 0 and p4.c4 < lb_flag(c3f) - 5.0 / n:
+    # Lemma 1 at finite n is an exact floor: below it means miscounting.
+    floor = lb_flag_n(n, p3.c3_count)
+    if Fraction(p4.c4_count, comb(n, 4)) < floor:
         raise InternalInvariantError(
-            f"annealed c4={p4.c4:.6f} below analytic floor at "
-            f"c3={p3.c3:.6f}")
+            f"annealed c4={p4.c4:.6f} below the exact floor "
+            f"{float(floor):.6f} at n={n}, c3={p3.c3:.6f}")
     return AnnealResult(n=n, gamma=gamma, penalty=penalty, seed=seed,
                         tournament=best_t, profile3=p3, profile4=p4,
                         objective=best_exact, initial_objective=initial,

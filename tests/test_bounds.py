@@ -1,22 +1,88 @@
 from fractions import Fraction
 from itertools import combinations
-from math import isclose, sqrt
+from math import comb, isclose, sqrt
 
 import numpy as np
 import pytest
 
 from tourprof.bounds import (REPLACE_THRESHOLD, _blowup_profile,
                              conjectured_min_c4,
-                             curve_dataset, lb_flag, lb_variance,
+                             curve_dataset, lb_flag, lb_flag_n,
+                             lb_variance,
                              min_fourth_power_sum, mix_profile_prediction,
                              predict_blowup_profile, replace_step,
                              ub_c4_from_c3, ub_c4_from_t4)
 from tourprof.core import (BlowupSpec, MixSpec, Tournament, cyclic, mix,
                            random_tournament, transitive)
-from tourprof.profiles import profile3, profile4
+from tourprof.flags import enumerate_types
+from tourprof.profiles import edge_stats, profile3, profile4
 from tourprof import rng
 
 from conftest import brute_blowup_profile, brute_mix_profile
+
+
+def test_lb_flag_n_is_lemma1_at_finite_n(small_random_tournaments,
+                                        small_named_tournaments):
+    # the floor is lambda(g) - (6/t^2)((t - 3)^2 g + 1 - g)/(n - 3), and
+    # c4/C(n,4) exceeds it by (6/t^2) sum_e (v . N_e)^2 / (12 C(n,4))
+    corpus = small_random_tournaments + small_named_tournaments + [
+        cyclic(9), cyclic(31), random_tournament(40, seed=1),
+        random_tournament(7, seed=3)]
+    for t in corpus:
+        n, c3 = t.n, profile3(t).c3_count
+        n3, n4 = comb(n, 3), comb(n, 4)
+        c4 = Fraction(profile4(t).c4_count, n4)
+        if c3 == 0:
+            assert lb_flag_n(n, 0) == 0 <= c4
+            continue
+        g = Fraction(c3, n3)
+        u = (1 + 8 * g) / (3 * g)
+        lam = 18 * g * g / (1 + 8 * g)
+        floor = lb_flag_n(n, c3)
+        assert floor == lam - 6 / u**2 * ((u - 3)**2 * g + 1 - g) / (n - 3)
+        es = edge_stats(t)
+        square = sum(((u - 3) * cyc + thru - dom_out - dom_in)**2
+                     for cyc, thru, dom_out, dom_in in zip(
+                         es.cyc.tolist(), es.thru.tolist(),
+                         es.dom_out.tolist(), es.dom_in.tolist()))
+        assert c4 == (lam - 6 / u**2 * (3 * (u - 3)**2 * c3 + 3 * (n3 - c3))
+                      / (12 * n4) + 6 / u**2 * square / (12 * n4))
+        assert c4 >= floor
+
+
+def test_lb_flag_n_is_below_every_tournament_of_order_at_most_6():
+    for order in (4, 5, 6):
+        least = {}
+        for typ in enumerate_types(order):
+            c3 = profile3(typ.rep).c3_count
+            c4 = profile4(typ.rep).c4_count
+            least[c3] = min(least.get(c3, c4), c4)
+        assert sorted(least) == list(range(max(least) + 1))
+        for c3, c4 in least.items():
+            assert lb_flag_n(order, c3) <= Fraction(c4, comb(order, 4))
+
+
+def test_lb_flag_n_is_at_least_the_old_floor():
+    # wherever lb_flag(c3) - 5/n was positive, for every c3 up to the
+    # largest (near-regular scores) at n = 4..79, the exact floor is no
+    # lower, so no check is loosened
+    for n in range(4, 80):
+        n3 = comb(n, 3)
+        q, r = divmod(comb(n, 2), n)
+        top = n3 - r * comb(q + 1, 2) - (n - r) * comb(q, 2)
+        for c3 in range(1, top + 1):
+            old = lb_flag(min(c3 / n3, 0.25)) - 5.0 / n
+            if old > 0:
+                floor = lb_flag_n(n, c3)
+                a, b = old.as_integer_ratio()
+                assert a * floor.denominator <= floor.numerator * b, (n, c3)
+
+
+def test_lb_flag_n_domain():
+    assert lb_flag_n(64, 0) == 0
+    for n, c3 in ((3, 0), (8, -1), (8, comb(8, 3) + 1)):
+        with pytest.raises(ValueError):
+            lb_flag_n(n, c3)
 
 
 def test_lower_bound_anchor_values():

@@ -346,6 +346,18 @@ def test_search_certificate_k4_valid_and_deterministic():
         search_certificate(0.1, k=5)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_search_certificate_proves_only_its_result(monkeypatch, k):
+    # the candidates are priced by their kappa_H alone: one verification,
+    # of the returned certificate, runs the PSD proof
+    proved = []
+    real = certificate.verify_certificate
+    monkeypatch.setattr(certificate, "verify_certificate",
+                        lambda cert: proved.append(cert) or real(cert))
+    cert = search_certificate(0.1, k)
+    assert proved == [cert]
+
+
 @lru_cache(maxsize=None)
 def _type_counts(k):
     """The product table of order k and, per type, its C3 and C4 counts

@@ -16,9 +16,9 @@ from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
                                verify_identities, x_cdf)
 from tourprof import profiles, rng
 
-from conftest import (brute_counts3_via_matrix, brute_edge_stats,
-                      brute_profile3, brute_profile4, brute_two_paths,
-                      gram_matrix, gram_profile4)
+from conftest import (brute_common_out, brute_counts3_via_matrix,
+                      brute_edge_stats, brute_profile3, brute_profile4,
+                      brute_two_paths, gram_matrix, gram_profile4)
 
 
 def test_profile3_matches_brute_force(small_random_tournaments):
@@ -237,8 +237,9 @@ class Huge:          # a tournament too large to build
 
 
 def test_gram_matrix_checks_before_it_allocates():
-    # edge_stats and paths_matrix fill G whole: n is checked first
-    for whole in (edge_stats, paths_matrix):
+    # edge_stats, paths_matrix and FlipState fill G whole: n is checked
+    # first
+    for whole in (edge_stats, paths_matrix, FlipState):
         with pytest.raises(TournamentError, match=r"got n=208065"):
             whole(Huge())
 
@@ -580,10 +581,10 @@ def test_flip_state_c4_t4_track_recount():
         u = stream.next_below(n)
         r = stream.next_below(n - 1)
         v = r if r < u else r + 1
-        a, p2 = st.a.copy(), st.p2.copy()
+        a, g = st.a.copy(), st.g.copy()
         c3, c4 = st.c3_count, st.c4_count
         dc3, dc4 = st.delta(u, v)
-        assert np.array_equal(st.a, a) and np.array_equal(st.p2, p2)
+        assert np.array_equal(st.a, a) and np.array_equal(st.g, g)
         assert (st.c3_count, st.c4_count) == (c3, c4)
         st.flip(u, v)
         assert (st.c3_count - c3, st.c4_count - c4) == (dc3, dc4)
@@ -664,19 +665,19 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     for _ in range(2):
         u, v = np.array([draw() for _ in range(300)]).T
         u, v = np.concatenate([u, v]), np.concatenate([v, u])
-        terms = st.pair_terms(u, v, u * n + v, v * n + u)
+        terms = st.pair_terms(u, v, u * n + v)
         a = st.a.copy()
         c3, c4 = st.c3_count, st.c4_count
         for i, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
-            fwd, puv, pvu, dx, dy, w = (col[i] for col in terms)
-            assert all(type(t) is int for t in (fwd, puv, pvu, dx, dy, w))
-            assert terms[5][(i + 300) % 600] == -w
+            fwd, dx, dy, w = (col[i] for col in terms)
+            assert all(type(t) is int for t in (fwd, dx, dy, w))
+            assert terms[3][(i + 300) % 600] == -w
             if fwd:
-                s, d, p, d_s, d_d = x, y, puv, dx, dy
+                s, d, d_s, d_d = x, y, dx, dy
             else:
-                s, d, p, d_s, d_d, w = y, x, pvu, dy, dx, -w
+                s, d, d_s, d_d, w = y, x, dy, dx, -w
             assert a[s, d] == 1
-            got = profiles.flip_delta(p, d_s, d_d, w)
+            got = profiles.flip_delta(d_s, d_d, w)
             assert got == st.arc_delta(s, d), (s, d)
             a[s, d], a[d, s] = 0, 1
             flipped = Tournament(a.astype(bool))
@@ -688,9 +689,10 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     st.audit()
 
 
-def test_commit_keeps_the_diagonal_zero_on_tied_warm_start():
+def test_commit_keeps_diag_g_at_the_degrees_on_tied_warm_start():
     # commit resets no diagonal entry: after 2 000 random commits on the
-    # tied warm start the state equals one built from its tournament
+    # tied warm start the state equals one built from its tournament,
+    # G is symmetric, diag G = deg and diag A = 0
     from tourprof.search import _warm_start
     n = 64
     st = FlipState(_warm_start(n, 1 / 16, 0))
@@ -700,10 +702,58 @@ def test_commit_keeps_the_diagonal_zero_on_tied_warm_start():
         r = stream.next_below(n - 1)
         st.flip(u, r if r < u else r + 1)
     fresh = FlipState(st.tournament())
-    for name in ("a", "p2", "deg"):
+    for name in ("a", "g", "deg"):
         assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
     assert (st.c3_count, st.c4_count) == (fresh.c3_count, fresh.c4_count)
-    assert not np.diagonal(st.p2).any()
+    assert np.array_equal(st.g, st.g.T)
+    assert np.array_equal(np.diagonal(st.g), st.deg)
+    assert not np.diagonal(st.a).any()
+
+
+def test_flip_state_g_counts_common_out_neighbours(small_random_tournaments,
+                                                  small_named_tournaments):
+    # after 3n seeded flips, G is the brute-force count of common
+    # out-neighbours on both corpora and the tied n = 64 warm start
+    from tourprof.search import _warm_start
+    corpus = (small_random_tournaments + small_named_tournaments
+              + [_warm_start(64, 1 / 16, 0)])
+    for i, t in enumerate(corpus):
+        n = t.n
+        st = FlipState(t)
+        stream = rng.Stream(700 + i)
+        for _ in range(3 * n):
+            u = stream.next_below(n)
+            r = stream.next_below(n - 1)
+            st.flip(u, r if r < u else r + 1)
+        assert st.g.dtype == np.int64
+        assert st.g.tolist() == brute_common_out(st.tournament()), i
+
+
+def test_flip_state_and_audit_make_one_gram_pass(monkeypatch):
+    # construction and audit each run _gram_blocks once; at n = 600 the
+    # audit meets blocks right of the diagonal blocks, and a drift in
+    # the mirror image of one is named at its own entry
+    runs = []
+    real = profiles._gram_blocks
+
+    def counted(t):
+        runs.append(t.n)
+        return real(t)
+    monkeypatch.setattr(profiles, "_gram_blocks", counted)
+    st = FlipState(random_tournament(600, seed=8))
+    assert runs == [600]
+    for u, v in ((0, 550), (10, 599), (300, 3)):
+        st.flip(u, v)
+    st.audit()
+    assert runs == [600, 600]
+    entry = int(st.g[550, 10])
+    st.g[550, 10] += 1
+    with pytest.raises(InternalInvariantError,
+                       match=rf"G matrix drifted at n=600: first difference "
+                             rf"at \(550, 10\), tracked {entry + 1} vs "
+                             rf"recount {entry}$"):
+        st.audit()
+    assert runs == [600, 600, 600]
 
 
 def test_flip_state_audit_names_the_drift():
@@ -717,14 +767,14 @@ def test_flip_state_audit_names_the_drift():
         st.audit()
     st.c4_count -= 1
     st.audit()
-    entry = int(st.p2[0, 1])
-    st.p2[0, 1] += 1
+    entry = int(st.g[0, 1])
+    st.g[0, 1] += 1
     with pytest.raises(InternalInvariantError,
-                       match=rf"P2 matrix drifted at n=12: first difference "
+                       match=rf"G matrix drifted at n=12: first difference "
                              rf"at \(0, 1\), tracked {entry + 1} vs "
                              rf"recount {entry}$"):
         st.audit()
-    st.p2[0, 1] -= 1
+    st.g[0, 1] -= 1
     st.audit()
     d3 = int(st.deg[3])
     st.deg[3] += 1

@@ -110,9 +110,9 @@ def test_anneal_long_cold_phase_equals_the_scalar_oracle(monkeypatch, n,
     sizes = []
     real = FlipState.pair_terms
 
-    def pair_terms(self, u, v, uv, vu):
+    def pair_terms(self, u, v, uv):
         sizes.append(len(u))
-        return real(self, u, v, uv, vu)
+        return real(self, u, v, uv)
     monkeypatch.setattr(FlipState, "pair_terms", pair_terms)
     sched = AnnealSchedule(moves=12_000, warmup=2 * search._MAX_BATCH + 7,
                            cool=1e-12, audit_every=97)
@@ -136,6 +136,24 @@ def test_anneal_best_state_divergence_names_both_objectives(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=r"diverged from recount at n=16: tracked "
                              r"objective \S+ vs recount \S+$"):
+        anneal(16, 1 / 16, seed=3,
+               schedule=AnnealSchedule(moves=200, warmup=20))
+
+
+def test_anneal_checks_the_exact_floor(monkeypatch):
+    # at the default scan's gamma = 1/16, n = 64 the exact floor is
+    # positive and the result is above it; a floor above the result is
+    # an invariant failure
+    from fractions import Fraction
+    from math import comb
+    res = anneal(64, 1 / 16, seed=0,
+                 schedule=AnnealSchedule(moves=3000, warmup=100))
+    floor = search.lb_flag_n(64, res.profile3.c3_count)
+    assert 0 < floor <= Fraction(res.profile4.c4_count, comb(64, 4))
+    monkeypatch.setattr(search, "lb_flag_n", lambda n, c3: Fraction(1))
+    with pytest.raises(InternalInvariantError,
+                       match=r"annealed c4=\S+ below the exact floor "
+                             r"1\.000000 at n=16, c3=\S+$"):
         anneal(16, 1 / 16, seed=3,
                schedule=AnnealSchedule(moves=200, warmup=20))
 
@@ -175,11 +193,11 @@ def test_anneal_refuses_orders_past_its_memory_bound(monkeypatch, capsys):
     # allocated, and the command line reports it as a usage error
     monkeypatch.setattr(search, "_warm_start", _reached)
     top = search._ANNEAL_MAX_N
-    assert top == 8605 and 29 * top**2 <= 2**31 < 29 * (top + 1)**2
+    assert top == 10362 and 20 * top**2 <= 2**31 < 20 * (top + 1)**2
     with pytest.raises(_Reached):
         anneal(top, 0.25, seed=0)
-    msg = ("annealing at n=8606 needs about 2147833844 bytes (29 n^2), "
-           "more than the 2 GiB limit (n <= 8605)")
+    msg = ("annealing at n=10363 needs about 2147835380 bytes (20 n^2), "
+           "more than the 2 GiB limit (n <= 10362)")
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
@@ -192,6 +210,20 @@ def test_anneal_refuses_orders_past_its_memory_bound(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"tourprof: {msg}\n"
+
+
+def test_anneal_peak_is_within_its_memory_bound():
+    # the bound's constant is a traced peak: a short anneal at n = 1500,
+    # audits included, stays under it
+    n = 1500
+    tracemalloc.start()
+    try:
+        anneal(n, 1 / 16, seed=0,
+               schedule=AnnealSchedule(moves=300, warmup=30, audit_every=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= search._ANNEAL_BYTES_PER_N2 * n * n
 
 
 def test_anneal_seed_changes_outcome():
