@@ -40,7 +40,9 @@ edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
 edge drawn uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc
 = 3 c3, sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4
 and sum_e cyc * thru = 2 c4), which `verify_identities` checks at the
-arcs.  `FlipState` keeps G itself, updated in place across flips.
+arcs.  `FlipState` keeps H = G - 1 d^T (H[u, v] = G[u, v] - d_v),
+updated in place across flips, and prices a flip by two dot products
+of its rows with rows of A.
 """
 
 from __future__ import annotations
@@ -583,61 +585,70 @@ def sample_profile4(t: Tournament, samples: int, seed: int) -> SampleProfile4:
     return SampleProfile4(n=n, samples=samples, counts=counts)
 
 
-def flip_delta(d_src: int, d_dst: int, w: int) -> tuple[int, int]:
+def flip_delta(d_src: int, d_dst: int, k: int) -> tuple[int, int]:
     """(dc3, dc4) of reversing the arc src -> dst from both out-degrees
-    and w = (G[src] + G[dst] - deg) . (A[src] - A[dst]), as polynomials:
-    C(x, 2) = x (x - 1) / 2, so C(-1, 2) = 1."""
-    return d_src - d_dst - 1, ((d_src - 1) * (d_src - 2)
-                               - (d_dst - 1) * (d_dst - 2)) // 2 + 1 - w
+    and k = H[src] . A[dst] - H[dst] . A[src] (see `FlipState`):
+    dc3 = d_src - d_dst - 1 and dc4 = k - dc3."""
+    dc3 = d_src - d_dst - 1
+    return dc3, k - dc3
 
 
 class FlipState:
     """Mutable tournament wrapper maintaining exact triangle and 4-cycle
     counts across single-pair flips in O(n) time per flip.
 
-    Keeps A as an int64 matrix, the out-degrees deg and G = A A^T in
-    int64 (diag G = deg), filled by one pass of `_gram_blocks` that also
-    gives c4.  An arc u -> v has thru = P2[u, v] = deg[u] - 1 - G[u, v]
-    and cyc = P2[v, u] = deg[v] - G[u, v], where P2 = A A =
-    deg 1^T - A - G counts 2-paths.  Reversing src -> dst changes c3 by
-    thru - cyc = deg[src] - deg[dst] - 1 and c4 by C(p, 2) - C(q, 2) + q
-    with p = thru, q = cyc, plus the sum of P2[dst, x] + P2[x, src] over
-    x in F + dst less that of P2[src, x] + P2[x, dst] over x in B, where
-    F = {x : src -> x -> dst} and B = {x : dst -> x -> src}.  F + dst
-    less B is A[src] - A[dst]; written by G, every G[src, dst] cancels:
+    Keeps the out-degrees deg and, as float64 matrices, A and
 
-        dc4 = C(deg[src] - 1, 2) - C(deg[dst] - 1, 2) + 1
-              - (G[src] + G[dst] - deg) . (A[src] - A[dst]),
+        H = G - 1 deg^T,   H[x, y] = G[x, y] - deg[y] = -|N+(y) - N+(x)|,
 
-    two degrees and one dot product of contiguous rows (`flip_delta`).
-    `arc_delta` prices one arc and `pair_terms` many unordered pairs at
-    once, before orientation; neither changes the state.  `commit` adds
-    a priced delta to the counts, moves one unit of out-degree from src
-    to dst and reverses the arc in place, on row and column views kept
-    from construction, in the order
+    so diag H = 0, filled from one pass of `_gram_blocks` that also gives
+    c4.  Every entry of A and H, and every dot product and sum of them
+    below, is an integer of magnitude at most n (n - 1) < 2**53 under
+    `_check_exact`, so float64 holds it exactly, and a dot product of
+    two float64 rows runs in BLAS, faster than numpy's int64 loop.  An
+    arc u -> v has thru = deg[u] - 1 - G[u, v] and cyc =
+    deg[v] - G[u, v].  Reversing src -> dst changes c3 by thru - cyc =
+    deg[src] - deg[dst] - 1 and c4, counted by 2-paths and written by G,
+    by C(deg[src] - 1, 2) - C(deg[dst] - 1, 2) + 1 -
+    (G[src] + G[dst] - deg) . (A[src] - A[dst]).  Since G[u] . A[u] =
+    C(deg[u], 2), the arcs inside N+(u), the binomials cancel against H:
 
-        G[src, :] -= A[:, dst];  A[src, dst] = 0;  G[:, src] -= A[:, dst]
-        G[:, dst] += A[:, src];  A[dst, src] = 1;  G[dst, :] += A[:, src]
+        dc3 = deg[src] - deg[dst] - 1
+        dc4 = H[src] . A[dst] - H[dst] . A[src] - dc3,
 
-    so each diagonal entry moves once: G stays symmetric with
-    diag G = deg and needs no reset.  `delta(u, v)` and `flip(u, v)`
-    price and make the flip of an unordered pair, checked.  c3 and c4
-    fix t4 through t4 - c4 = (C(n, 3) - 4*c3)*(n - 3)/4."""
+    two degrees and two dot products of contiguous rows (`flip_delta`).
+    K(u, v) = H[u] . A[v] - H[v] . A[u] is antisymmetric, so a pair can
+    be priced before it is oriented.  `arc_delta` prices one arc and
+    `pair_terms` many unordered pairs at once; neither changes the
+    state.  `commit` adds a priced delta to the counts and reverses the
+    arc in place, on row and column views kept from construction:
+
+        A[src, dst] = 0
+        H[src, :] -= A[:, dst];  H[:, dst] -= A[src, :]
+        H[:, src] += A[dst, :];  H[dst, :] += A[:, src]
+        A[dst, src] = 1;  H[src, dst] -= 1;  H[dst, src] += 1
+
+    and moves one unit of out-degree from src to dst.  With both arcs
+    of the pair zero the four vector updates leave H[src, dst],
+    H[dst, src] and the diagonal alone, so diag H stays 0 and needs no
+    reset.  `delta(u, v)` and `flip(u, v)` price and make the flip of
+    an unordered pair, checked.  c3 and c4 fix t4 through t4 - c4 =
+    (C(n, 3) - 4*c3)*(n - 3)/4."""
 
     def __init__(self, t: Tournament):
         self.n = n = t.n
         if n < 4:
             raise TournamentError("FlipState needs n >= 4")
         _check_exact(n)                     # before anything n x n
-        self.a = t.dense().astype(np.int64)
+        self.a = t.dense().astype(np.float64)
         self.deg = t.out_degrees().copy()     # commit moves degrees
-        self.g = np.empty((n, n), np.int64)
-        sums = _fold_gram(t, lambda *block: _put(self.g, *block))
+        self.h = np.empty((n, n), np.float64)
+        sums = _fold_gram(t, lambda *block: _put(self.h, *block))
+        self.h -= self.deg                  # G becomes H in place
         self.c3_count = profile3(t).c3_count
         self.c4_count = _profile4_from_sums(n, self.deg, *sums).c4_count
         self._a_rows, self._a_cols = list(self.a), list(self.a.T)
-        self._g_rows, self._g_cols = list(self.g), list(self.g.T)
-        self._w, self._d = np.empty((2, n), np.int64)   # arc_delta's
+        self._h_rows, self._h_cols = list(self.h), list(self.h.T)
 
     # -- derived views --------------------------------------------------
 
@@ -660,27 +671,24 @@ class FlipState:
     def arc_delta(self, src: int, dst: int) -> tuple[int, int]:
         """(dc3, dc4) of reversing src -> dst, which must be a current
         arc (not checked); the state is unchanged."""
-        deg, g_rows, a_rows = self.deg, self._g_rows, self._a_rows
-        w = np.add(g_rows[src], g_rows[dst], out=self._w)
-        w -= deg
-        d = np.subtract(a_rows[src], a_rows[dst], out=self._d)
-        return flip_delta(deg.item(src), deg.item(dst), int(w.dot(d)))
+        h_rows, a_rows = self._h_rows, self._a_rows
+        k = h_rows[src].dot(a_rows[dst]) - h_rows[dst].dot(a_rows[src])
+        return flip_delta(self.deg.item(src), self.deg.item(dst), int(k))
 
     def pair_terms(self, u: np.ndarray, v: np.ndarray,
                    uv: np.ndarray) -> tuple[list, ...]:
-        """(A[u, v], deg[u], deg[v], W) for each pair u[i] != v[i]
+        """(A[u, v], deg[u], deg[v], K) for each pair u[i] != v[i]
         against the same state, as lists of ints, with
-        W = (G[u] + G[v] - deg) . (A[u] - A[v]); uv is the flat index
-        u*n + v.  The state is unchanged."""
-        g, deg, a = self.g, self.deg, self.a
-        w = g.take(u, axis=0)
-        w += g.take(v, axis=0)
-        w -= deg
-        d = a.take(u, axis=0)
-        d -= a.take(v, axis=0)
-        w *= d
-        return (a.take(uv).tolist(), deg.take(u).tolist(),
-                deg.take(v).tolist(), w.sum(axis=1).tolist())
+        K = H[u] . A[v] - H[v] . A[u]; uv is the flat index u*n + v.
+        The state is unchanged."""
+        h, deg, a = self.h, self.deg, self.a
+        k = h.take(u, axis=0)
+        k *= a.take(v, axis=0)
+        hv = h.take(v, axis=0)
+        hv *= a.take(u, axis=0)
+        k -= hv
+        return (a.take(uv).astype(np.int64).tolist(), deg.take(u).tolist(),
+                deg.take(v).tolist(), k.sum(axis=1).astype(np.int64).tolist())
 
     def delta(self, u: int, v: int) -> tuple[int, int]:
         """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
@@ -689,15 +697,19 @@ class FlipState:
     def commit(self, src: int, dst: int, dc3: int, dc4: int) -> None:
         """Reverse the current arc src -> dst (not checked) and add its
         delta, as priced by arc_delta, to the counts."""
-        a_cols, g_rows, g_cols = self._a_cols, self._g_rows, self._g_cols
-        np.subtract(g_rows[src], a_cols[dst], out=g_rows[src])
-        self.a[src, dst] = 0
-        np.subtract(g_cols[src], a_cols[dst], out=g_cols[src])
-        np.add(g_cols[dst], a_cols[src], out=g_cols[dst])
-        self.a[dst, src] = 1
-        np.add(g_rows[dst], a_cols[src], out=g_rows[dst])
-        self.deg[src] -= 1
-        self.deg[dst] += 1
+        a_rows, a_cols = self._a_rows, self._a_cols
+        h_rows, h_cols = self._h_rows, self._h_cols
+        a_rows[src][dst] = 0
+        h_rows[src] -= a_cols[dst]
+        h_cols[dst] -= a_rows[src]
+        h_cols[src] += a_rows[dst]
+        h_rows[dst] += a_cols[src]
+        a_rows[dst][src] = 1
+        h_rows[src][dst] -= 1
+        h_rows[dst][src] += 1
+        deg = self.deg
+        deg[src] -= 1
+        deg[dst] += 1
 
         self.c3_count += dc3
         self.c4_count += dc4
@@ -708,9 +720,10 @@ class FlipState:
         self.commit(src, dst, *self.arc_delta(src, dst))
 
     def _check_block(self, r0: int, c0: int, block: np.ndarray) -> None:
-        """Raise unless a recounted block of G and its mirror match G."""
+        """Raise unless a recounted block of G and its mirror match
+        self.h, which `audit` holds at G = H + 1 deg^T meanwhile."""
         for r, c, b in ((r0, c0, block), (c0, r0, block.T)):
-            mine = self.g[r:r + b.shape[0], c:c + b.shape[1]]
+            mine = self.h[r:r + b.shape[0], c:c + b.shape[1]]
             if not np.array_equal(mine, b):
                 i, j = np.argwhere(mine != b)[0].tolist()
                 raise InternalInvariantError(
@@ -719,13 +732,14 @@ class FlipState:
                     f"recount {int(b[i, j])}")
 
     def audit(self) -> None:
-        """Recount G, deg, c3, c4 and t4 from scratch, in one pass of
+        """Recount deg, G, c3, c4 and t4 from scratch, in one pass of
         `_gram_blocks` over a snapshot of A and no second n x n matrix;
-        raise on any drift, naming what drifted, n and both values (t4
-        checks the identity that derives it from c3 and c4)."""
+        raise on any drift, naming what drifted, n and both values.  Once
+        deg is checked, H is shifted in place to G = H + 1 deg^T for the
+        pass and back after it; t4 checks the identity that derives it
+        from c3 and c4."""
         n = self.n
         t = self.tournament()
-        sums = _fold_gram(t, self._check_block)
         deg = t.out_degrees()
         if not np.array_equal(deg, self.deg):
             x = int(np.flatnonzero(deg != self.deg)[0])
@@ -733,6 +747,11 @@ class FlipState:
                 f"degree vector drifted at n={n}: first difference at "
                 f"vertex {x}, tracked {int(self.deg[x])} vs recount "
                 f"{int(deg[x])}")
+        self.h += deg           # G, in place, while the blocks are checked
+        try:
+            sums = _fold_gram(t, self._check_block)
+        finally:
+            self.h -= deg
         p4 = _profile4_from_sums(n, deg, *sums)
         recount = {"c3": profile3(t).c3_count, "c4": p4.c4_count,
                    "t4": p4.t4_count}

@@ -20,16 +20,16 @@ in a row have been rejected, the next k are known in advance (pairs at
 stream indices pos + 3i and pos + 3i + 1): after an accept, _SCALAR_RUN
 are priced alone by FlipState.arc_delta, then batches of _FIRST_BATCH,
 doubling up to _MAX_BATCH, are gathered by FlipState.pair_terms until
-one holds an accept.  A price is two degrees and one dot product over
-rows of G and A; the loop orients a gathered pair and finishes its
-delta (profiles.flip_delta) only when it reaches it, and takes every
-float decision (the penalized objective, delta <= 0, the exponential
-against the uniform, the cooling step) once per proposal and in order,
-so every run is bit-identical to pricing each proposal alone.  The
-pairs gathered after an accepted one are dropped: the stream resumes
-after its last draw, 2 values on if it was downhill, 3 if uphill.  The
-warmup makes no move, reads 2 values per proposal and is gathered in
-batches of _MAX_BATCH.
+one holds an accept.  A price is two degrees and two dot products over
+rows of H = G - 1 deg^T and A (see FlipState); the loop orients a
+gathered pair and finishes its delta (profiles.flip_delta) only when it
+reaches it, and takes every float decision (the penalized objective,
+delta <= 0, the exponential against the uniform, the cooling step) once
+per proposal and in order, so every run is bit-identical to pricing
+each proposal alone.  The pairs gathered after an accepted one are
+dropped: the stream resumes after its last draw, 2 values on if it was
+downhill, 3 if uphill.  The warmup makes no move, reads 2 values per
+proposal and is gathered in batches of _MAX_BATCH.
 
 The default penalty of 500 keeps the equilibrium drift |c3 - gamma|
 near sqrt(step)/(2*penalty), well under the 0.003 target at n = 64;
@@ -67,13 +67,13 @@ DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
 DEFAULT_GAMMAS = (1.0 / 16.0, 0.25)
 
-_SCALAR_RUN = 4         # rejections priced one by one after an accept
+_SCALAR_RUN = 8         # rejections priced one by one after an accept
 _FIRST_BATCH = 8        # then batches of proposals, doubling in size
 _MAX_BATCH = 64         # up to this many; also the warmup's batch size
 _WINDOW = 1024          # stream values fetched from rng.values at a time
 
-# traced peak 19.5, 18.9 and 18.5 n^2 bytes at n = 1500, 2000 and 3000:
-# A and G in int64, two bool snapshots of A and about 3 MB of Gram tiles
+# traced peak 19.4, 18.9 and 18.4 n^2 bytes at n = 1500, 2000 and 3000:
+# A and H in float64, two bool snapshots of A and about 3 MB of Gram tiles
 _ANNEAL_BYTES_PER_N2 = 20
 _ANNEAL_MAX_N = math.isqrt((2 << 30) // _ANNEAL_BYTES_PER_N2)     # 10362
 
@@ -89,6 +89,11 @@ class AnnealSchedule:
     audit_every: int = 1_000
 
     def __post_init__(self):
+        for name in ("moves", "warmup", "audit_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.moves < 1 or self.warmup < 0:
             raise ValueError("schedule needs moves >= 1 and warmup >= 0")
         if not 0.0 < self.cool < 1.0:
@@ -228,10 +233,11 @@ def anneal(n: int, gamma: float, seed: int,
     for start in range(0, schedule.warmup, _MAX_BATCH):
         k = min(_MAX_BATCH, schedule.warmup - start)
         off = window.at(2 * start, 2 * k)
-        fwd, du, dv, w = state.pair_terms(*window.pairs[:, off:off + 2 * k:2])
+        fwd, du, dv, ks = state.pair_terms(
+            *window.pairs[:, off:off + 2 * k:2])
         for i in range(k):
-            dc3, dc4 = (flip_delta(du[i], dv[i], w[i]) if fwd[i]
-                        else flip_delta(dv[i], du[i], -w[i]))
+            dc3, dc4 = (flip_delta(du[i], dv[i], ks[i]) if fwd[i]
+                        else flip_delta(dv[i], du[i], -ks[i]))
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
@@ -263,12 +269,12 @@ def anneal(n: int, gamma: float, seed: int,
                 src, dst = dst, src
             dc3, dc4 = state.arc_delta(src, dst)
         else:
-            fwd, du, dv, w = state.pair_terms(
+            fwd, du, dv, ks = state.pair_terms(
                 *window.pairs[:, off:off + 3 * k:3])
         for i in range(k):
             if k > 1:
-                dc3, dc4 = (flip_delta(du[i], dv[i], w[i]) if fwd[i]
-                            else flip_delta(dv[i], du[i], -w[i]))
+                dc3, dc4 = (flip_delta(du[i], dv[i], ks[i]) if fwd[i]
+                            else flip_delta(dv[i], du[i], -ks[i]))
             new = penalized(c3 + dc3, c4 + dc4)
             delta = new - cur
             accept = delta <= 0.0 or (uniform[off + 3 * i + 2]

@@ -581,10 +581,10 @@ def test_flip_state_c4_t4_track_recount():
         u = stream.next_below(n)
         r = stream.next_below(n - 1)
         v = r if r < u else r + 1
-        a, g = st.a.copy(), st.g.copy()
+        a, h = st.a.copy(), st.h.copy()
         c3, c4 = st.c3_count, st.c4_count
         dc3, dc4 = st.delta(u, v)
-        assert np.array_equal(st.a, a) and np.array_equal(st.g, g)
+        assert np.array_equal(st.a, a) and np.array_equal(st.h, h)
         assert (st.c3_count, st.c4_count) == (c3, c4)
         st.flip(u, v)
         assert (st.c3_count - c3, st.c4_count - c4) == (dc3, dc4)
@@ -669,15 +669,15 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
         a = st.a.copy()
         c3, c4 = st.c3_count, st.c4_count
         for i, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
-            fwd, dx, dy, w = (col[i] for col in terms)
-            assert all(type(t) is int for t in (fwd, dx, dy, w))
-            assert terms[3][(i + 300) % 600] == -w
+            fwd, dx, dy, k = (col[i] for col in terms)
+            assert all(type(t) is int for t in (fwd, dx, dy, k))
+            assert terms[3][(i + 300) % 600] == -k
             if fwd:
                 s, d, d_s, d_d = x, y, dx, dy
             else:
-                s, d, d_s, d_d, w = y, x, dy, dx, -w
+                s, d, d_s, d_d, k = y, x, dy, dx, -k
             assert a[s, d] == 1
-            got = profiles.flip_delta(d_s, d_d, w)
+            got = profiles.flip_delta(d_s, d_d, k)
             assert got == st.arc_delta(s, d), (s, d)
             a[s, d], a[d, s] = 0, 1
             flipped = Tournament(a.astype(bool))
@@ -689,10 +689,37 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     st.audit()
 
 
+def test_two_dot_price_equals_the_recount_on_both_corpora(
+        small_random_tournaments, small_named_tournaments):
+    # every arc s -> t of both small corpora: dc3 = deg[s] - deg[t] - 1
+    # and dc4 = H[s] . A[t] - H[t] . A[s] - dc3, read off the state's
+    # H and A, are the changes the exact profiles of the flipped
+    # tournament measure; arc_delta and pair_terms price them the same
+    for t in small_random_tournaments + small_named_tournaments:
+        n = t.n
+        st = FlipState(t)
+        h, a, deg = st.h, st.a, st.deg
+        c3, c4 = profile3(t).c3_count, profile4(t).c4_count
+        src, dst = (x.astype(np.intp) for x in np.nonzero(a))
+        terms = st.pair_terms(src, dst, src * n + dst)
+        assert terms[0] == [1] * len(src)
+        for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            dc3 = int(deg[s] - deg[d]) - 1
+            dc4 = int(h[s] @ a[d] - h[d] @ a[s]) - dc3
+            flipped = t.dense().copy()
+            flipped[s, d], flipped[d, s] = False, True
+            flipped = Tournament(flipped)
+            assert (profile3(flipped).c3_count - c3,
+                    profile4(flipped).c4_count - c4) == (dc3, dc4), (n, s, d)
+            assert st.arc_delta(s, d) == (dc3, dc4)
+            assert profiles.flip_delta(terms[1][i], terms[2][i],
+                                       terms[3][i]) == (dc3, dc4)
+
+
 def test_commit_keeps_diag_g_at_the_degrees_on_tied_warm_start():
     # commit resets no diagonal entry: after 2 000 random commits on the
     # tied warm start the state equals one built from its tournament,
-    # G is symmetric, diag G = deg and diag A = 0
+    # diag H = 0, G = H + 1 deg^T is symmetric and diag A = 0
     from tourprof.search import _warm_start
     n = 64
     st = FlipState(_warm_start(n, 1 / 16, 0))
@@ -702,18 +729,22 @@ def test_commit_keeps_diag_g_at_the_degrees_on_tied_warm_start():
         r = stream.next_below(n - 1)
         st.flip(u, r if r < u else r + 1)
     fresh = FlipState(st.tournament())
-    for name in ("a", "g", "deg"):
+    for name in ("a", "h", "deg"):
         assert np.array_equal(getattr(st, name), getattr(fresh, name)), name
     assert (st.c3_count, st.c4_count) == (fresh.c3_count, fresh.c4_count)
-    assert np.array_equal(st.g, st.g.T)
-    assert np.array_equal(np.diagonal(st.g), st.deg)
+    assert not np.diagonal(st.h).any()
+    g = st.h + st.deg
+    assert np.array_equal(g, g.T)
+    assert np.array_equal(np.diagonal(g), st.deg)
     assert not np.diagonal(st.a).any()
 
 
 def test_flip_state_g_counts_common_out_neighbours(small_random_tournaments,
                                                   small_named_tournaments):
-    # after 3n seeded flips, G is the brute-force count of common
-    # out-neighbours on both corpora and the tied n = 64 warm start
+    # after 3n seeded flips, G = H + 1 deg^T is the brute-force count of
+    # common out-neighbours on both corpora and the tied n = 64 warm
+    # start, and deg the brute-force out-degrees; H and A are float64,
+    # whose integer entries compare equal to the exact counts
     from tourprof.search import _warm_start
     corpus = (small_random_tournaments + small_named_tournaments
               + [_warm_start(64, 1 / 16, 0)])
@@ -725,14 +756,17 @@ def test_flip_state_g_counts_common_out_neighbours(small_random_tournaments,
             u = stream.next_below(n)
             r = stream.next_below(n - 1)
             st.flip(u, r if r < u else r + 1)
-        assert st.g.dtype == np.int64
-        assert st.g.tolist() == brute_common_out(st.tournament()), i
+        want = brute_common_out(st.tournament())
+        assert st.h.dtype == st.a.dtype == np.float64
+        assert st.deg.tolist() == [row[x] for x, row in enumerate(want)], i
+        assert (st.h + st.deg).tolist() == want, i
 
 
 def test_flip_state_and_audit_make_one_gram_pass(monkeypatch):
     # construction and audit each run _gram_blocks once; at n = 600 the
-    # audit meets blocks right of the diagonal blocks, and a drift in
-    # the mirror image of one is named at its own entry
+    # audit meets blocks right of the diagonal blocks, and a drift of H
+    # in the mirror image of one is named at its own entry, as values
+    # of G = H + 1 deg^T
     runs = []
     real = profiles._gram_blocks
 
@@ -746,8 +780,8 @@ def test_flip_state_and_audit_make_one_gram_pass(monkeypatch):
         st.flip(u, v)
     st.audit()
     assert runs == [600, 600]
-    entry = int(st.g[550, 10])
-    st.g[550, 10] += 1
+    entry = int(st.h[550, 10] + st.deg[10])
+    st.h[550, 10] += 1
     with pytest.raises(InternalInvariantError,
                        match=rf"G matrix drifted at n=600: first difference "
                              rf"at \(550, 10\), tracked {entry + 1} vs "
@@ -767,14 +801,14 @@ def test_flip_state_audit_names_the_drift():
         st.audit()
     st.c4_count -= 1
     st.audit()
-    entry = int(st.g[0, 1])
-    st.g[0, 1] += 1
+    entry = int(st.h[0, 1] + st.deg[1])
+    st.h[0, 1] += 1
     with pytest.raises(InternalInvariantError,
                        match=rf"G matrix drifted at n=12: first difference "
                              rf"at \(0, 1\), tracked {entry + 1} vs "
                              rf"recount {entry}$"):
         st.audit()
-    st.g[0, 1] -= 1
+    st.h[0, 1] -= 1
     st.audit()
     d3 = int(st.deg[3])
     st.deg[3] += 1

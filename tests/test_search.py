@@ -53,6 +53,28 @@ def test_schedule_validation():
         AnnealSchedule(audit_every=0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("moves", 1000.0), ("moves", True), ("moves", "1000"),
+    ("warmup", 10.5), ("warmup", False),
+    ("audit_every", True), ("audit_every", 2.0)])
+def test_schedule_counts_must_be_integers(name, value):
+    # anneal slices, ranges and takes remainders by these counts, so a
+    # float (or a bool, an int subclass) is refused when the schedule
+    # is made, not deep inside anneal
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer, got "
+                             rf"{re.escape(repr(value))}$"):
+        AnnealSchedule(**{name: value})
+
+
+def test_schedule_accepts_numpy_integers():
+    sched = AnnealSchedule(moves=np.int64(300), warmup=np.int32(20),
+                           audit_every=np.int64(50))
+    want = AnnealSchedule(moves=300, warmup=20, audit_every=50)
+    assert anneal(16, 0.1, 3, schedule=sched) == anneal(16, 0.1, 3,
+                                                         schedule=want)
+
+
 def test_anneal_determinism_and_improvement():
     sched = AnnealSchedule(moves=4000, warmup=200)
     a = anneal(16, 1 / 16, seed=3, schedule=sched)
