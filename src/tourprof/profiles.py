@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, isqrt, sqrt
 
 import numpy as np
 
@@ -80,6 +80,20 @@ def _check_exact(n: int) -> None:
         raise TournamentError(
             "the Gram kernel is exact only for n < 2**24 and "
             f"n*(n-1)**2 < 2**53, so n <= 208064 (got n={n})")
+
+
+_GRAM_BUDGET = 2 << 30      # bytes
+
+
+def _check_gram_memory(n: int) -> None:
+    """Refuse a G held whole (`_gram`) past the budget, before anything
+    n x n is allocated: edge_stats traces near 9 n^2 bytes, paths_matrix
+    near 10 n^2 (G in uint16, P2 in int64)."""
+    if 10 * n * n > _GRAM_BUDGET:
+        raise TournamentError(
+            f"edge stats at n={n} need about {10 * n * n} bytes (10 n^2), "
+            f"more than the {_GRAM_BUDGET} byte limit "
+            f"(n <= {isqrt(_GRAM_BUDGET // 10)})")
 
 
 def _t4_minus_c4(n: int, c3: int) -> int:
@@ -272,6 +286,7 @@ def _gram(t: Tournament) -> np.ndarray:
     images."""
     n = t.n
     _check_exact(n)     # before G is allocated: the generator checks late
+    _check_gram_memory(n)
     g = np.empty((n, n), np.min_scalar_type(n - 1))
     for r0, c0, block in _gram_blocks(t):
         _put(g, r0, c0, block)
@@ -617,9 +632,8 @@ class FlipState:
         dc4 = H[src] . A[dst] - H[dst] . A[src] - dc3,
 
     two degrees and two dot products of contiguous rows (`flip_delta`).
-    K(u, v) = H[u] . A[v] - H[v] . A[u] is antisymmetric, so a pair can
-    be priced before it is oriented.  `arc_delta` prices one arc and
-    `pair_terms` many unordered pairs at once; neither changes the
+    `arc_delta` prices one arc; `pair_terms` orients many drawn pairs
+    at once and gathers the terms of their prices; neither changes the
     state.  `commit` adds a priced delta to the counts and reverses the
     arc in place, on row and column views kept from construction:
 
@@ -675,20 +689,17 @@ class FlipState:
         k = h_rows[src].dot(a_rows[dst]) - h_rows[dst].dot(a_rows[src])
         return flip_delta(self.deg.item(src), self.deg.item(dst), int(k))
 
-    def pair_terms(self, u: np.ndarray, v: np.ndarray,
-                   uv: np.ndarray) -> tuple[list, ...]:
-        """(A[u, v], deg[u], deg[v], K) for each pair u[i] != v[i]
-        against the same state, as lists of ints, with
-        K = H[u] . A[v] - H[v] . A[u]; uv is the flat index u*n + v.
-        The state is unchanged."""
+    def pair_terms(self, u: np.ndarray, v: np.ndarray) -> tuple[list, ...]:
+        """Each pair u[i] != v[i] as its current arc src -> dst, with the
+        terms of its price against the same state: the lists src, dst,
+        deg[src], deg[dst] and K = H[src] . A[dst] - H[dst] . A[src] of
+        ints, for `flip_delta`.  The state is unchanged."""
         h, deg, a = self.h, self.deg, self.a
-        k = h.take(u, axis=0)
-        k *= a.take(v, axis=0)
-        hv = h.take(v, axis=0)
-        hv *= a.take(u, axis=0)
-        k -= hv
-        return (a.take(uv).astype(np.int64).tolist(), deg.take(u).tolist(),
-                deg.take(v).tolist(), k.sum(axis=1).astype(np.int64).tolist())
+        src, dst = np.where(a.take(u * self.n + v) != 0, (u, v), (v, u))
+        k = h.take(src, axis=0) * a.take(dst, axis=0)
+        k -= h.take(dst, axis=0) * a.take(src, axis=0)
+        return (src.tolist(), dst.tolist(), deg.take(src).tolist(),
+                deg.take(dst).tolist(), k.sum(1).astype(np.int64).tolist())
 
     def delta(self, u: int, v: int) -> tuple[int, int]:
         """(dc3, dc4) of flipping pair {u, v}; the state is unchanged."""
@@ -795,9 +806,9 @@ def verify_identities(t: Tournament) -> IdentityReport:
         4 (n-2) c3 <= (n+1) C(n,3)  for odd n  [regular-tournament max]
     """
     n = t.n
+    s = edge_stats(t).sums()    # first, so its memory check runs first
     p3 = profile3(t)
     p4 = profile4(t)
-    s = edge_stats(t).sums()
     c3, t3 = p3.c3_count, p3.t3_count
     t4, c4, w, l = p4.t4_count, p4.c4_count, p4.w_count, p4.l_count
     sides = [

@@ -15,21 +15,21 @@ its uniform.  The stream is counter-based, so the annealer reads it by
 index through a bounded window of rng.values.
 
 Between two accepted moves the state does not change, and a rejected
-proposal is uphill, so it reads exactly 3 values.  Once a few proposals
-in a row have been rejected, the next k are known in advance (pairs at
-stream indices pos + 3i and pos + 3i + 1): after an accept, _SCALAR_RUN
-are priced alone by FlipState.arc_delta, then batches of _FIRST_BATCH,
-doubling up to _MAX_BATCH, are gathered by FlipState.pair_terms until
-one holds an accept.  A price is two degrees and two dot products over
-rows of H = G - 1 deg^T and A (see FlipState); the loop orients a
-gathered pair and finishes its delta (profiles.flip_delta) only when it
-reaches it, and takes every float decision (the penalized objective,
-delta <= 0, the exponential against the uniform, the cooling step) once
-per proposal and in order, so every run is bit-identical to pricing
-each proposal alone.  The pairs gathered after an accepted one are
-dropped: the stream resumes after its last draw, 2 values on if it was
-downhill, 3 if uphill.  The warmup makes no move, reads 2 values per
-proposal and is gathered in batches of _MAX_BATCH.
+proposal is uphill, so it reads exactly 3 values: while proposals are
+rejected, the next k sit at stream indices pos + 3i and pos + 3i + 1.
+After an accept, _SCALAR_RUN are priced alone by FlipState.arc_delta,
+then _BATCH at a time by FlipState.pair_terms, which hands out each
+drawn pair as its current arc with the terms of its price.  One loop
+decides every proposal, finishing its price (profiles.flip_delta) only
+when it reaches it and taking every float decision (the penalized
+objective, delta <= 0, the exponential against the uniform, the
+cooling step) once per proposal and in order, so every run is
+bit-identical to pricing each proposal alone.  Proposals priced after
+an accepted one are dropped: the stream resumes after its last draw, 2
+values on if it was downhill, 3 if uphill.  The warmup makes no move,
+reads 2 values per proposal and is priced _BATCH at a time.  The best
+state is copied only as the run leaves it: before the first accept
+that does not improve on it, and at the end if the run ends there.
 
 The default penalty of 500 keeps the equilibrium drift |c3 - gamma|
 near sqrt(step)/(2*penalty), well under the 0.003 target at n = 64;
@@ -68,8 +68,7 @@ DISCOVERY_MARGIN = 0.01
 DEFAULT_GAMMAS = (1.0 / 16.0, 0.25)
 
 _SCALAR_RUN = 8         # rejections priced one by one after an accept
-_FIRST_BATCH = 8        # then batches of proposals, doubling in size
-_MAX_BATCH = 64         # up to this many; also the warmup's batch size
+_BATCH = 64             # then proposals priced this many at a time
 _WINDOW = 1024          # stream values fetched from rng.values at a time
 
 # traced peak 19.4, 18.9 and 18.4 n^2 bytes at n = 1500, 2000 and 3000:
@@ -176,8 +175,7 @@ class _Window:
     """The annealer's stream, read by absolute index through a block of
     rng.values from stream index `base`: the values as uniforms, and at
     each index j the proposal that draws j and j + 1, u = below(n) and v
-    among the other n - 1 vertices, as lists `u` and `v` and as `pairs`,
-    rows u, v and u*n + v for FlipState.pair_terms."""
+    among the other n - 1 vertices, as int64 arrays `u` and `v`."""
 
     def __init__(self, seed: int, n: int):
         self.seed, self.n = seed, n
@@ -190,11 +188,9 @@ class _Window:
         if off < 0 or off + count > len(self.uniform):
             self.base, off, n = index, 0, self.n
             vals = rng.values(self.seed, index, max(count, _WINDOW) + 1)
-            u = rng.below(vals[:-1], n)
-            v = rng.below(vals[1:], n - 1)
-            v += v >= u
-            self.u, self.v = u.tolist(), v.tolist()
-            self.pairs = np.stack((u, v, u * n + v))
+            self.u = rng.below(vals[:-1], n)
+            self.v = rng.below(vals[1:], n - 1)
+            self.v += self.v >= self.u
             self.uniform = (vals[:-1] / 2.0**64).tolist()
         return off
 
@@ -221,8 +217,7 @@ def anneal(n: int, gamma: float, seed: int,
 
     state = FlipState(_warm_start(n, gamma, seed))
     penalized = _penalizer(n, gamma, penalty)
-    cur = penalized(state.c3_count, state.c4_count)
-    initial = cur
+    initial = cur = penalized(state.c3_count, state.c4_count)
     window = _Window(rng.derive(seed, 0x5EED), n)
 
     # Warmup: price random proposals, without making them, to set T0 so
@@ -230,51 +225,44 @@ def anneal(n: int, gamma: float, seed: int,
     # reads two values and none is made, so they share one state.
     uphill = []
     c3, c4 = state.c3_count, state.c4_count
-    for start in range(0, schedule.warmup, _MAX_BATCH):
-        k = min(_MAX_BATCH, schedule.warmup - start)
+    for start in range(0, schedule.warmup, _BATCH):
+        k = min(_BATCH, schedule.warmup - start)
         off = window.at(2 * start, 2 * k)
-        fwd, du, dv, ks = state.pair_terms(
-            *window.pairs[:, off:off + 2 * k:2])
-        for i in range(k):
-            dc3, dc4 = (flip_delta(du[i], dv[i], ks[i]) if fwd[i]
-                        else flip_delta(dv[i], du[i], -ks[i]))
+        _, _, d_src, d_dst, ks = state.pair_terms(
+            window.u[off:off + 2 * k:2], window.v[off:off + 2 * k:2])
+        for dc3, dc4 in map(flip_delta, d_src, d_dst, ks):
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
-    if uphill:
-        t0 = _median(uphill) / math.log(2.0)
-    else:
-        t0 = 1e-6
-    t0 = max(t0, 1e-12)
+    t0 = max(_median(uphill) / math.log(2.0) if uphill else 1e-6, 1e-12)
 
     factor = schedule.cool ** (1.0 / schedule.moves)
     temp = t0
-    best = cur
-    best_t = state.tournament()
+    # the best state is copied to best_t only as the run leaves it:
+    # before the first accept that is no improvement, and at the end
+    best, at_best = cur, True
     accepted = 0
     pos = 2 * schedule.warmup       # stream index of the next proposal
     done = run = 0                  # proposals made; rejected since accept
-    batch = _FIRST_BATCH
     a = state.a
     while done < schedule.moves:
         # A rejected proposal reads 3 values, so while all are rejected
-        # the next k sit at pos + 3i and price against one state.
-        k = 1 if run < _SCALAR_RUN else min(batch, schedule.moves - done)
-        off = window.at(pos, 3 * k)
-        uniform = window.uniform
-        c3, c4 = state.c3_count, state.c4_count
-        if k == 1:
-            src, dst = window.u[off], window.v[off]
+        # the next ones sit at pos + 3i and price against one state.
+        if run < _SCALAR_RUN:
+            off = window.at(pos, 3)
+            src, dst = window.u.item(off), window.v.item(off)
             if not a.item(src, dst):
                 src, dst = dst, src
-            dc3, dc4 = state.arc_delta(src, dst)
+            srcs, dsts, prices = (src,), (dst,), (state.arc_delta(src, dst),)
         else:
-            fwd, du, dv, ks = state.pair_terms(
-                *window.pairs[:, off:off + 3 * k:3])
-        for i in range(k):
-            if k > 1:
-                dc3, dc4 = (flip_delta(du[i], dv[i], ks[i]) if fwd[i]
-                            else flip_delta(dv[i], du[i], -ks[i]))
+            k = min(_BATCH, schedule.moves - done)
+            off = window.at(pos, 3 * k)
+            srcs, dsts, d_src, d_dst, ks = state.pair_terms(
+                window.u[off:off + 3 * k:3], window.v[off:off + 3 * k:3])
+            prices = map(flip_delta, d_src, d_dst, ks)
+        uniform = window.uniform
+        c3, c4 = state.c3_count, state.c4_count
+        for i, (dc3, dc4) in enumerate(prices):
             new = penalized(c3 + dc3, c4 + dc4)
             delta = new - cur
             accept = delta <= 0.0 or (uniform[off + 3 * i + 2]
@@ -285,26 +273,23 @@ def anneal(n: int, gamma: float, seed: int,
         done += i + 1
         pos += 3 * i + (2 if delta <= 0.0 else 3)
         if not accept:
-            run += k
-            if k > 1:
-                batch = min(2 * batch, _MAX_BATCH)
+            run += i + 1
             continue
         # proposals priced after the accepted one are dropped, and the
         # stream resumes after its last draw
-        run, batch = 0, _FIRST_BATCH
-        if k > 1:
-            src, dst = window.u[off + 3 * i], window.v[off + 3 * i]
-            if not fwd[i]:
-                src, dst = dst, src
-        state.commit(src, dst, dc3, dc4)
+        run = 0
+        if new < best - 1e-15:
+            best, at_best = new, True
+        elif at_best:
+            best_t, at_best = state.tournament(), False
+        state.commit(srcs[i], dsts[i], dc3, dc4)
         cur = new
         accepted += 1
-        if cur < best - 1e-15:
-            best = cur
-            best_t = state.tournament()
         if accepted % schedule.audit_every == 0:
             state.audit()
     state.audit()
+    if at_best:
+        best_t = state.tournament()
 
     p3, p4 = profile3(best_t), profile4(best_t)
     best_exact = penalized(p3.c3_count, p4.c4_count)

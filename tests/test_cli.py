@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import re
 import subprocess
 import sys
 
@@ -217,6 +218,37 @@ def test_edge_stats_computed_once(monkeypatch, capsys):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and calls == [7], argv
+
+
+def test_whole_gram_commands_refuse_orders_past_the_memory_budget(
+        monkeypatch, tmp_path, capsys):
+    """With the budget cut below 10 n^2 bytes at n = 40, each command that
+    holds G whole is a usage error, raised before the kernel runs; one
+    vertex fewer fits."""
+    calls = []
+    real = profiles._gram_tile
+
+    def tile(left, right):
+        calls.append(left.shape)
+        return real(left, right)
+
+    monkeypatch.setattr(profiles, "_gram_tile", tile)
+    monkeypatch.setattr(profiles, "_GRAM_BUDGET", 10 * 40**2 - 1)
+    path = tmp_path / "r.trn"
+    write_trn(random_tournament(40, 1), path)
+    msg = ("edge stats at n=40 need about 16000 bytes (10 n^2), more than "
+           "the 15999 byte limit (n <= 39)")
+    for argv in (["edge-stats", str(path)],
+                 ["edge-stats", str(path), "--cdf", "0.5"],
+                 ["verify", "--in", str(path)]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, f"tourprof: {msg}\n"), argv
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        profiles.paths_matrix(read_trn(path))
+    assert calls == []
+    write_trn(random_tournament(39, 1), path)
+    code, _, _ = run(capsys, "edge-stats", str(path))
+    assert code == 0 and calls
 
 
 def test_profile_counts_holds_no_whole_matrix_temporary(tmp_path, capsys):

@@ -124,6 +124,19 @@ def test_edge_stats_holds_g_as_integers():
     assert peak < 10 * n * n, peak / n**2
 
 
+def test_whole_gram_budget_is_2_gib_at_10_bytes_per_entry():
+    # 10 n^2 bounds the edge_stats peak above; the largest order that
+    # fits 2 GiB passes, the next is refused before anything is read
+    top = 14654
+    assert 10 * top**2 <= 2**31 < 10 * (top + 1)**2
+    profiles._check_gram_memory(top)
+    with pytest.raises(TournamentError,
+                       match=r"^edge stats at n=14655 need about 2147690250 "
+                             r"bytes \(10 n\^2\), more than the 2147483648 "
+                             r"byte limit \(n <= 14654\)$"):
+        profiles._check_gram_memory(top + 1)
+
+
 def test_profile4_named_constructions():
     assert profile4(transitive(9)).t4 == 1.0
     p = profile4(cyclic(5))
@@ -649,9 +662,10 @@ def test_flip_state_delta_on_tied_warm_start():
 
 def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     # 300 drawn pairs of the tied n = 64 warm start, each in both orders,
-    # gathered in one call, then again after 40 commits: oriented as the
-    # annealer orients them, the terms give arc_delta arc for arc, and
-    # the exact profiles of each flipped tournament measure it.
+    # gathered in one call, then again after 40 commits: each comes back
+    # as its current arc, both orders as the same one, and its terms
+    # give arc_delta, which the exact profiles of the flipped tournament
+    # measure.
     from tourprof.search import _warm_start
     n = 64
     st = FlipState(_warm_start(n, 1 / 16, 0))
@@ -665,18 +679,15 @@ def test_pair_terms_match_arc_delta_and_recount_on_tied_warm_start():
     for _ in range(2):
         u, v = np.array([draw() for _ in range(300)]).T
         u, v = np.concatenate([u, v]), np.concatenate([v, u])
-        terms = st.pair_terms(u, v, u * n + v)
+        terms = st.pair_terms(u, v)
         a = st.a.copy()
         c3, c4 = st.c3_count, st.c4_count
         for i, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
-            fwd, dx, dy, k = (col[i] for col in terms)
-            assert all(type(t) is int for t in (fwd, dx, dy, k))
-            assert terms[3][(i + 300) % 600] == -k
-            if fwd:
-                s, d, d_s, d_d = x, y, dx, dy
-            else:
-                s, d, d_s, d_d, k = y, x, dy, dx, -k
-            assert a[s, d] == 1
+            s, d, d_s, d_d, k = (col[i] for col in terms)
+            assert all(type(t) is int for t in (s, d, d_s, d_d, k))
+            assert {s, d} == {x, y} and a[s, d] == 1
+            assert [col[(i + 300) % 600] for col in terms] == \
+                [s, d, d_s, d_d, k]
             got = profiles.flip_delta(d_s, d_d, k)
             assert got == st.arc_delta(s, d), (s, d)
             a[s, d], a[d, s] = 0, 1
@@ -701,8 +712,8 @@ def test_two_dot_price_equals_the_recount_on_both_corpora(
         h, a, deg = st.h, st.a, st.deg
         c3, c4 = profile3(t).c3_count, profile4(t).c4_count
         src, dst = (x.astype(np.intp) for x in np.nonzero(a))
-        terms = st.pair_terms(src, dst, src * n + dst)
-        assert terms[0] == [1] * len(src)
+        terms = st.pair_terms(src, dst)
+        assert terms[:2] == (src.tolist(), dst.tolist())
         for i, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
             dc3 = int(deg[s] - deg[d]) - 1
             dc4 = int(h[s] @ a[d] - h[d] @ a[s]) - dc3
@@ -712,8 +723,8 @@ def test_two_dot_price_equals_the_recount_on_both_corpora(
             assert (profile3(flipped).c3_count - c3,
                     profile4(flipped).c4_count - c4) == (dc3, dc4), (n, s, d)
             assert st.arc_delta(s, d) == (dc3, dc4)
-            assert profiles.flip_delta(terms[1][i], terms[2][i],
-                                       terms[3][i]) == (dc3, dc4)
+            assert profiles.flip_delta(terms[2][i], terms[3][i],
+                                       terms[4][i]) == (dc3, dc4)
 
 
 def test_commit_keeps_diag_g_at_the_degrees_on_tied_warm_start():

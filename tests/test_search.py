@@ -126,25 +126,90 @@ def test_anneal_equals_the_scalar_oracle(n, gamma, seed):
 @pytest.mark.parametrize("n,gamma,seed", [(64, 1 / 16, 4), (16, 0.1, 5)])
 def test_anneal_long_cold_phase_equals_the_scalar_oracle(monkeypatch, n,
                                                          gamma, seed):
-    # cooling to 1e-12 of T0 leaves long rejection runs, so batches
-    # double up to the cap before an accept resets them; the warmup (2
-    # draws a proposal) spans three batches
+    # cooling to 1e-12 of T0 leaves long rejection runs, priced _BATCH at
+    # a time after the scalar run until one holds an accept; the warmup
+    # (2 draws a proposal) spans three batches
     sizes = []
     real = FlipState.pair_terms
 
-    def pair_terms(self, u, v, uv):
+    def pair_terms(self, u, v):
         sizes.append(len(u))
-        return real(self, u, v, uv)
+        return real(self, u, v)
     monkeypatch.setattr(FlipState, "pair_terms", pair_terms)
-    sched = AnnealSchedule(moves=12_000, warmup=2 * search._MAX_BATCH + 7,
+    sched = AnnealSchedule(moves=12_000, warmup=2 * search._BATCH + 7,
                            cool=1e-12, audit_every=97)
     got = anneal(n, gamma, seed, schedule=sched)
     want = scalar_anneal(n, gamma, seed, schedule=sched)
     for name in RESULT_FIELDS:
         assert getattr(got, name) == getattr(want, name), name
-    assert sizes[:3] == [search._MAX_BATCH, search._MAX_BATCH, 7]
-    assert search._FIRST_BATCH in sizes[3:]
-    assert search._MAX_BATCH in sizes[3:]
+    assert sizes[:3] == [search._BATCH, search._BATCH, 7]
+    assert len(sizes) > 13 and set(sizes[3:-1]) == {search._BATCH}
+    assert sizes[-1] <= search._BATCH
+
+
+@pytest.mark.parametrize("batch", [2, 5, 64])
+def test_anneal_equals_the_scalar_oracle_at_any_batch_size(monkeypatch,
+                                                           batch):
+    # the batch size changes how proposals are priced, not one decision:
+    # the warmup ends in a short batch, and cooling to 1e-9 of T0 leaves
+    # rejection runs that end inside a batch and at its edge
+    monkeypatch.setattr(search, "_BATCH", batch)
+    sched = AnnealSchedule(moves=6000, warmup=131, cool=1e-9, audit_every=97)
+    for n, gamma, seed in ((64, 1 / 16, 4), (16, 0.25, 5)):
+        got = anneal(n, gamma, seed, schedule=sched)
+        want = scalar_anneal(n, gamma, seed, schedule=sched)
+        for name in RESULT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), (n, name)
+
+
+def test_anneal_copies_the_best_state_only_as_it_leaves_it(monkeypatch):
+    # an improving accept copies nothing: the best state is copied before
+    # the first accept that does not improve on it, and at the end if the
+    # run ends there, so copies are the departures from the best, far
+    # fewer than the improvements (audits' own snapshots not counted)
+    n, gamma = 64, 0.25
+    events, in_audit = [], []
+    commit, tournament, audit = (FlipState.commit, FlipState.tournament,
+                                 FlipState.audit)
+
+    def counting_commit(self, src, dst, dc3, dc4):
+        events.append((self.c3_count + dc3, self.c4_count + dc4))
+        commit(self, src, dst, dc3, dc4)
+
+    def counting_tournament(self):
+        if not in_audit:
+            events.append("copy")
+        return tournament(self)
+
+    def counting_audit(self):
+        in_audit.append(self)
+        try:
+            audit(self)
+        finally:
+            in_audit.pop()
+    monkeypatch.setattr(FlipState, "commit", counting_commit)
+    monkeypatch.setattr(FlipState, "tournament", counting_tournament)
+    monkeypatch.setattr(FlipState, "audit", counting_audit)
+    res = anneal(n, gamma, 0, schedule=AnnealSchedule(moves=20_000))
+    penalized = search._penalizer(n, gamma, search.DEFAULT_PENALTY)
+    best, at_best = res.initial_objective, True
+    improvements = departures = 0
+    for i, event in enumerate(events):
+        if event == "copy":
+            continue
+        cur = penalized(*event)
+        if cur < best - 1e-15:
+            best, at_best = cur, True
+            improvements += 1
+        elif at_best:
+            assert events[i - 1] == "copy", i
+            at_best = False
+            departures += 1
+    copies = events.count("copy")
+    assert copies == departures + at_best
+    assert events[-1] == "copy" or not at_best
+    assert res.objective == best and res.accepted == len(events) - copies
+    assert 0 < 2 * copies < improvements, (copies, improvements)
 
 
 def _off_by_one(t):
