@@ -695,9 +695,12 @@ class FlipState:
         deg[src], deg[dst] and K = H[src] . A[dst] - H[dst] . A[src] of
         ints, for `flip_delta`.  The state is unchanged."""
         h, deg, a = self.h, self.deg, self.a
-        src, dst = np.where(a.take(u * self.n + v) != 0, (u, v), (v, u))
-        k = h.take(src, axis=0) * a.take(dst, axis=0)
-        k -= h.take(dst, axis=0) * a.take(src, axis=0)
+        fwd = a.take(u * self.n + v) != 0
+        src, dst = np.where(fwd, u, v), np.where(fwd, v, u)
+        k, hv = h.take(src, axis=0), h.take(dst, axis=0)
+        k *= a.take(dst, axis=0)        # in place: a new array per product
+        hv *= a.take(src, axis=0)       # costs 10-20 % more at 64 pairs
+        k -= hv
         return (src.tolist(), dst.tolist(), deg.take(src).tolist(),
                 deg.take(dst).tolist(), k.sum(1).astype(np.int64).tolist())
 

@@ -67,7 +67,7 @@ DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
 DEFAULT_GAMMAS = (1.0 / 16.0, 0.25)
 
-_SCALAR_RUN = 8         # rejections priced one by one after an accept
+_SCALAR_RUN = 16        # rejections priced one by one after an accept
 _BATCH = 64             # then proposals priced this many at a time
 _WINDOW = 1024          # stream values fetched from rng.values at a time
 
