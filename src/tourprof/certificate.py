@@ -1,7 +1,7 @@
 """Flag-algebra certificates, FLAGCERT v1 files, their exact
 verification and the certificate search, in pure Python: `verify
 --cert` and `flags search` import no numpy, and neither dataclasses nor
-fractions (Certificate and CertVerification are plain records).
+fractions (Certificate and CertVerification are named tuples).
 
 A certificate (gamma, mu, lambda, Q) for flag order k in {3, 4} proves
 c4 >= lambda at c3 = gamma in the limit when Q is positive semidefinite
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, isfinite, lcm
 from operator import index
@@ -52,57 +53,15 @@ DELTA = 1e-13
 LAMBDA_MARGIN = 1e-12
 
 
-class _Record:
-    """An immutable record of the fields named by its class's __slots__,
-    in their order: value equality, hashing, a repr that names the
-    fields, pickling, and replace().  A plain class, because dataclasses
-    would load inspect and ast into every `verify --cert` process."""
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def replace(self, **changes):
-        """A copy with the named fields changed, built (so normalised and
-        checked) by the constructor, as a new record is."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values())),
-                             **changes})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
-class Certificate(_Record):
+class Certificate(namedtuple("Certificate", "k gamma mu lam q")):
     """Sum-of-squares style lower-bound certificate for c4 at c3 = gamma.
     k is an int, gamma, mu and lam are floats and q is the symmetric
     f x f matrix Q as a tuple of float rows, (Q + Q^T) / 2 of the rows
-    given."""
-    __slots__ = ("k", "gamma", "mu", "lam", "q")
+    given.  A named tuple, so it also equals the plain tuple of its
+    fields."""
+    __slots__ = ()
 
-    def __init__(self, k, gamma, mu, lam, q):
+    def __new__(cls, k, gamma, mu, lam, q):
         try:
             k = index(k)
         except TypeError:
@@ -120,22 +79,22 @@ class Certificate(_Record):
                   for row, col in zip(rows, zip(*rows)))
         if not all(map(isfinite, sum(q, ()))):
             raise ValueError("(Q + Q^T) / 2 overflows")
-        self._set(k, *scalars, q)
+        return super().__new__(cls, k, *scalars, q)
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built (so normalised and
+        checked) by the constructor, as _replace is not."""
+        return type(self)(**{**self._asdict(), **changes})
 
 
-class CertVerification(_Record):
-    """The exact verdict.  kappas maps each type code to the integer
-    numerator of kappa_H over the common denominator kappa_den, and
-    min_kappa is the least kappa_H as a float (correctly rounded, as
-    int / int is); delta is the shift proved (0 or DELTA), nan when
-    Q + DELTA I is not PSD (psd_ok false).  valid means psd_ok and
-    kappa_H >= delta tr(p_H) for every H."""
-    __slots__ = ("valid", "lam", "min_kappa", "delta", "psd_ok", "kappas",
-                 "kappa_den")
-
-    def __init__(self, valid, lam, min_kappa, delta, psd_ok, kappas,
-                 kappa_den):
-        self._set(valid, lam, min_kappa, delta, psd_ok, kappas, kappa_den)
+CertVerification = namedtuple(
+    "CertVerification", "valid lam min_kappa delta psd_ok kappas kappa_den")
+CertVerification.__doc__ = """The exact verdict.  kappas maps each type code
+to the integer numerator of kappa_H over the common denominator
+kappa_den, and min_kappa is the least kappa_H as a float (correctly
+rounded, as int / int is); delta is the shift proved (0 or DELTA), nan
+when Q + DELTA I is not PSD (psd_ok false).  valid means psd_ok and
+kappa_H >= delta tr(p_H) for every H."""
 
 
 @lru_cache(maxsize=None)

@@ -28,9 +28,9 @@ in the limit: it is valid when Q is positive semidefinite and
 for every type H of order 2k - 2.  Certificates, their FLAGCERT files,
 verify_certificate, which decides this exactly, and the closed-form
 lemma1_certificate and search_certificate, which price their candidates
-by the same exact kappa_H, live in tourprof.certificate without numpy
-and are re-exported here.  They read the flag codes and the counts
-from the data file that flag_data_text writes.
+by the same exact kappa_H, live in tourprof.certificate without numpy;
+import them from there.  They read the flag codes and the counts from
+the data file that flag_data_text writes.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-# Certificates, their files, their exact verification and their search
-# need no numpy; they live in .certificate and are re-exported here.
-from .certificate import (FLAG_COUNTS, LAMBDA_MARGIN, Certificate,
-                          CertVerification, certificate_from_text,
-                          certificate_to_text, lemma1_certificate,
-                          read_certificate, search_certificate,
+# Certificates need no numpy and live in .certificate.  The four
+# functions are bound here too, where perfbench/child.py traces them.
+from .certificate import (FLAG_COUNTS, read_certificate, search_certificate,
                           verify_certificate, write_certificate)
 from .core import InternalInvariantError, Tournament, from_code
 from .profiles import classify4, edge_stats, profile3, profile4

@@ -37,7 +37,8 @@ small penalties let the chain buy quadratic penalty for linear c4 gain
 and collapse toward the transitive tournament.
 
 boundary_scan compares annealed minima against the conjectured lower
-envelope and flags any point that lands more than a margin below it.
+envelope and flags any point that lands more than a margin below it,
+beyond what Lemma 1's own floor gives up at order n.
 Its (gamma, seed) jobs are independent anneals, so it runs them in
 forked worker processes, one per usable CPU up to the number of jobs,
 and in this process when that is one or fork is not available.  Each
@@ -57,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .bounds import conjectured_min_c4, lb_flag_n
+from .bounds import conjectured_min_c4, lb_flag, lb_flag_n
 from .core import (BlowupSpec, InternalInvariantError, Tournament,
                    TournamentError, blowup, random_tournament, transitive)
 from .profiles import (FlipState, Profile3Counts, Profile4Counts,
@@ -337,8 +338,10 @@ def boundary_scan(gammas: Sequence[float] = DEFAULT_GAMMAS, n: int = 64,
                   schedule: Optional[AnnealSchedule] = None) -> list:
     """Anneal at each (gamma, seed) pair and compare the achieved c4
     with the conjectured envelope at the achieved c3.  A point is
-    flagged DISCOVERY when c4 < conjectured - 0.01; results are sorted
-    by (gamma, seed)."""
+    flagged DISCOVERY when c4 < conjectured - slack - DISCOVERY_MARGIN,
+    where slack = max(0, lb_flag(min(c3, 1/4)) - lb_flag_n(n, c3_count))
+    is what Lemma 1 itself loses at order n (0.075 at n = 8 and
+    gamma = 1/4); results are sorted by (gamma, seed)."""
     if isinstance(seeds, int):
         if seeds < 1:
             raise ValueError("seeds must be a positive count or a sequence")
@@ -353,10 +356,12 @@ def boundary_scan(gammas: Sequence[float] = DEFAULT_GAMMAS, n: int = 64,
     points = []
     for res in _run_jobs(jobs):
         conj = _conjectured_at(res.c3)
+        slack = max(0.0, lb_flag(min(res.c3, 0.25))
+                    - lb_flag_n(n, res.profile3.c3_count))
         points.append(ScanPoint(
             gamma=res.gamma, n=n, seed=res.seed, c3=res.c3, c4=res.c4,
             objective=res.objective, conjectured_c4=conj,
-            discovery=res.c4 < conj - DISCOVERY_MARGIN, result=res))
+            discovery=res.c4 < conj - slack - DISCOVERY_MARGIN, result=res))
     return sorted(points, key=lambda p: (p.gamma, p.seed))
 
 

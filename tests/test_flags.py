@@ -14,14 +14,13 @@ from tourprof.cli import main
 from tourprof.core import (BlowupSpec, DataFormatError, _upper_code, blowup,
                            canonical_code, cyclic, from_code,
                            random_tournament, transitive)
-from tourprof.flags import (Certificate, _canonical_map, certificate_from_text,
-                            certificate_to_text, enumerate_flags,
-                            enumerate_types, lemma1_certificate,
-                            moment_consistency_check,
-                            product_table, read_certificate,
-                            search_certificate, subtype_density,
-                            table_to_text, verify_certificate,
-                            write_certificate)
+from tourprof.certificate import (Certificate, certificate_from_text,
+                                  certificate_to_text, lemma1_certificate,
+                                  read_certificate, search_certificate,
+                                  verify_certificate, write_certificate)
+from tourprof.flags import (_canonical_map, enumerate_flags, enumerate_types,
+                            moment_consistency_check, product_table,
+                            subtype_density, table_to_text)
 from tourprof.profiles import classify4, profile3, profile4
 
 from conftest import brute_product_counts
@@ -276,6 +275,8 @@ def test_certificate_record():
     same = Certificate(cert.k, cert.gamma, cert.mu, cert.lam, cert.q)
     assert same == cert and hash(same) == hash(cert)
     assert same != cert.replace(lam=0.0) and cert != (cert.k, cert.gamma)
+    # a named tuple: it also equals the plain tuple of its fields
+    assert tuple(cert) == (cert.k, cert.gamma, cert.mu, cert.lam, cert.q)
     assert eval(repr(cert), {"Certificate": Certificate}) == cert
     assert pickle.loads(pickle.dumps(cert)) == cert
     with pytest.raises(AttributeError):
@@ -289,6 +290,12 @@ def test_certificate_record():
     assert (lower.k, lower.gamma, lower.mu) == (cert.k, cert.gamma, cert.mu)
     with pytest.raises(TypeError):
         cert.replace(lambda_=0.0)
+    # the verdict is a record too: it pickles and refuses assignment
+    rep = verify_certificate(cert)
+    back = pickle.loads(pickle.dumps(rep))
+    assert type(back) is type(rep) and back == rep and back.valid
+    with pytest.raises(AttributeError):
+        rep.valid = False
 
 
 def test_q_symmetrisation_overflow_is_a_data_error():

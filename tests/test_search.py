@@ -4,16 +4,18 @@ import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tourprof import cli, rng, search
+from tourprof.bounds import lb_flag, lb_flag_n
 from tourprof.core import (BlowupSpec, InternalInvariantError, TournamentError,
                            blowup, random_tournament, to_trn_text, transitive)
 from tourprof.profiles import FlipState, profile4
-from tourprof.search import (DEFAULT_GAMMAS, AnnealSchedule, anneal,
-                             boundary_scan, objective)
+from tourprof.search import (DEFAULT_GAMMAS, DISCOVERY_MARGIN, AnnealSchedule,
+                             anneal, boundary_scan, objective)
 
 from conftest import scalar_anneal
 
@@ -331,11 +333,22 @@ def test_boundary_scan_rows_sorted_and_flag_logic(monkeypatch):
         sorted((g, s) for g in (1 / 16, 0.25) for s in (0, 1))
     for p in pts:
         assert p.conjectured_c4 > 0
-        assert p.discovery == (p.c4 < p.conjectured_c4 - 0.01)
+        slack = max(0.0, lb_flag(min(p.c3, 0.25))
+                    - lb_flag_n(16, p.result.profile3.c3_count))
+        assert p.discovery == (p.c4 < p.conjectured_c4 - slack - 0.01)
         ref = anneal(16, p.gamma, seed=p.seed, schedule=sched)
         for f in fields(ref):
             assert getattr(p.result, f.name) == getattr(ref, f.name), f.name
         assert not p.result.tournament.dense().flags.writeable
+    # at n = 8 and gamma = 1/4 the anneal reaches Lemma 1's exact floor
+    # lb_flag_n(8, 14) = 3/10, 0.075 below the conjectured 3/8; a flag
+    # at c4 < conjectured - DISCOVERY_MARGIN alone reported it
+    pts = boundary_scan(n=8, seeds=1)
+    top = pts[-1]
+    assert (top.gamma, top.c4, top.conjectured_c4) == (0.25, 0.3, 0.375)
+    assert lb_flag_n(8, top.result.profile3.c3_count) == Fraction(3, 10)
+    assert top.c4 < top.conjectured_c4 - DISCOVERY_MARGIN
+    assert not any(p.discovery for p in pts)
 
 
 def test_boundary_scan_empty_and_invalid():
