@@ -241,7 +241,8 @@ def _cmd_curve(args) -> int:
     step = 0.25 / (args.grid - 1)
     grid = [i * step for i in range(args.grid)]
     table = bounds.curve_dataset(grid, which=f"fig{args.fig}")
-    out = open(args.out, "w", encoding="ascii") if args.out else sys.stdout
+    out = (open(args.out, "w", encoding="ascii", errors="backslashreplace")
+           if args.out else sys.stdout)
     try:
         _banner(args, out)
         print(f"{table.abscissa},upper,lb_variance,lb_flag,conjectured,m",

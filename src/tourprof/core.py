@@ -13,13 +13,13 @@ index, read a block of rows at a time: the pairs (u, u+1..n-1) of
 consecutive rows u are one contiguous run.  A blow-up draws only the
 pairs inside its parts, each row's run of them at its own indices.
 
-TRN v1 files are ASCII and are parsed as bytes, one reader for files and
-text (text is taken as its UTF-8 bytes).  A non-ASCII byte is reported
-first, with its line and column.  Lines end at \n, \r\n or \r, rows are
-stripped of ASCII blanks, and n is at most 2**15.  The layout write_trn
-writes is written and read a block of rows at a time, through one
-buffer of about 2**16 bytes; any other layout is read whole and parsed
-line by line, by the same rules.
+TRN v1 files are ASCII and are parsed as bytes, by one reader; files
+are the only way in and out.  A non-ASCII byte is reported first, with
+its line and column.  Lines end at \n, \r\n or \r, rows are stripped of
+ASCII blanks, and n is at most 2**15.  The layout write_trn writes is
+written and read a block of rows at a time, through one buffer of about
+2**16 bytes; any other layout is read whole and parsed line by line, by
+the same rules.
 """
 
 from __future__ import annotations
@@ -422,14 +422,6 @@ def _write_trn(t: Tournament, fh) -> None:
         fh.write(rows)
 
 
-def to_trn_text(t: Tournament) -> str:
-    """Serialize as TRN v1: header line, then one row of {0,1,-} per
-    vertex; char j of line i is 1 iff i -> j, '-' on the diagonal."""
-    fh = io.BytesIO()
-    _write_trn(t, fh)
-    return fh.getvalue().decode("ascii")
-
-
 def _first_true(mask: np.ndarray, r0: int, diagonal):
     """Global row-major (i, j) of the first True entry of `mask`, rows
     r0.. of an n-column matrix, after its entries on that matrix's
@@ -491,40 +483,29 @@ def _trn_bits(codes: np.ndarray, d: np.ndarray, r0: int = 0):
     return None
 
 
-def _oriented_once(d: np.ndarray) -> bool:
-    """Whether the bool matrix `d` orients every pair exactly one way.
-    Its _BLOCK x _BLOCK blocks on and above the diagonal are compared
-    with the transposes of their mirror blocks, in one reused buffer."""
+def _trn_asymmetry(d: np.ndarray):
+    """The first pair, in row-major order, that the bool matrix `d`
+    orients both ways or not at all, as an error, or None.  Each band of
+    _BLOCK rows is compared, block by block on and above the diagonal,
+    with the transposes of the mirror blocks, in one reused buffer.  The
+    hit mask d == d.T is symmetric, so the first row-major hit of a bad
+    pair has i < j: it lies in such a block, in row i's band, and the
+    least of the band's first hits per block is the first of all."""
     n = len(d)
     buf = np.empty((min(_BLOCK, n),) * 2, dtype=bool)
     for i0 in range(0, n, _BLOCK):
+        hits = []
         for j0 in range(i0, n, _BLOCK):
             x = buf[:min(_BLOCK, n - i0), :min(_BLOCK, n - j0)]
-            np.not_equal(d[i0:i0 + _BLOCK, j0:j0 + _BLOCK],
-                         d[j0:j0 + _BLOCK, i0:i0 + _BLOCK].T, out=x)
+            np.equal(d[i0:i0 + _BLOCK, j0:j0 + _BLOCK],
+                     d[j0:j0 + _BLOCK, i0:i0 + _BLOCK].T, out=x)
             if i0 == j0:
-                np.fill_diagonal(x, True)       # (u, u) is no pair
-            if not x.all():
-                return False
-    return True
-
-
-def _trn_asymmetry(d: np.ndarray):
-    """The first pair, in row-major order, that the bool matrix `d`
-    orients both ways or not at all, as an error, or None.  A matrix
-    that `_oriented_once` passes has none; any other is scanned again,
-    rows d[r0:r1] against the columns d[:, r0:r1], about _PARSE_BYTES
-    at a time, for its first bad pair."""
-    if _oriented_once(d):
-        return None
-    n = len(d)
-    step = max(1, _PARSE_BYTES // n)
-    for r0 in range(0, n, step):
-        # d == d.T is symmetric, so its first row-major hit has i < j
-        first = _first_true(d[r0:r0 + step] == d[:, r0:r0 + step].T, r0,
-                            False)
-        if first is not None:
-            i, j = first
+                np.fill_diagonal(x, False)      # (u, u) is no pair
+            if x.any():
+                i, j = divmod(int(np.argmax(x)), x.shape[1])
+                hits.append((i0 + i, j0 + j))
+        if hits:
+            i, j = min(hits)
             return (f"line {i + 2}: pair ({i}, {j}) is "
                     + ("oriented both ways" if d[i, j] else "unoriented"))
     return None
@@ -604,18 +585,11 @@ def _read_trn(fh) -> Tournament:
     return _parse_trn(_ascii(fh.read()))
 
 
-def from_trn_text(text: str) -> Tournament:
-    r"""Parse TRN v1 text as read_trn parses a file holding its UTF-8
-    bytes, with the same result or error: any non-ASCII char is reported
-    first, as its first byte's line and column.  Lines end at \n, \r\n or
-    \r, rows are stripped of ASCII blanks, and n is at most 2**15."""
-    return _read_trn(io.BytesIO(text.encode("utf-8", "surrogatepass")))
-
-
 def write_trn(t: Tournament, path) -> None:
-    """Write t to `path` as TRN v1 (see to_trn_text).  Beside t the write
-    holds one block of rows of about _PARSE_BYTES, never the whole
-    text."""
+    """Write t to `path` as TRN v1: header line, then one row of {0,1,-}
+    per vertex; char j of line i is 1 iff i -> j, '-' on the diagonal.
+    Beside t the write holds one block of rows of about _PARSE_BYTES,
+    never the whole text."""
     with open(path, "wb") as fh:
         _write_trn(t, fh)
 

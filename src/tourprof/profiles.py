@@ -47,7 +47,7 @@ of its rows with rows of A.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, sqrt
 
@@ -388,36 +388,15 @@ def classify4(t: Tournament) -> str:
 @dataclass(frozen=True)
 class EdgeStats:
     """Per-directed-edge third-vertex counts, arcs u -> v in np.argwhere
-    (row-major) order.  Stores what the kernel measures, cyc and thru,
-    next to the tournament's read-only adjacency matrix (shared, not
-    copied); edges, dom_out and dom_in are derived from the out-degrees
-    on each access.  Arrays from outside are checked against the
-    identity cyc + thru + dom_out + dom_in = n - 2; `edge_stats` passes
-    _check=False, since it derives cyc and thru from the same G[u, v]."""
+    (row-major) order, as `edge_stats` builds them.  Stores what the
+    kernel measures, cyc and thru, next to the tournament's read-only
+    adjacency matrix and out-degrees (shared, not copied); edges,
+    dom_out and dom_in are derived from them on each access."""
     n: int
     cyc: np.ndarray        # (E,) int64, E = C(n, 2)
     thru: np.ndarray       # (E,) int64
     a: np.ndarray          # (n, n) bool, read-only
-    _check: InitVar[bool] = True
-
-    def __post_init__(self, _check):
-        if not _check:
-            return
-        # by the dom identities, cyc + thru + dom_out + dom_in = gap + n - 3
-        d = self._out_degrees()
-        gap = self._at_head(d)
-        np.subtract(self.cyc, gap, out=gap)
-        gap -= self.thru
-        gap += np.repeat(d, d)
-        bad = np.flatnonzero(gap != 1)
-        if len(bad):
-            (u, v), n = self.edges[bad[0]], self.n
-            raise InternalInvariantError(
-                f"cyc+thru+dom_out+dom_in != n-2 at n={n}: first failing "
-                f"arc {u} -> {v} sums to {gap[bad[0]] + n - 3} vs {n - 2}")
-
-    def _out_degrees(self) -> np.ndarray:
-        return self.a.sum(axis=1, dtype=np.int64)
+    d: np.ndarray          # (n,) int64 out-degrees, read-only
 
     def _at_head(self, x: np.ndarray) -> np.ndarray:
         """x[v] for each arc u -> v."""
@@ -431,12 +410,11 @@ class EdgeStats:
 
     @property
     def dom_out(self) -> np.ndarray:
-        d = self._out_degrees()
-        return np.repeat(d - 1, d) - self.thru
+        return np.repeat(self.d - 1, self.d) - self.thru
 
     @property
     def dom_in(self) -> np.ndarray:
-        return self._at_head(self.n - 2 - self._out_degrees()) - self.thru
+        return self._at_head(self.n - 2 - self.d) - self.thru
 
     def sums(self) -> dict:
         """Exact integer pair sums used by the moment identities."""
@@ -466,7 +444,7 @@ def edge_stats(t: Tournament) -> EdgeStats:
     thru = np.repeat(d - 1, d)
     thru -= g
     del g
-    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a, _check=False)
+    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a, d=d)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from statistics import median
 from typing import Optional, Sequence
 
 import numpy as np
@@ -151,14 +152,6 @@ class AnnealResult:
         return self.profile4.c4
 
 
-def _median(xs: Sequence[float]) -> float:
-    """The median as np.median takes it: the middle value of the sorted
-    list, or the mean of the middle two.  (np.median imports numpy.ma.)"""
-    xs = sorted(xs)
-    mid = len(xs) // 2
-    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2.0
-
-
 def _warm_start(n: int, gamma: float, seed: int) -> Tournament:
     """Blowup of the conjectured optimal transitive pattern when its m <= n
     parts survive rounding at this n; uniformly random otherwise."""
@@ -235,7 +228,7 @@ def anneal(n: int, gamma: float, seed: int,
             delta = penalized(c3 + dc3, c4 + dc4) - cur
             if delta > 0:
                 uphill.append(delta)
-    t0 = max(_median(uphill) / math.log(2.0) if uphill else 1e-6, 1e-12)
+    t0 = max(median(uphill) / math.log(2.0) if uphill else 1e-6, 1e-12)
 
     factor = schedule.cool ** (1.0 / schedule.moves)
     temp = t0

@@ -360,6 +360,20 @@ def test_curve_fig4_contains_anchor(tmp_path, capsys):
     assert float(row["conjectured"]) == pytest.approx(3 / 64, abs=1e-9)
 
 
+def test_curve_out_to_a_non_ascii_path(tmp_path, capsys):
+    # the file stays ASCII: the banner echoes the path backslash-escaped
+    out_path = tmp_path / "\u00e9.csv"
+    code, _, err = run(capsys, "curve", "--fig", "4", "--grid", "3",
+                       "--out", str(out_path))
+    assert (code, err) == (0, "")
+    lines = out_path.read_bytes().decode("ascii").splitlines()
+    escaped = str(out_path).encode("ascii", "backslashreplace").decode()
+    assert lines[0].endswith(f" --out {escaped}")
+    assert escaped.endswith("\\xe9.csv")
+    code, out, _ = run(capsys, "curve", "--fig", "4", "--grid", "3")
+    assert code == 0 and lines[1:] == out.splitlines()[1:]
+
+
 def test_curve_grid_guard(capsys):
     code, _, err = run(capsys, "curve", "--fig", "1", "--grid", "1")
     assert code == 2

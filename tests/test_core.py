@@ -10,13 +10,27 @@ from tourprof import rng
 from tourprof.core import (BlowupSpec, DataFormatError, MixSpec, Tournament,
                            TournamentError, _upper_code, blowup,
                            canonical_code, cyclic, flip_perturb, from_code,
-                           from_matrix, from_trn_text, interval, mix,
-                           pair_index, part_sizes, random_tournament,
-                           read_trn, to_trn_text, transitive, write_trn)
+                           from_matrix, interval, mix, pair_index,
+                           part_sizes, random_tournament, read_trn,
+                           transitive, write_trn)
 from tourprof.profiles import FlipState, profile3, profile4
 
 from tourprof import core
 from conftest import brute_profile3, complete_upper, row_by_row_draws
+
+
+def trn_bytes(t, tmp_path):
+    """The bytes write_trn writes for t."""
+    path = tmp_path / "written.trn"
+    write_trn(t, path)
+    return path.read_bytes()
+
+
+def parse_trn(data, tmp_path):
+    """read_trn of a file holding `data`, bytes or a str's UTF-8."""
+    path = tmp_path / "parsed.trn"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    return read_trn(path)
 
 
 def assert_tournament_valid(t):
@@ -320,10 +334,9 @@ def test_canonical_code_separates_nonisomorphic():
     assert canonical_code(transitive(4)) != canonical_code(cyclic(5).subtournament(range(4)))
 
 
-def test_trn_round_trip():
+def test_trn_round_trip(tmp_path):
     for t in (transitive(5), cyclic(7), random_tournament(33, seed=6)):
-        back = from_trn_text(to_trn_text(t))
-        assert back == t
+        assert parse_trn(trn_bytes(t, tmp_path), tmp_path) == t
 
 
 def test_trn_file_io(tmp_path):
@@ -345,7 +358,7 @@ def test_write_trn_holds_one_block_of_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * n * n, peak / n**2
-    assert path.read_bytes() == to_trn_text(t).encode("ascii")
+    assert read_trn(path) == t
 
 
 def test_read_trn_holds_the_matrix_and_one_block(tmp_path):
@@ -379,11 +392,11 @@ def test_trn_blocks_that_do_not_divide_n(monkeypatch, tmp_path, rows):
 
     for n in (1, 2, 33, 2000):
         t = random_tournament(n, n)
-        text = to_trn_text(t).encode("ascii")
-        monkeypatch.setattr(core, "_PARSE_BYTES", rows * n)
-        write_trn(t, path)
-        assert path.read_bytes() == text
+        text = trn_bytes(t, tmp_path)           # in blocks of 2**16 bytes
         with monkeypatch.context() as m:
+            m.setattr(core, "_PARSE_BYTES", rows * n)
+            write_trn(t, path)
+            assert path.read_bytes() == text
             m.setattr(core, "_parse_trn", line_rules)
             assert read_trn(path) == t
             path.write_bytes(text + b"note\n" * 5 + b"end")
@@ -406,7 +419,7 @@ def test_trn_files_cut_short_or_with_text_after_the_rows(monkeypatch,
     # read whole; rows are read 3 at a time
     monkeypatch.setattr(core, "_PARSE_BYTES", 3 * 33)
     t = random_tournament(33, 33)
-    text = to_trn_text(t).encode("ascii")
+    text = trn_bytes(t, tmp_path)
     row = len(b"TRN v1 33\n") + 20 * 34          # the start of line 22
     bad = bytearray(text)
     bad[-34] = ord("x")
@@ -428,8 +441,9 @@ def test_trn_files_cut_short_or_with_text_after_the_rows(monkeypatch,
         assert read_trn(path) == t
 
 
-def test_trn_text_golden_hashes():
-    # sha256 of to_trn_text, frozen from the character-by-character writer
+def test_trn_text_golden_hashes(tmp_path):
+    # sha256 of write_trn's bytes, frozen from the character-by-character
+    # writer
     golden = {
         "afa0e773dfc311267f7f965c3894570fcf98619ef09d4e9f72d9006f344dc144":
             random_tournament(37, seed=11),
@@ -465,9 +479,9 @@ def test_trn_text_golden_hashes():
             interval(45, 23),
     }
     for digest, t in golden.items():
-        text = to_trn_text(t)
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
-        assert from_trn_text(text) == t
+        text = trn_bytes(t, tmp_path)
+        assert hashlib.sha256(text).hexdigest() == digest
+        assert parse_trn(text, tmp_path) == t
 
 
 def test_from_code_round_trips_every_code():
@@ -513,16 +527,18 @@ def test_constructions_follow_the_seed_contract_pair_by_pair():
             assert m.orient(u, v) == _below(seed, u, v, 10, 0.6)
 
 
-def test_trn_accepts_crlf_blanks_and_trailing_lines():
-    t = from_trn_text("TRN v1 3\r\n -11 \r\n0-1\t\r\n00-\r\ntrailer\r\n")
+def test_trn_accepts_crlf_blanks_and_trailing_lines(tmp_path):
+    def parse(text):
+        return parse_trn(text, tmp_path)
+    t = parse("TRN v1 3\r\n -11 \r\n0-1\t\r\n00-\r\ntrailer\r\n")
     assert t == transitive(3)
-    assert from_trn_text("TRN v1 3\n-11\n0-1\n00-") == transitive(3)
-    assert from_trn_text("TRN v1 3\r-11\r0-1\r00-\r") == transitive(3)
+    assert parse("TRN v1 3\n-11\n0-1\n00-") == transitive(3)
+    assert parse("TRN v1 3\r-11\r0-1\r00-\r") == transitive(3)
     # near write_trn's layout but not in it: parsed by the line rules
     for text in ("TRN v1 3\r\n-11\n0-1\n00-\n", "TRN v1 3\n-11\n0-1\n00-\r",
                  "TRN v1 3 \n-11\n0-1\n00-\nxx", "TRN v1 3\n-11 \n0-1\n00-\n",
                  "TRN v1 3\n-11\n0-1\n00-\n\n"):
-        assert from_trn_text(text) == transitive(3), text
+        assert parse(text) == transitive(3), text
 
 
 @pytest.mark.parametrize("text,message", [
@@ -575,24 +591,21 @@ def test_trn_accepts_crlf_blanks_and_trailing_lines():
     ("TRN v1 1\nx\n", "line 2: diagonal must be '-'"),
 ])
 def test_trn_error_messages(text, message, tmp_path):
-    # text and a file holding its UTF-8 bytes follow one rule
-    path = tmp_path / "t.trn"
-    path.write_bytes(text.encode("utf-8"))
-    for parse in (lambda: from_trn_text(text), lambda: read_trn(path)):
-        with pytest.raises(DataFormatError) as info:
-            parse()
-        assert str(info.value) == message
+    # each case is a file holding the text's UTF-8 bytes
+    with pytest.raises(DataFormatError) as info:
+        parse_trn(text, tmp_path)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("block", [1, 120, 2**16])
-def test_trn_first_error_across_row_blocks(monkeypatch, block):
+def test_trn_first_error_across_row_blocks(monkeypatch, tmp_path, block):
     # rows are checked 1, 3 or all 40 at a time: the first error in
     # row-major order wins, and any bad char before any pair error,
     # in write_trn's layout and with CRLF line ends alike
     monkeypatch.setattr(core, "_PARSE_BYTES", block)
     n = 40
     t = random_tournament(n, 9)
-    rows = to_trn_text(t).encode("ascii").splitlines()[1:]
+    rows = trn_bytes(t, tmp_path).splitlines()[1:]
 
     def parse(faults, newline):
         body = [bytearray(row) for row in rows]
@@ -600,7 +613,7 @@ def test_trn_first_error_across_row_blocks(monkeypatch, block):
             body[i][j] = ord(char)
         text = newline.join([b"TRN v1 40"] + body) + newline
         with pytest.raises(DataFormatError) as info:
-            from_trn_text(text.decode("ascii"))
+            parse_trn(text, tmp_path)
         return str(info.value)
 
     def flipped(i, j):
@@ -625,8 +638,8 @@ def test_trn_first_error_across_row_blocks(monkeypatch, block):
                       + ("oriented both ways" if t.orient(u, v)
                          else "unoriented")))
     for newline in (b"\n", b"\r\n"):
-        assert from_trn_text((newline.join([b"TRN v1 40"] + rows)
-                              + newline).decode("ascii")) == t
+        assert parse_trn(newline.join([b"TRN v1 40"] + rows) + newline,
+                         tmp_path) == t
         for faults, message in cases:
             assert parse(faults, newline) == message, faults
 
@@ -638,7 +651,7 @@ def test_trn_pair_error_is_first_in_row_major_order_across_blocks(
     # first; each pair broken alone is found wherever its block is
     n = 600
     t = random_tournament(n, 3)
-    rows = to_trn_text(t).encode("ascii").splitlines()[1:]
+    rows = trn_bytes(t, tmp_path).splitlines()[1:]
 
     def broken(pairs):
         body = [bytearray(row) for row in rows]
@@ -647,17 +660,14 @@ def test_trn_pair_error_is_first_in_row_major_order_across_blocks(
         return body
 
     def errors(pairs):
+        # in write_trn's layout, read by blocks, and with CRLF line ends,
+        # parsed by the line rules
         body = broken(pairs)
-        path = tmp_path / "t.trn"
-        path.write_bytes(b"\n".join([b"TRN v1 600"] + body) + b"\n")
         got = []
-        with pytest.raises(DataFormatError) as info:
-            read_trn(path)
-        got.append(str(info.value))
         for newline in (b"\n", b"\r\n"):
             text = newline.join([b"TRN v1 600"] + body) + newline
             with pytest.raises(DataFormatError) as info:
-                from_trn_text(text.decode("ascii"))
+                parse_trn(text, tmp_path)
             got.append(str(info.value))
         return got
 
@@ -665,15 +675,9 @@ def test_trn_pair_error_is_first_in_row_major_order_across_blocks(
         return (f"line {u + 2}: pair ({u}, {v}) is "
                 + ("oriented both ways" if t.orient(u, v) else "unoriented"))
 
-    assert errors([(5, 550), (200, 210)]) == [message(5, 550)] * 3
+    assert errors([(5, 550), (200, 210)]) == [message(5, 550)] * 2
     for u, v in ((0, 1), (255, 256), (300, 599), (598, 599)):
-        assert errors([(u, v)]) == [message(u, v)] * 3
-
-
-def test_trn_text_with_a_lone_surrogate_is_a_data_error():
-    with pytest.raises(DataFormatError) as info:
-        from_trn_text("TRN v1 1\n-\n\ud800")
-    assert str(info.value) == "line 3: non-ASCII byte 0xed at column 1"
+        assert errors([(u, v)]) == [message(u, v)] * 2
 
 
 def test_read_trn_non_ascii_names_the_line(tmp_path):
@@ -691,9 +695,9 @@ def test_read_trn_non_ascii_names_the_line(tmp_path):
     ("TRN v1 3\n-11\n0-1\n", 4),
     ("TRN v1 3\n011\n0-1\n00-\n", 2),
 ])
-def test_trn_errors_name_the_line(text, lineno):
+def test_trn_errors_name_the_line(text, lineno, tmp_path):
     with pytest.raises(DataFormatError, match=f"line {lineno}"):
-        from_trn_text(text)
+        parse_trn(text, tmp_path)
 
 
 def test_profiles_of_named_small_constructions(small_random_tournaments):

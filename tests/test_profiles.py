@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -9,7 +8,7 @@ import pytest
 from tourprof.core import (BlowupSpec, InternalInvariantError, Tournament,
                            TournamentError, blowup, cyclic, from_matrix,
                            interval, random_tournament, transitive)
-from tourprof.profiles import (EdgeStats, FlipState, Profile3Counts,
+from tourprof.profiles import (FlipState, Profile3Counts,
                                Profile4Counts, _check_exact,
                                classify4, edge_stats, moments, paths_matrix,
                                profile3, profile4, sample_profile4,
@@ -190,6 +189,7 @@ def test_edge_stats_matches_brute(small_random_tournaments,
     for t in small_random_tournaments + small_named_tournaments:
         st = edge_stats(t)
         assert st.a is t.dense()
+        assert st.d is t.out_degrees()
         got = list(zip((int(u) for u, _ in st.edges),
                        (int(v) for _, v in st.edges),
                        st.cyc.tolist(), st.thru.tolist(),
@@ -270,18 +270,6 @@ def test_edge_stats_cyclic5_sums():
     assert (st.cyc + st.thru + st.dom_out + st.dom_in == 3).all()
 
 
-def test_edge_stats_invariant_guard():
-    st = edge_stats(random_tournament(11, seed=6))
-    cyc = st.cyc.copy()
-    cyc[7] += 1
-    u, v = st.edges[7]
-    with pytest.raises(InternalInvariantError,
-                       match=rf"cyc\+thru\+dom_out\+dom_in != n-2 at n=11: "
-                             rf"first failing arc {u} -> {v} sums to 10 "
-                             rf"vs 9$"):
-        replace(st, cyc=cyc)
-
-
 def test_edge_stats_builds_its_identity_in_without_rechecking_it():
     # edge_stats' arrays skip the re-derivation and its 8 n^2 bytes of
     # temporaries: the gather, at 14 n^2 traced bytes, is now the peak
@@ -294,7 +282,6 @@ def test_edge_stats_builds_its_identity_in_without_rechecking_it():
     finally:
         tracemalloc.stop()
     assert peak < 15 * t.n**2
-    assert replace(st).sums() == st.sums()    # replace() still checks
 
 
 def test_edge_stat_identities_on_randoms(small_random_tournaments):

@@ -21,10 +21,9 @@ def test_values_at_matches_scalar_stream():
 
 
 def test_stream_reads_the_counter_stream_in_order():
-    # Interleaved draw kinds from a nonzero start, far enough to cross
-    # several buffer refills: draw i is always value(seed, start + i).
+    # Interleaved draw kinds from a nonzero start: draw i is always
+    # value(seed, start + i).
     seed, start, n = rng.derive(11, 0x5EED), 1_000_003, 37
-    assert 5000 > 3 * rng.BLOCK
     stream = rng.Stream(seed, start)
     assert stream.cursor == start
     for i in range(5000):
@@ -44,11 +43,23 @@ def test_stream_cursor_assignment_moves_the_stream():
     stream = rng.Stream(seed)
     for _ in range(3):
         stream.next_value()
-    stream.cursor = 10 * rng.BLOCK + 5
-    assert stream.next_value() == rng.value(seed, 10 * rng.BLOCK + 5)
+    stream.cursor = 5125
+    assert stream.next_value() == rng.value(seed, 5125)
     stream.cursor = 1
     assert stream.next_value() == rng.value(seed, 1)
     assert stream.cursor == 2
+
+
+def test_stream_draws_without_the_vectorized_values(monkeypatch):
+    # Stream is the scalar reference that below and the block readers
+    # are checked against, so it must not read through `values`.
+    def refuse(*args):
+        raise AssertionError("Stream read through rng.values")
+    monkeypatch.setattr(rng, "values", refuse)
+    seed = rng.derive(3, 0x5EED)
+    stream = rng.Stream(seed, 7)
+    assert [stream.next_value() for _ in range(600)] == \
+        [rng.value(seed, 7 + i) for i in range(600)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 2**15, 2**31 + 1, 2**32])

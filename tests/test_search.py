@@ -12,7 +12,7 @@ import pytest
 from tourprof import cli, rng, search
 from tourprof.bounds import lb_flag, lb_flag_n
 from tourprof.core import (BlowupSpec, InternalInvariantError, TournamentError,
-                           blowup, random_tournament, to_trn_text, transitive)
+                           blowup, random_tournament, transitive, write_trn)
 from tourprof.profiles import FlipState, profile4
 from tourprof.search import (DEFAULT_GAMMAS, DISCOVERY_MARGIN, AnnealSchedule,
                              anneal, boundary_scan, objective)
@@ -88,23 +88,25 @@ def test_anneal_determinism_and_improvement():
     assert a.temperature0 > 0
 
 
-def test_anneal_golden_output():
+def test_anneal_golden_output(tmp_path):
     # Frozen seed for seed: the draw order and the objective fix the run.
     res = anneal(16, 1 / 16, seed=3,
                  schedule=AnnealSchedule(moves=4000, warmup=200))
-    text = to_trn_text(res.tournament)
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+    path = tmp_path / "t.trn"
+    write_trn(res.tournament, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "7a15fa362572a5e0cbd4cc1ad1f84a8fa2bea5b1864bd7eaca8c9239377e2caf"
     assert (res.profile3.c3_count, res.profile4.c4_count, res.accepted) == \
         (34, 65, 352)
 
 
-def test_anneal_golden_output_n64():
+def test_anneal_golden_output_n64(tmp_path):
     # 6 300 proposals and about 18 000 stream draws at n = 64.
     res = anneal(64, 0.1, seed=7,
                  schedule=AnnealSchedule(moves=6000, warmup=300))
-    text = to_trn_text(res.tournament)
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == \
+    path = tmp_path / "t.trn"
+    write_trn(res.tournament, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "63eec78893cca74a76650297b022d4e6b793b0c7241f4cc8f6e86a4b449bcc11"
     assert (res.profile3.c3_count, res.profile4.c4_count, res.accepted) == \
         (4106, 63457, 1014)
@@ -371,7 +373,7 @@ _UNIFORMS = (rng.values(7, 0, 999) / 2.0**64).tolist()
                                 [0.3, 0.3], [1e-300, 1e300, 7.0, 1e-300],
                                 _UNIFORMS, _UNIFORMS[:998]])
 def test_median_equals_numpy(xs):
-    assert search._median(xs) == float(np.median(xs))
+    assert search.median(xs) == float(np.median(xs))
 
 
 def _pid(n, gamma, seed, penalty, schedule):
