@@ -96,11 +96,13 @@ def _parse_host(text: str) -> Tournament:
     return _load(text)
 
 
-def _parse_weights(text: str) -> tuple:
+def _parse_list(option: str, text: str, kind) -> list:
+    """The comma list `text` of option `option` as `kind` values."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        return [kind(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad weights {text!r}; expected comma floats") from None
+        raise ValueError(f"bad {option} {text!r}; expected comma "
+                         f"{kind.__name__}s") from None
 
 
 def _make_input(text: str) -> Tournament:
@@ -142,8 +144,8 @@ def _cmd_gen(args) -> int:
         if not args.host or not args.weights:
             raise ValueError("blowup needs --host and --weights")
         host = _parse_host(args.host)
-        t = blowup(BlowupSpec(host=host, weights=_parse_weights(args.weights)),
-                   args.n, seed)
+        weights = _parse_list("weights", args.weights, float)
+        t = blowup(BlowupSpec(host=host, weights=weights), args.n, seed)
     elif name == "flip":
         if not args.infile or args.p is None:
             raise ValueError("flip needs --in and --p")
@@ -311,9 +313,9 @@ def _cmd_flags(args) -> int:
 
 def _cmd_search(args) -> int:
     from . import search as searchmod
-    gammas = ([float(g) for g in args.gamma.split(",")]
+    gammas = (_parse_list("gamma", args.gamma, float)
               if args.gamma is not None else list(searchmod.DEFAULT_GAMMAS))
-    seeds = ([int(s) for s in args.seeds.split(",")]
+    seeds = (_parse_list("seeds", args.seeds, int)
              if args.seeds is not None else [args.seed])
     penalty = searchmod.DEFAULT_PENALTY if args.penalty is None \
         else args.penalty

@@ -22,9 +22,9 @@ enumerated:
     thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
     dom_in(e) = n - 2 - d_v - thru(e)
 
-`_gram_blocks` yields exact blocks of G, from float32 tile products,
-as int32 while n <= 4096 and int64 above, and every count reads G from
-them.  `profile4` needs only its second moment: the T4 sets are the
+`_gram_blocks` yields exact blocks of G, from float32 tile products
+of A converted a tile at a time, as int32 while n <= 4096 and int64
+above, and every count reads G from them.  `profile4` needs only its second moment: the T4 sets are the
 4-sets with a pair beating the other pair, so
 t4 = sum_{u<v} C(G[u,v], 2).  c3 follows from the degrees (Goodman),
 c4 from t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4, and w and l from the
@@ -177,40 +177,6 @@ def _gram_tile(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left @ right.T
 
 
-def _pack_tile(a: np.ndarray, p0: int, c0: int, c1: int, scale,
-               out: np.ndarray) -> np.ndarray:
-    """Columns c0..c1 of the panel at row p0 of the bool matrix `a`,
-    packed into `out` as lo + scale * hi: lo the rows p0..p0+B, hi the
-    next B rows as far as `a` has them, B = _GRAM_ROWS.  The bytes of
-    `a` are read as uint8, which converts faster than bool."""
-    lo = a[p0:p0 + _GRAM_ROWS, c0:c1].view(np.uint8)
-    hi = a[p0 + _GRAM_ROWS:p0 + 2 * _GRAM_ROWS, c0:c1].view(np.uint8)
-    x, k = out[:len(lo), :c1 - c0], len(hi)
-    np.multiply(hi, scale, out=x[:k])
-    np.add(x[:k], lo[:k], out=x[:k])
-    np.copyto(x[k:], lo[k:])
-    return x
-
-
-def _panel_gram(a: np.ndarray, r0: int, p0: int, scale, dtype,
-                left_buf: np.ndarray, panel_buf: np.ndarray) -> np.ndarray:
-    """The product of the left block at row r0 of `a` with the packed
-    panel at row p0, in `dtype`: a sum of tile products over the columns
-    as wide as the buffers, one for each lane of the left block."""
-    n, cols = len(a), left_buf.shape[1]
-    r1 = min(r0 + 2 * _GRAM_ROWS, n)
-    g = np.zeros((r1 - r0, min(_GRAM_ROWS, n - p0)), dtype)
-    for c0 in range(0, n, cols):
-        c1 = min(c0 + cols, n)
-        x = _pack_tile(a, p0, c0, c1, scale, panel_buf)
-        for h0 in range(r0, r1, _GRAM_ROWS):
-            h1 = min(h0 + _GRAM_ROWS, r1)
-            left = left_buf[:h1 - h0, :c1 - c0]
-            np.copyto(left, a[h0:h1, c0:c1].view(np.uint8))
-            g[h0 - r0:h1 - r0] += _gram_tile(left, x)
-    return g
-
-
 def _gram_blocks(t: Tournament):
     """Exact integer blocks (r0, c0, g) of G = A A^T, g = G[r0:r0+len(g),
     c0:c0+g.shape[1]], that cover every pair of vertices: the 2B x 2B
@@ -227,24 +193,25 @@ def _gram_blocks(t: Tournament):
     panels J = I, I+1, ..., and the product g = A_I X_J^T holds two
     2B x B blocks of G, lo + 2^b hi, yielded in turn (hi only where the
     panel has rows).  A product is a sum of tile products (`_gram_tile`)
-    over _TILE_COLS columns, one for each lane of the left block: the
-    lane and the panel are converted and packed into two fixed
-    B x _TILE_COLS float32 buffers.  A tile's partial sums are integers
-    at most _TILE_COLS (2^b + 1), exact in float32 (a tile is narrower
-    from b = 15 on).  A product's are integers lo + 2^b hi with
-    lo, hi <= n - 1 < 2^b, below 2^(2b) and so exact in any summation
-    order: tiles are summed in float32 while 2b <= 24 (n <= 4096), else
-    in float64, where 2b <= 36 under `_check_exact`.  The product is
-    converted once to an integer type and split there by shift and
-    mask, hi = g >> b and lo = g & (2^b - 1), lo in place: int32 while
-    2b <= 24, where lo^2 and hi^2 stay below 2^24, else int64.
-    Beside the input the buffers take 8 B _TILE_COLS bytes (1 MiB),
-    whatever n, and the lanes two 2B x B blocks (1 MiB; 2 MiB in
-    int64), freed before the next product if the caller drops the
-    block it holds."""
+    over _TILE_COLS columns, one for each lane of the left block, each
+    lane and panel tile converted to float32 as it is used (the bytes
+    of A are read as uint8, which converts faster than bool).  A tile's
+    partial sums are integers at most _TILE_COLS (2^b + 1), exact in
+    float32 (a tile is narrower from b = 15 on).  A product's are
+    integers lo + 2^b hi with lo, hi <= n - 1 < 2^b, below 2^(2b) and so
+    exact in any summation order: tiles are summed in float32 while
+    2b <= 24 (n <= 4096), else in float64, where 2b <= 36 under
+    `_check_exact`.  The product is converted once to an integer type
+    and split there by shift and mask, hi = g >> b and lo = g & (2^b - 1),
+    lo in place: int32 while 2b <= 24, where lo^2 and hi^2 stay below
+    2^24, else int64.  Beside the input a tile makes float32 copies of
+    the panel tile, of 2^b hi and of each lane, B x _TILE_COLS each
+    (512 KiB), at most two alive at once beside a B x B tile product;
+    the lanes take two 2B x B blocks (1 MiB; 2 MiB in int64), freed
+    before the next product if the caller drops the block it holds."""
     n = t.n
     _check_exact(n)
-    a = t.dense()
+    a = t.dense().view(np.uint8)
     d = t.out_degrees()
     bits = (n - 1).bit_length()
     if 2 * bits <= _FLOAT32_BITS:
@@ -253,12 +220,18 @@ def _gram_blocks(t: Tournament):
         dtype, itype = np.float64, np.int64
     scale = np.float32(2**bits)
     cols = min(_TILE_COLS, n, 2**_FLOAT32_BITS // (2**bits + 1))
-    shape = (min(_GRAM_ROWS, n), cols)
-    left_buf = np.empty(shape, np.float32)
-    panel_buf = np.empty(shape, np.float32)
     for r0 in range(0, n, 2 * _GRAM_ROWS):
+        r1 = min(r0 + 2 * _GRAM_ROWS, n)
         for p0 in range(r0, n, 2 * _GRAM_ROWS):
-            g = _panel_gram(a, r0, p0, scale, dtype, left_buf, panel_buf)
+            g = np.zeros((r1 - r0, min(_GRAM_ROWS, n - p0)), dtype)
+            for c0 in range(0, n, cols):
+                x = a[p0:p0 + _GRAM_ROWS, c0:c0 + cols].astype(np.float32)
+                hi = a[p0 + _GRAM_ROWS:p0 + 2 * _GRAM_ROWS, c0:c0 + cols]
+                x[:len(hi)] += scale * hi
+                for h0 in range(r0, r1, _GRAM_ROWS):
+                    left = a[h0:h0 + _GRAM_ROWS, c0:c0 + cols]
+                    g[h0 - r0:h0 - r0 + len(left)] += \
+                        _gram_tile(left.astype(np.float32), x)
             g = g.astype(itype)         # lo + 2^b hi, exactly
             hi = g >> bits
             g &= 2**bits - 1            # g becomes lo
@@ -385,7 +358,7 @@ def classify4(t: Tournament) -> str:
     return _SCORES_TO_TYPE[key]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeStats:
     """Per-directed-edge third-vertex counts, arcs u -> v in np.argwhere
     (row-major) order, as `edge_stats` builds them.  Stores what the

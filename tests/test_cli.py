@@ -253,7 +253,7 @@ def test_whole_gram_commands_refuse_orders_past_the_memory_budget(
 
 def test_profile_counts_holds_no_whole_matrix_temporary(tmp_path, capsys):
     # the matrix and one block of rows while it is read, then the matrix
-    # and profile4's fixed tiles: no float32 copy of A, no n x n mask
+    # and profile4's tile temporaries: no float32 copy of A, no n x n mask
     import tracemalloc
     n = 2000
     path = tmp_path / "r.trn"
@@ -560,6 +560,21 @@ def test_search_empty_list_is_usage_error(capsys, flag):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (("search", "--seeds", "1,,2"), "bad seeds '1,,2'; expected comma ints"),
+    (("search", "--gamma", "0.1,x"),
+     "bad gamma '0.1,x'; expected comma floats"),
+    (("gen", "blowup", "--host", "T2", "--weights", "0.5,,0.5", "--n", "4",
+      "--out", "{tmp}/t.trn"),
+     "bad weights '0.5,,0.5'; expected comma floats")],
+    ids=["seeds", "gamma", "weights"])
+def test_bad_comma_list_names_its_option(tmp_path, capsys, argv, msg):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"tourprof: {msg}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_script_subprocess(tmp_path):
     out = subprocess.run([sys.executable, "-m", "tourprof.cli", "--version"],
                          capture_output=True, text=True)
@@ -600,6 +615,20 @@ def loaded_by(*argv, modules=HEAVY_MODULES):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+def test_cli_import_loads_only_base():
+    # perfbench's set-up probe times a fresh `import tourprof.cli`
+    heavy = ("numpy", "dataclasses", "inspect", "fractions", "decimal",
+             "json")
+    code = ("import sys\nimport tourprof.cli\n"
+            "print((sorted(m for m in sys.modules if m.split('.')[0] == "
+            f"'tourprof'), [m for m in {heavy!r} if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == \
+        (["tourprof", "tourprof.base", "tourprof.cli"], [])
 
 
 def test_certify_commands_load_no_heavy_modules(tmp_path):
