@@ -28,22 +28,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, sqrt
+from operator import add, mul
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .base import InternalInvariantError
 
-from .core import BlowupSpec, InternalInvariantError
+if TYPE_CHECKING:
+    from .core import BlowupSpec
 
 DEFAULT_BISECT_TOL = 1e-12
 _FEAS_TOL = 1e-12
 
 
-def _check_c3(c3: float, lo_open: bool = False) -> float:
+def _check_c3(c3: float, least: float = 0.0) -> float:
     c3 = float(c3)
-    lo_ok = c3 > 0 if lo_open else c3 >= 0
-    if not (lo_ok and c3 <= 0.25 + 1e-15):
-        kind = "(0, 1/4]" if lo_open else "[0, 1/4]"
-        raise ValueError(f"c3 must be in {kind}, got {c3}")
+    if not least <= c3 <= 0.25 + 1e-15:
+        raise ValueError(f"c3 must be in [{least:.17g}, 1/4], got {c3}")
     return min(c3, 0.25)
 
 
@@ -110,15 +112,6 @@ class BlowupOptimum:
         return (self.a,) * (self.m - 1) + (self.b,)
 
 
-def _smallest_feasible_m(c_target: float) -> int:
-    """Smallest m with 1/m^2 <= c_target, scanning up from the float guess
-    so near-exact squares (c_target = 1/m^2) land on m, not m + 1."""
-    m = max(1, int(sqrt(1.0 / c_target)) - 1)
-    while 1.0 / (m * m) > c_target + _FEAS_TOL:
-        m += 1
-    return m
-
-
 def _solve_two_value(c_target: float, m: int):
     """Bisect for b in (0, 1/m] with (m-1)a + b = 1 and (m-1)a^3 + b^3 =
     c_target; the cube-sum is strictly decreasing in b on that bracket."""
@@ -156,12 +149,17 @@ def _finish_optimum(c_target: float, m: int) -> BlowupOptimum:
 
 
 def conjectured_min_c4(c3: float) -> BlowupOptimum:
-    """Conjectured minimal c4 at triangle density c3 in (0, 1/4]: the
-    transitive blow-up with the smallest feasible number of parts m
-    (1/m^2 <= 4 c3 < 1/(m-1)^2), m - 1 equal weights and one smaller."""
-    c3 = _check_c3(c3, lo_open=True)
+    """Conjectured minimal c4 at triangle density c3 in [2^-1024, 1/4]
+    (below, the part count 1/sqrt(4 c3) overflows): the transitive
+    blow-up with the smallest feasible number of parts m (1/m^2 <= 4 c3
+    < 1/(m-1)^2), m - 1 equal weights and one smaller.  m is scanned up
+    from the float guess, so near-exact squares (4 c3 = 1/m^2) land on m,
+    not m + 1."""
+    c3 = _check_c3(c3, 2.0**-1024)
     c_target = 4.0 * c3
-    m = _smallest_feasible_m(c_target)
+    m = max(1, int(sqrt(1.0 / c_target)) - 1)
+    while 1.0 / (m * m) > c_target + _FEAS_TOL:
+        m += 1
     return _finish_optimum(c_target, m)
 
 
@@ -240,25 +238,36 @@ def replace_step(x: float, y: float) -> ReplacementResult:
     return result
 
 
+def _dot(xs, ys):
+    """sum_k x_k y_k from the first product on, as numpy sums objects."""
+    return reduce(add, map(mul, xs, ys))
+
+
 def _blowup_profile(host, weights, interiors=None) -> tuple:
-    """The formula of the module docstring, in object arrays so Fraction
-    inputs stay exact; `interiors` None means random parts.  M[p, q] is
-    the chance that a new vertex lands in part q and one of part p beats
-    it.  Arcs are independent, so tr(M^j) is the chance that j vertices
-    in drawn order form a directed j-cycle: 2 orders of a C3 do, 1 of a
-    C4's 6.  A drawn pair is a fair coin in any part, so only sets with
-    3 or 4 vertices in part i see (g_i, f_i); with a vertex of part j, a
-    triple is C4 with chance 3 P_ij P_ji if cyclic, P_ij P_ji if not."""
-    p = np.array(host, dtype=object)
-    w = np.array(weights, dtype=object)
-    m = (p + np.diag([Fraction(1, 2)] * len(w))) * w
-    c3 = 2 * np.trace(np.linalg.matrix_power(m, 3))
-    c4 = 6 * np.trace(np.linalg.matrix_power(m, 4))
+    """The formula of the module docstring in Python arithmetic, so
+    Fraction inputs stay exact; `interiors` None means random parts.
+    M[p, q] is the chance that a new vertex lands in part q and one of
+    part p beats it.  Arcs are independent, so tr(M^j) is the chance
+    that j vertices in drawn order form a directed j-cycle: 2 orders of
+    a C3 do, 1 of a C4's 6.  A drawn pair is a fair coin in any part, so
+    only sets with 3 or 4 vertices in part i see (g_i, f_i); with a
+    vertex of part j, a triple is C4 with chance 3 P_ij P_ji if cyclic,
+    P_ij P_ji if not."""
+    p = host.tolist() if hasattr(host, "tolist") else host    # numpy bools
+    w, parts = weights, range(len(weights))
+    m = [[(p[i][j] + (Fraction(1, 2) if i == j else 0)) * w[j]
+          for j in parts] for i in parts]
+    m2 = [[_dot(row, col) for col in zip(*m)] for row in m]
+    c3 = 2 * reduce(add, [_dot(m2[i], [r[i] for r in m]) for i in parts])
+    c4 = 6 * reduce(add, [_dot(m2[i], [r[i] for r in m2]) for i in parts])
     if interiors is not None:
-        g, f = (np.array(col, dtype=object) for col in zip(*interiors))
-        dg = w**3 * (g - Fraction(1, 4))
-        c3 += dg.sum()
-        c4 += (w**4 * (f - Fraction(3, 8))).sum() + 8 * dg @ (p * p.T) @ w
+        g, f = zip(*interiors)
+        dg = [w[i]**3 * (g[i] - Fraction(1, 4)) for i in parts]
+        c3 += reduce(add, dg)
+        pair = [_dot([8 * x for x in dg], [p[i][j] * p[j][i] for i in parts])
+                for j in parts]         # (8 dg) @ (P * P^T)
+        c4 += reduce(add, [w[i]**4 * (f[i] - Fraction(3, 8))
+                           for i in parts]) + _dot(pair, w)
     return c3, c4
 
 

@@ -50,7 +50,8 @@ import numpy as np
 from .certificate import (FLAG_COUNTS, read_certificate, search_certificate,
                           verify_certificate, write_certificate)
 from .core import InternalInvariantError, Tournament, from_code
-from .profiles import classify4, edge_stats, profile3, profile4
+from .profiles import (_check_gram_memory, classify4, edge_stats, profile3,
+                       profile4)
 
 MAX_TYPE_ORDER = 6
 TYPE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56}
@@ -253,20 +254,24 @@ def moment_consistency_check(t: Tournament) -> MomentConsistency:
 
     because every 4-subset contributes exactly its 12 configurations
     (the table's total at k = 3), so the right side needs only the
-    4-profile.  Both sides are exact Python integers."""
+    4-profile, which `edge_stats` gives from its one Gram pass.  Both
+    sides are exact int64 sums (below C(n, 2)(n - 2)^2 < 2^63), reported
+    as Python ints; N's columns meet in dot products, never stacked, so
+    it traces 16 n^2 bytes, and 17 n^2 is checked before anything n x n
+    is allocated."""
     if t.n < 6:
         raise ValueError("moment consistency needs n >= 6")
+    _check_gram_memory(t.n, 17)
     table = product_table(3)
     stats = edge_stats(t)
-    n_flag = np.stack([getattr(stats, f.name) for f in table.flags],
-                      axis=1).astype(object)
-    lhs = n_flag.T @ n_flag - np.diag(n_flag.sum(axis=0))
-    p4 = profile4(t)
-    type_count = np.array([getattr(p4, f"{classify4(h.rep).lower()}_count")
-                           for h in table.types], dtype=object)
-    rhs = np.tensordot(type_count, table.counts.astype(object), axes=1)
+    cols = [getattr(stats, f.name) for f in table.flags]
+    lhs = [[int(x @ y) for y in cols] for x in cols]
+    for i, x in enumerate(cols):
+        lhs[i][i] -= int(x.sum())
+    rhs = np.tensordot([getattr(stats.p4, f"{classify4(h.rep).lower()}_count")
+                        for h in table.types], table.counts, axes=1).tolist()
     f = len(table.flags)
-    entries = {(i, j): (int(lhs[i, j]), int(rhs[i, j]))
+    entries = {(i, j): (lhs[i][j], rhs[i][j])
                for i in range(f) for j in range(f)}
     return MomentConsistency(n=t.n, k=3, entries=entries,
                              all_ok=all(a == b for a, b in entries.values()))

@@ -22,25 +22,16 @@ enumerated:
     thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
     dom_in(e) = n - 2 - d_v - thru(e)
 
-`_gram_blocks` yields exact blocks of G, from float32 tile products
-of A converted a tile at a time, as int32 while n <= 4096 and int64
-above, and every count reads G from them.  `profile4` needs only its second moment: the T4 sets are the
-4-sets with a pair beating the other pair, so
-t4 = sum_{u<v} C(G[u,v], 2).  c3 follows from the degrees (Goodman),
-c4 from t4 - c4 = (C(n, 3) - 4 c3)(n - 3)/4, and w and l from the
-degree sums.  So it folds the blocks into exact sums and never holds G:
-each block's sum and sum of squares in int64 (the squares, below
-2**24, are int32 while n <= 4096), then as Python ints.
-`edge_stats` reads every entry of G, so it fills it whole, as
-integers, from the same blocks (`_gram`).
-
-`edge_stats` gathers G at the arcs for the per-arc answers (the
-edge-stats CSV, `x_cdf`, `verify_identities`, the flag moment check).
-`moments` of X = cyc/(n-2), Y = thru/(n-2) and Z = 1 + 2(X - Y), an
-edge drawn uniformly, is a closed form in c3, t3, c4 and t4 (sum_e cyc
-= 3 c3, sum_e thru = t3, sum_e C(cyc, 2) = c4, sum_e C(thru, 2) = t4
-and sum_e cyc * thru = 2 c4), which `verify_identities` checks at the
-arcs.  `FlipState` keeps H = G - 1 d^T (H[u, v] = G[u, v] - d_v),
+`_gram_blocks` yields exact integer blocks of G, and every count reads
+G from them.  `profile4` needs only sum G and sum G^2, which it folds
+from the blocks (`_fold_gram`) without holding G.  `edge_stats` fills
+G whole in the same pass (`_gram`) and gathers it at the arcs for the
+per-arc answers (the edge-stats CSV, `x_cdf`, `verify_identities`, the
+flag moment check); it keeps the 4-profile of the pass's sums, so the
+last two run the kernel once.  `moments` of X = cyc/(n-2),
+Y = thru/(n-2) and Z = 1 + 2(X - Y), an edge drawn uniformly, is a
+closed form in c3, t3, c4 and t4, which `verify_identities` checks at
+the arcs.  `FlipState` keeps H = G - 1 d^T (H[u, v] = G[u, v] - d_v),
 updated in place across flips, and prices a flip by two dot products
 of its rows with rows of A.
 """
@@ -59,13 +50,11 @@ from .core import InternalInvariantError, Tournament, TournamentError
 FOUR_TYPES = ("T4", "C4", "W", "L")
 
 
-def _sum_comb2(a: np.ndarray) -> int:
-    a = a.astype(np.int64, copy=False)
+def _sum_comb2(a: np.ndarray) -> int:      # a is int64, as degrees are
     return int((a * (a - 1) // 2).sum())
 
 
 def _sum_comb3(a: np.ndarray) -> int:
-    a = a.astype(np.int64, copy=False)
     return int((a * (a - 1) * (a - 2) // 6).sum())
 
 
@@ -85,15 +74,15 @@ def _check_exact(n: int) -> None:
 _GRAM_BUDGET = 2 << 30      # bytes
 
 
-def _check_gram_memory(n: int) -> None:
+def _check_gram_memory(n: int, factor: int = 10) -> None:
     """Refuse a G held whole (`_gram`) past the budget, before anything
-    n x n is allocated: edge_stats traces near 9 n^2 bytes, paths_matrix
-    near 10 n^2 (G in uint16, P2 in int64)."""
-    if 10 * n * n > _GRAM_BUDGET:
+    n x n is allocated, for a caller that traces near factor n^2 bytes:
+    edge_stats and verify_identities 9 n^2, paths_matrix 10 n^2."""
+    if factor * n * n > _GRAM_BUDGET:
         raise TournamentError(
-            f"edge stats at n={n} need about {10 * n * n} bytes (10 n^2), "
-            f"more than the {_GRAM_BUDGET} byte limit "
-            f"(n <= {isqrt(_GRAM_BUDGET // 10)})")
+            f"edge stats at n={n} need about {factor * n * n} bytes "
+            f"({factor} n^2), more than the {_GRAM_BUDGET} byte limit "
+            f"(n <= {isqrt(_GRAM_BUDGET // factor)})")
 
 
 def _t4_minus_c4(n: int, c3: int) -> int:
@@ -158,10 +147,7 @@ class Profile4Counts:
 def profile3(t: Tournament) -> Profile3Counts:
     """Goodman: #C3 = C(n, 3) - sum_v C(outdeg(v), 2)."""
     n = t.n
-    if n < 3:
-        return Profile3Counts(n, 0, 0)
-    d = t.out_degrees()
-    c3 = comb(n, 3) - _sum_comb2(d)
+    c3 = comb(n, 3) - _sum_comb2(t.out_degrees())   # 0 while n < 3
     return Profile3Counts(n, comb(n, 3) - c3, c3)
 
 
@@ -253,17 +239,16 @@ def _gram_blocks(t: Tournament):
             del hi
 
 
-def _gram(t: Tournament) -> np.ndarray:
+def _gram(t: Tournament) -> tuple[np.ndarray, tuple[int, int]]:
     """G whole, in the smallest integer type that holds n - 1 (uint16
     for 256 < n <= 2^16), filled from `_gram_blocks` and their mirror
-    images."""
+    images, and (sum G, sum G^2) from the same pass (`_fold_gram`)."""
     n = t.n
     _check_exact(n)     # before G is allocated: the generator checks late
     _check_gram_memory(n)
     g = np.empty((n, n), np.min_scalar_type(n - 1))
-    for r0, c0, block in _gram_blocks(t):
-        _put(g, r0, c0, block)
-    return g
+    sums = _fold_gram(t, lambda *block: _put(g, *block))
+    return g, sums
 
 
 def _put(g: np.ndarray, r0: int, c0: int, block: np.ndarray) -> None:
@@ -277,7 +262,7 @@ def paths_matrix(t: Tournament) -> np.ndarray:
     """P2[a, b] = #{w : a -> w -> b}, as int64.  Since A^T = J - I - A,
     P2 = A A = d 1^T - A - G.  Note cyc(u -> v) = P2[v, u] and
     thru(u -> v) = P2[u, v]."""
-    g = _gram(t)                    # checks n before anything is read
+    g, _ = _gram(t)                 # checks n before anything is read
     p2 = t.out_degrees()[:, None] - g
     p2 -= t.dense()
     return p2
@@ -362,7 +347,7 @@ def classify4(t: Tournament) -> str:
 class EdgeStats:
     """Per-directed-edge third-vertex counts, arcs u -> v in np.argwhere
     (row-major) order, as `edge_stats` builds them.  Stores what the
-    kernel measures, cyc and thru, next to the tournament's read-only
+    kernel measures, cyc, thru and the 4-profile, next to the read-only
     adjacency matrix and out-degrees (shared, not copied); edges,
     dom_out and dom_in are derived from them on each access."""
     n: int
@@ -370,6 +355,7 @@ class EdgeStats:
     thru: np.ndarray       # (E,) int64
     a: np.ndarray          # (n, n) bool, read-only
     d: np.ndarray          # (n,) int64 out-degrees, read-only
+    p4: Profile4Counts
 
     def _at_head(self, x: np.ndarray) -> np.ndarray:
         """x[v] for each arc u -> v."""
@@ -390,23 +376,22 @@ class EdgeStats:
         return self._at_head(self.n - 2 - self.d) - self.thru
 
     def sums(self) -> dict:
-        """Exact integer pair sums used by the moment identities."""
-        return {
-            "cyc": int(self.cyc.sum()),
-            "thru": int(self.thru.sum()),
-            "comb2_cyc": _sum_comb2(self.cyc),
-            "comb2_thru": _sum_comb2(self.thru),
-            "cyc_thru": int((self.cyc * self.thru).sum()),
-        }
+        """Exact integer pair sums used by the moment identities, as int64
+        dot products, each below C(n, 2)(n - 2)^2 < 2^63 at every n that
+        `_check_gram_memory` admits: sum C(x, 2) = (x . x - sum x)/2."""
+        c, h = self.cyc, self.thru
+        cyc, thru = int(c.sum()), int(h.sum())
+        return {"cyc": cyc, "thru": thru, "comb2_cyc": (int(c @ c) - cyc) // 2,
+                "comb2_thru": (int(h @ h) - thru) // 2, "cyc_thru": int(c @ h)}
 
 
 def edge_stats(t: Tournament) -> EdgeStats:
-    """cyc and thru at every arc u -> v from one gather of the Gram
-    matrix: cyc = d_v - G[u, v] and thru = d_u - 1 - G[u, v]."""
+    """cyc and thru at every arc u -> v from one gather of G, cyc = d_v -
+    G[u, v] and thru = d_u - 1 - G[u, v], and the 4-profile of its pass."""
     n = t.n
     if n < 3:
         raise TournamentError("edge stats need n >= 3")
-    g = _gram(t)
+    g, sums = _gram(t)
     a, d = t.dense(), t.out_degrees()
     arcs = np.flatnonzero(a)
     g = g.take(arcs)                            # G at the arcs; G is freed
@@ -417,7 +402,8 @@ def edge_stats(t: Tournament) -> EdgeStats:
     thru = np.repeat(d - 1, d)
     thru -= g
     del g
-    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a, d=d)
+    return EdgeStats(n=n, cyc=cyc, thru=thru, a=a, d=d,
+                     p4=_profile4_from_sums(n, d, *sums))
 
 
 @dataclass(frozen=True)
@@ -760,9 +746,9 @@ def verify_identities(t: Tournament) -> IdentityReport:
         4 (n-2) c3 <= (n+1) C(n,3)  for odd n  [regular-tournament max]
     """
     n = t.n
-    s = edge_stats(t).sums()    # first, so its memory check runs first
+    stats = edge_stats(t)       # first, so its memory check runs first
+    s, p4 = stats.sums(), stats.p4
     p3 = profile3(t)
-    p4 = profile4(t)
     c3, t3 = p3.c3_count, p3.t3_count
     t4, c4, w, l = p4.t4_count, p4.c4_count, p4.w_count, p4.l_count
     sides = [

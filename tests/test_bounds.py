@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb, isclose, sqrt
@@ -145,6 +147,26 @@ def test_conjectured_specific_point():
     opt = conjectured_min_c4(0.02)
     assert opt.m == 4
     assert 0.297 < opt.a < 0.298
+
+
+def test_conjectured_min_refuses_c3_whose_part_count_overflows():
+    # 1/(4 c3) is inf below 2**-1024, where 4 c3 is the least normal float
+    smallest = 2.0**-1024
+    assert conjectured_min_c4(smallest).m > 10**150
+    for c3 in (1e-320, smallest / 2, 5e-309, 0.0):
+        with pytest.raises(ValueError, match=r"^c3 must be in "
+                           r"\[5\.5626846462680035e-309, 1/4\], got "):
+            conjectured_min_c4(c3)
+
+
+def test_bounds_import_loads_no_numpy():
+    code = ("import sys\nimport tourprof.bounds\n"
+            "print([m for m in ('numpy', 'tourprof.core') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_min_fourth_power_sum_bracket():

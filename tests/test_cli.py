@@ -201,8 +201,9 @@ def test_banner_names_the_parsed_argv(monkeypatch, capsys):
 
 
 def test_edge_stats_computed_once(monkeypatch, capsys):
-    """Each edge-stats mode and `profile --counts` runs the Gram kernel
-    exactly once: one tile, which is all of G at n = 7."""
+    """Each edge-stats mode, `profile --counts`, `verify --in` and
+    `flags moment-check` run the Gram kernel exactly once: one tile,
+    which is all of G at n = 7."""
     calls = []
     real = profiles._gram_tile
 
@@ -214,7 +215,9 @@ def test_edge_stats_computed_once(monkeypatch, capsys):
     for argv in (["edge-stats", "cyclic:7"],
                  ["edge-stats", "cyclic:7", "--moments"],
                  ["edge-stats", "cyclic:7", "--cdf", "0.5"],
-                 ["profile", "cyclic:7", "--counts"]):
+                 ["profile", "cyclic:7", "--counts"],
+                 ["verify", "--in", "cyclic:7"],
+                 ["flags", "moment-check", "--in", "cyclic:7"]):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and calls == [7], argv
@@ -248,6 +251,18 @@ def test_whole_gram_commands_refuse_orders_past_the_memory_budget(
     assert calls == []
     write_trn(random_tournament(39, 1), path)
     code, _, _ = run(capsys, "edge-stats", str(path))
+    assert code == 0 and calls
+    # flags moment-check traces near 16 n^2 and is charged 17 n^2
+    calls.clear()
+    monkeypatch.setattr(profiles, "_GRAM_BUDGET", 17 * 40**2 - 1)
+    write_trn(random_tournament(40, 1), path)
+    code, _, err = run(capsys, "flags", "moment-check", "--in", str(path))
+    assert (code, err) == (2, "tourprof: edge stats at n=40 need about "
+                              "27200 bytes (17 n^2), more than the 27199 "
+                              "byte limit (n <= 39)\n")
+    assert calls == []
+    write_trn(random_tournament(39, 1), path)
+    code, _, _ = run(capsys, "flags", "moment-check", "--in", str(path))
     assert code == 0 and calls
 
 
@@ -641,6 +656,10 @@ def test_certify_commands_load_no_heavy_modules(tmp_path):
         assert loaded_by("flags", "search", "--k", k, "--gamma", "0.1",
                          "--out", cert, modules=heavy) == []
     assert loaded_by("verify", "--cert", cert, modules=heavy) == []
+
+
+def test_curve_loads_no_numpy():
+    assert loaded_by("curve", "--fig", "4", modules=("numpy",)) == []
 
 
 @pytest.mark.parametrize("gammas", ["0.0625", "0.0625,0.25"])

@@ -489,6 +489,25 @@ def test_moment_consistency_random_small():
         assert len(rep.entries) == 16
 
 
+def test_moment_consistency_fits_its_memory_factor():
+    # cyc and thru, 4 n^2 each, beside dom_in's arc heads and gather,
+    # then beside dom_in and dom_out: 16 n^2, below the 17 n^2 that the
+    # check charges before anything n x n is allocated
+    import tracemalloc
+    n = 2000
+    t = random_tournament(n, 1)
+    product_table(3)
+    tracemalloc.start()
+    try:
+        rep = moment_consistency_check(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok
+    assert all(type(x) is int for pair in rep.entries.values() for x in pair)
+    assert peak < 17 * n * n, peak / n**2
+
+
 def test_moment_consistency_transitive_x_rows_zero():
     rep = moment_consistency_check(transitive(8))
     ix = next(f.index for f in enumerate_flags(3) if f.name == "cyc")

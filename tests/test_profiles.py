@@ -54,7 +54,7 @@ def test_profile4_block_rows_match_brute_force(monkeypatch, rows,
         got = [(p.t4_count, p.c4_count, p.w_count, p.l_count)
                for p in map(profile4, corpus)]
         assert got == want, (cols, bits)
-        assert all(np.array_equal(profiles._gram(t), g)
+        assert all(np.array_equal(profiles._gram(t)[0], g)
                    for t, g in zip(corpus, grams)), (cols, bits)
 
 
@@ -68,7 +68,7 @@ def test_profile4_matches_the_full_gram_formula(n):
         assert (p.t4_count, p.c4_count, p.w_count, p.l_count) == \
             gram_profile4(t)
         # the blocks, mirrored, fill the whole G across block-rows
-        assert np.array_equal(profiles._gram(t), gram_matrix(t))
+        assert np.array_equal(profiles._gram(t)[0], gram_matrix(t))
 
 
 def _second_moment_t4(t):
@@ -118,6 +118,22 @@ def test_edge_stats_holds_g_as_integers():
     tracemalloc.start()
     try:
         edge_stats(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n, peak / n**2
+
+
+def test_verify_identities_fits_the_budget_that_admits_it():
+    # edge_stats' 9 n^2, then int64 dot products over cyc and thru that
+    # allocate nothing n^2-sized, within the 10 n^2 that
+    # _check_gram_memory charges it
+    import tracemalloc
+    n = 2000
+    t = random_tournament(n, 1)
+    tracemalloc.start()
+    try:
+        verify_identities(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,6 +207,7 @@ def test_edge_stats_matches_brute(small_random_tournaments,
         st = edge_stats(t)
         assert st.a is t.dense()
         assert st.d is t.out_degrees()
+        assert st.p4 == profile4(t)         # from the pass that fills G
         got = list(zip((int(u) for u, _ in st.edges),
                        (int(v) for _, v in st.edges),
                        st.cyc.tolist(), st.thru.tolist(),
@@ -528,10 +545,12 @@ def test_gram_second_moment_is_t4(small_random_tournaments,
                                   small_named_tournaments):
     # a T4 is the one 4-type with a pair beating the other pair
     for t in small_random_tournaments + small_named_tournaments:
-        g = profiles._gram(t)
+        g, sums = profiles._gram(t)
         assert np.array_equal(g, g.T)
         a = t.dense().astype(np.int64)
         assert np.array_equal(g, a @ a.T)
+        g = g.astype(np.int64)      # the pass that fills G also sums it
+        assert sums == (int(g.sum()), int((g * g).sum()))
         second = sum(comb(int(g[u, v]), 2)
                      for u in range(t.n) for v in range(u + 1, t.n))
         assert second == brute_profile4(t)["T4"]
