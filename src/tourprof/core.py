@@ -9,9 +9,10 @@ uniformly random, blow-ups with largest-remainder part sizes, random
 edge-flip perturbations, and the two-block random mix.  Each states only
 its strict upper triangle; `_complete` sets the lower one.  Randomness
 comes from the counter-based stream in `rng` at each pair's lexicographic
-index, read a block of rows at a time: the pairs (u, u+1..n-1) of
-consecutive rows u are one contiguous run.  A blow-up draws only the
-pairs inside its parts, each row's run of them at its own indices.
+index.  Each construction reads only the pairs it needs, a block of rows
+at a time, each row's run of them at its own indices through one
+`rng.values_at` call per block: every pair for random and flip, the
+pairs inside its parts for a blow-up, the cross pairs for a mix.
 
 TRN v1 files are ASCII and are parsed as bytes, by one reader; files
 are the only way in and out.  A non-ASCII byte is reported first, with
@@ -212,40 +213,24 @@ def interval(n: int, s: int) -> Tournament:
 _DRAW_PAIRS = 2**16
 
 
-def _upper_draws(seed: int, n: int, rows: int, test):
-    """Yield (r0, bits) for rows 0..rows-1 (rows < n) in blocks of about
-    _DRAW_PAIRS pairs: bits[i, j] = test(v) for the stream value v of
-    pair (r0 + i, j) when j > r0 + i, and False elsewhere.  The pairs of
-    consecutive rows are consecutive in the stream, so a block is one
-    rng.values call."""
-    step = max(1, _DRAW_PAIRS // n)
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        above = ~np.tri(r1 - r0, n, r0, dtype=bool)
-        bits = np.zeros((r1 - r0, n), dtype=bool)
-        bits[above] = test(rng.values(seed, pair_index(r0, r0 + 1, n),
-                                      np.count_nonzero(above)))
-        yield r0, bits
-
-
-def _part_draws(seed: int, n: int, s: int, e: int, test):
-    """Yield (r0, bits) for the rows of the part s..e-1 in blocks of
-    about _DRAW_PAIRS pairs inside it: bits[i, j] = test(v) for the
-    stream value v of pair (r0 + i, s + j) when s + j > r0 + i, and
-    False elsewhere.  Row u's pairs in the part, (u, u+1..e-1), are one
-    run of the stream; a block's runs are read with one rng.values_at
-    call."""
-    step = max(1, _DRAW_PAIRS // (e - s))
-    for r0 in range(s, e - 1, step):
-        r1 = min(r0 + step, e - 1)
-        u = np.arange(r0, r1)
-        runs = e - 1 - u
-        first = u * (2 * n - u - 1) // 2       # pair_index(u, u + 1, n)
+def _draws(seed: int, n: int, rows: range, c0: int, c1: int, test):
+    """Yield (r0, bits) for the pairs (u, v) with u in `rows` and
+    max(u + 1, c0) <= v < c1, in blocks of consecutive rows of about
+    _DRAW_PAIRS pairs: bits[i, j] = test(x) for the stream value x of
+    pair (r0 + i, c0 + j) when c0 + j > r0 + i, and False elsewhere.
+    Row u's pairs are one run of the stream; a block's runs are read at
+    their own pair indices with one rng.values_at call."""
+    step = max(1, _DRAW_PAIRS // (c1 - c0 or 1))
+    for r0 in rows[::step]:
+        u = np.arange(r0, min(r0 + step, rows.stop))
+        v0 = np.maximum(u + 1, c0)
+        runs = c1 - v0
+        first = u * (2 * n - u - 1) // 2 + v0 - u - 1    # pair_index(u, v0, n)
         first[1:] -= np.cumsum(runs[:-1])
         index = np.repeat(first, runs)
         index += np.arange(len(index))
-        bits = np.zeros((r1 - r0, e - s), dtype=bool)
-        bits[~np.tri(r1 - r0, e - s, r0 - s, dtype=bool)] = test(
+        bits = np.zeros((len(u), c1 - c0), dtype=bool)
+        bits[~np.tri(len(u), c1 - c0, r0 - c0, dtype=bool)] = test(
             rng.values_at(seed, index))
         yield r0, bits
 
@@ -255,7 +240,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     oriented u -> v iff stream value k has top bit 0."""
     _check_order(n)
     upper = np.zeros((n, n), dtype=bool)
-    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v < 2**63):
+    for r0, bits in _draws(seed, n, range(n - 1), 0, n, lambda v: v < 2**63):
         upper[r0:r0 + len(bits)] = bits
     return _complete(upper)
 
@@ -318,7 +303,8 @@ def blowup(spec: BlowupSpec, n: int, seed: int) -> Tournament:
     for i, size in enumerate(sizes):
         s, e = e, e + size
         upper[s:e, e:] = np.repeat(host[i, i + 1:], sizes[i + 1:])
-        for r0, bits in _part_draws(seed, n, s, e, lambda v: v < 2**63):
+        for r0, bits in _draws(seed, n, range(s, e - 1), s, e,
+                               lambda v: v < 2**63):
             upper[r0:r0 + len(bits), s:e] = bits
     return _complete(upper)
 
@@ -331,7 +317,8 @@ def flip_perturb(t: Tournament, p: float, seed: int) -> Tournament:
     n = t.n
     _check_order(n)
     upper = t.dense().copy()
-    for r0, bits in _upper_draws(seed, n, n - 1, lambda v: v / 2.0**64 < p):
+    for r0, bits in _draws(seed, n, range(n - 1), 0, n,
+                           lambda v: v / 2.0**64 < p):
         upper[r0:r0 + len(bits)] ^= bits
     return _complete(upper)
 
@@ -355,10 +342,9 @@ def mix(t1: Tournament, t2: Tournament, spec: MixSpec, seed: int) -> Tournament:
     upper = np.zeros((n, n), dtype=bool)
     upper[:n1, :n1] = t1.dense()
     upper[n1:, n1:] = t2.dense()
-    # the draws at t1's own pairs are read with the cross pairs and dropped
-    for r0, bits in _upper_draws(seed, n, n1,
-                                 lambda v: v / 2.0**64 < spec.p):
-        upper[r0:r0 + len(bits), n1:] = bits[:, n1:]
+    for r0, bits in _draws(seed, n, range(n1), n1, n,
+                           lambda v: v / 2.0**64 < spec.p):
+        upper[r0:r0 + len(bits), n1:] = bits
     return _complete(upper)
 
 
@@ -406,20 +392,24 @@ _ZERO, _ONE, _DASH, _NEWLINE = (ord(c) for c in "01-\n")
 _PARSE_BYTES = 2**16
 
 
-def _write_trn(t: Tournament, fh) -> None:
-    """Write t as TRN v1 to the binary file `fh`: the header line, then
-    the rows, newlines included, through one reusable uint8 block of
-    about _PARSE_BYTES."""
+def write_trn(t: Tournament, path) -> None:
+    """Write t to `path` as TRN v1: header line, then one row of {0,1,-}
+    per vertex; char j of line i is 1 iff i -> j, '-' on the diagonal.
+    The rows, newlines included, go through one reusable uint8 block of
+    about _PARSE_BYTES: beside t the write holds that block, never the
+    whole text."""
     n, a = t.n, t.dense()
-    fh.write(f"TRN v1 {n}\n".encode("ascii"))
     step = max(1, _PARSE_BYTES // n)
     buf = np.empty((min(step, n), n + 1), dtype=np.uint8)
     buf[:, n] = _NEWLINE
-    for r0 in range(0, n, step):
-        rows = buf[:min(step, n - r0)]
-        np.add(a[r0:r0 + len(rows)], _ZERO, out=rows[:, :n], dtype=np.uint8)
-        rows.reshape(-1)[r0::n + 2] = _DASH         # (r0 + i, r0 + i)
-        fh.write(rows)
+    with open(path, "wb") as fh:
+        fh.write(f"TRN v1 {n}\n".encode("ascii"))
+        for r0 in range(0, n, step):
+            rows = buf[:min(step, n - r0)]
+            np.add(a[r0:r0 + len(rows)], _ZERO, out=rows[:, :n],
+                   dtype=np.uint8)
+            rows.reshape(-1)[r0::n + 2] = _DASH     # (r0 + i, r0 + i)
+            fh.write(rows)
 
 
 def _first_true(mask: np.ndarray, r0: int, diagonal):
@@ -575,25 +565,6 @@ def _parse_trn(data: bytes) -> Tournament:
     return Tournament._adopt(d)
 
 
-def _read_trn(fh) -> Tournament:
-    """The one TRN v1 reader, of the seekable binary file `fh`: block by
-    block in write_trn's layout, else whole by the line rules."""
-    t = _read_blocks(fh)
-    if t is not None:
-        return t
-    fh.seek(0)
-    return _parse_trn(_ascii(fh.read()))
-
-
-def write_trn(t: Tournament, path) -> None:
-    """Write t to `path` as TRN v1: header line, then one row of {0,1,-}
-    per vertex; char j of line i is 1 iff i -> j, '-' on the diagonal.
-    Beside t the write holds one block of rows of about _PARSE_BYTES,
-    never the whole text."""
-    with open(path, "wb") as fh:
-        _write_trn(t, fh)
-
-
 def read_trn(path) -> Tournament:
     r"""Read a TRN v1 file.  It must be ASCII: a non-ASCII byte is
     reported first, with its line and column.  Lines end at \n, \r\n or
@@ -609,4 +580,8 @@ def read_trn(path) -> Tournament:
     the line rules give; that read also holds the bytes, the lines and
     the join of the rows (4.06 n^2 for CRLF line ends)."""
     with open(path, "rb") as fh:
-        return _read_trn(fh)
+        t = _read_blocks(fh)
+        if t is not None:
+            return t
+        fh.seek(0)
+        return _parse_trn(_ascii(fh.read()))

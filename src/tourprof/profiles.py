@@ -20,7 +20,7 @@ with the degrees d the rest follow by identities, and no 4-subset is
 enumerated:
 
     thru(e) = d_u - 1 - G[u, v]       cyc(e) = d_v - G[u, v]
-    dom_in(e) = n - 2 - d_v - thru(e)
+    dom_in(e) = n - 1 - d_u - cyc(e)
 
 `_gram_blocks` yields exact integer blocks of G, and every count reads
 G from them.  `profile4` needs only sum G and sum G^2, which it folds
@@ -357,12 +357,6 @@ class EdgeStats:
     d: np.ndarray          # (n,) int64 out-degrees, read-only
     p4: Profile4Counts
 
-    def _at_head(self, x: np.ndarray) -> np.ndarray:
-        """x[v] for each arc u -> v."""
-        heads = np.flatnonzero(self.a)
-        heads %= self.n
-        return x.take(heads)
-
     @property
     def edges(self) -> np.ndarray:        # (E, 2) int64 rows (u, v)
         return np.argwhere(self.a)
@@ -373,7 +367,9 @@ class EdgeStats:
 
     @property
     def dom_in(self) -> np.ndarray:
-        return self._at_head(self.n - 2 - self.d) - self.thru
+        x = np.repeat(self.n - 1 - self.d, self.d)
+        x -= self.cyc
+        return x
 
     def sums(self) -> dict:
         """Exact integer pair sums used by the moment identities, as int64

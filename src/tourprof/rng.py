@@ -18,8 +18,9 @@ The annealer and `sample_profile4` read the stream by index instead, in
 bounded blocks of `values`, and turn a block into vertices with `below`,
 which equals `Stream.next_below` value for value; the draws each makes
 are those a Stream would make in its documented order.  `values_at`
-reads the values at any array of indices (a blow-up's pairs inside its
-parts) with the same mix as `values`.
+reads the values at any array of indices with the same mix as `values`:
+every construction in `core` reads its pairs through it, each row's run
+of them at its own pair indices.
 """
 
 from __future__ import annotations

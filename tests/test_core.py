@@ -232,6 +232,52 @@ def test_constructions_equal_a_row_by_row_read_of_the_stream(
         check(mix(t1, t2, MixSpec(0.4), 7), upper)
 
 
+@pytest.mark.parametrize("pairs", [2**16, 1, 500])
+def test_constructions_read_each_pair_they_need_once(monkeypatch, pairs):
+    # every stream index a construction reads, through either block read,
+    # is one of its pairs, and each of them is read once
+    monkeypatch.setattr(core, "_DRAW_PAIRS", pairs)
+    n, n1 = 65, 30
+    sizes = part_sizes((0.5, 0.3, 0.2), n)
+    base = random_tournament(n, 3)
+    halves = random_tournament(n1, 1), random_tournament(n - n1, 2)
+    read = []
+    values, values_at = rng.values, rng.values_at
+
+    def counted_values(seed, start, count):
+        read.extend(range(start, start + count))
+        return values(seed, start, count)
+
+    def counted_values_at(seed, index):
+        read.extend(np.asarray(index).tolist())
+        return values_at(seed, index)
+
+    monkeypatch.setattr(rng, "values", counted_values)
+    monkeypatch.setattr(rng, "values_at", counted_values_at)
+    owner = np.repeat(np.arange(3), sizes)
+    builds = {
+        "random": (lambda: random_tournament(n, 7),
+                   lambda u, v: True),
+        "flip": (lambda: flip_perturb(base, 0.3, 7),
+                 lambda u, v: True),
+        "blowup": (lambda: blowup(BlowupSpec(cyclic(3), (0.5, 0.3, 0.2)),
+                                  n, 7),
+                   lambda u, v: owner[u] == owner[v]),
+        "mix": (lambda: mix(*halves, MixSpec(0.4), 7),
+                lambda u, v: u < n1 <= v),
+    }
+    counts = {"random": n * (n - 1) // 2, "flip": n * (n - 1) // 2,
+              "blowup": sum(s * (s - 1) // 2 for s in sizes),
+              "mix": n1 * (n - n1)}
+    for name, (build, needed) in builds.items():
+        read.clear()
+        build()
+        want = [pair_index(u, v, n) for u in range(n)
+                for v in range(u + 1, n) if needed(u, v)]
+        assert len(read) == len(want) == counts[name], name
+        assert sorted(read) == want, name
+
+
 def test_constructions_adopt_their_own_matrix(tmp_path):
     # the construction's scratch matrix becomes the tournament's: the peak
     # is that matrix plus a block of rows, not 3 n**2 as with a full-size

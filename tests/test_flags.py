@@ -490,9 +490,9 @@ def test_moment_consistency_random_small():
 
 
 def test_moment_consistency_fits_its_memory_factor():
-    # cyc and thru, 4 n^2 each, beside dom_in's arc heads and gather,
-    # then beside dom_in and dom_out: 16 n^2, below the 17 n^2 that the
-    # check charges before anything n x n is allocated
+    # cyc and thru, 4 n^2 each, beside dom_in and dom_out, its four
+    # columns: 16 n^2, below the 17 n^2 that the check charges before
+    # anything n x n is allocated
     import tracemalloc
     n = 2000
     t = random_tournament(n, 1)

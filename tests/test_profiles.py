@@ -111,17 +111,23 @@ def test_profile4_holds_one_gram_block_row():
 def test_edge_stats_holds_g_as_integers():
     # G in uint16 (2 n^2) and the arc indices (4 n^2), then G at the
     # arcs (1 n^2) and two arrays of 4 n^2 at a time, of the arc
-    # indices, cyc and thru: 9 n^2, where cyc and thru alone take 8 n^2
+    # indices, cyc and thru: 9 n^2, where cyc and thru alone take 8 n^2.
+    # An access of dom_in = n - 1 - d_u - cyc allocates only the 4 n^2
+    # array it returns.
     import tracemalloc
     n = 2000
     t = random_tournament(n, 1)
     tracemalloc.start()
     try:
-        edge_stats(t)
-        peak = tracemalloc.get_traced_memory()[1]
+        st = edge_stats(t)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        st.dom_in
+        dom_in_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert peak < 10 * n * n, peak / n**2
+    assert dom_in_peak < 5 * n * n, dom_in_peak / n**2
 
 
 def test_verify_identities_fits_the_budget_that_admits_it():
