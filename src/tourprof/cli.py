@@ -72,9 +72,10 @@ def _banner(args, out=None) -> None:
     print(f"# tourprof {__version__} " + " ".join(args.argv), file=out)
 
 
-def _load(path: str) -> Tournament:
+def _load(path: str, read=None):
+    """read(path), read_trn by default; OSError becomes DataFormatError."""
     try:
-        return read_trn(path)
+        return (read or read_trn)(path)
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -338,7 +339,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("verify takes --cert or --in, not both")
     if args.cert:
         from .certificate import read_certificate, verify_certificate
-        report = verify_certificate(read_certificate(args.cert))
+        report = verify_certificate(_load(args.cert, read_certificate))
         _banner(args)
         print("valid,lambda,min_kappa,delta")
         print(",".join([str(report.valid).lower(), _fmt(report.lam),

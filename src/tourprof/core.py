@@ -219,7 +219,8 @@ def _draws(seed: int, n: int, rows: range, c0: int, c1: int, test):
     _DRAW_PAIRS pairs: bits[i, j] = test(x) for the stream value x of
     pair (r0 + i, c0 + j) when c0 + j > r0 + i, and False elsewhere.
     Row u's pairs are one run of the stream; a block's runs are read at
-    their own pair indices with one rng.values_at call."""
+    their own pair indices by handing the block's uint64 index to
+    rng.values_at, which mixes it in place."""
     step = max(1, _DRAW_PAIRS // (c1 - c0 or 1))
     for r0 in rows[::step]:
         u = np.arange(r0, min(r0 + step, rows.stop))
@@ -227,8 +228,8 @@ def _draws(seed: int, n: int, rows: range, c0: int, c1: int, test):
         runs = c1 - v0
         first = u * (2 * n - u - 1) // 2 + v0 - u - 1    # pair_index(u, v0, n)
         first[1:] -= np.cumsum(runs[:-1])
-        index = np.repeat(first, runs)
-        index += np.arange(len(index))
+        index = np.repeat(first.astype(np.uint64), runs)
+        index += np.arange(len(index), dtype=np.uint64)
         bits = np.zeros((len(u), c1 - c0), dtype=bool)
         bits[~np.tri(len(u), c1 - c0, r0 - c0, dtype=bool)] = test(
             rng.values_at(seed, index))

@@ -71,7 +71,7 @@ def _check_exact(n: int) -> None:
             f"n*(n-1)**2 < 2**53, so n <= 208064 (got n={n})")
 
 
-_GRAM_BUDGET = 2 << 30      # bytes
+_GRAM_BUDGET = 2 << 30      # bytes; search's anneal bound shares it
 
 
 def _check_gram_memory(n: int, factor: int = 10) -> None:

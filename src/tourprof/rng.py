@@ -13,14 +13,14 @@ in ascending pair order and are bit-for-bit reproducible across platforms
 and numpy versions.
 
 `Stream` reads the same values sequentially, one scalar `value` per
-draw: it is the reference order, and shares no code with `values`.
-The annealer and `sample_profile4` read the stream by index instead, in
-bounded blocks of `values`, and turn a block into vertices with `below`,
-which equals `Stream.next_below` value for value; the draws each makes
-are those a Stream would make in its documented order.  `values_at`
-reads the values at any array of indices with the same mix as `values`:
-every construction in `core` reads its pairs through it, each row's run
-of them at its own pair indices.
+draw: it is the reference order, and shares no code with `values_at`,
+the one array mixer, which overwrites a uint64 index array in place
+with its values, so a caller hands over the index it built and no copy
+is made.  Every construction in `core` reads its pairs through it, each
+row's run of them at its own pair indices; `values` is `values_at` over
+a uint64 arange, and the annealer and `sample_profile4` read the stream
+in bounded blocks of it, turned into vertices by `below`, which equals
+`Stream.next_below` value for value.
 """
 
 from __future__ import annotations
@@ -48,32 +48,27 @@ def value(seed: int, index: int) -> int:
 
 
 def values(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized block [start, start+count) of the stream, dtype uint64,
-    computed in place: at most two arrays of `count` values are alive."""
-    return _mix(seed, np.arange(start + 1, start + count + 1,
-                                dtype=np.uint64))
+    """Vectorized block [start, start+count) of the stream, dtype uint64:
+    values_at over a fresh uint64 arange, mixed in place."""
+    return values_at(seed, np.arange(start, start + count, dtype=np.uint64))
 
 
 def values_at(seed: int, index: np.ndarray) -> np.ndarray:
-    """value(seed, i) for each stream index i >= 0 of the integer array
-    `index`, dtype uint64, computed in place of one uint64 copy of it."""
-    z = np.array(index, dtype=np.uint64)
-    z += np.uint64(1)
-    return _mix(seed, z)
-
-
-def _mix(seed: int, z: np.ndarray) -> np.ndarray:
-    """value(seed, i) in place of each entry i + 1 of the uint64 array z:
-    the stream's counter and the SplitMix64 finalizer."""
+    """Overwrite the uint64 array `index` with value(seed, i) at each of
+    its stream indices i and return it; any other argument raises
+    TypeError before anything is written."""
+    if not (isinstance(index, np.ndarray) and index.dtype == np.uint64):
+        raise TypeError("values_at needs a uint64 index array, got "
+                        f"{getattr(index, 'dtype', type(index).__name__)}")
     with np.errstate(over="ignore"):
-        z *= np.uint64(GOLDEN)
-        z += np.uint64(seed & MASK64)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MUL1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MUL2)
-        z ^= z >> np.uint64(31)
-        return z
+        index *= np.uint64(GOLDEN)          # (i + 1) * GOLDEN + seed
+        index += np.uint64((seed + GOLDEN) & MASK64)
+        index ^= index >> np.uint64(30)
+        index *= np.uint64(_MUL1)
+        index ^= index >> np.uint64(27)
+        index *= np.uint64(_MUL2)
+        index ^= index >> np.uint64(31)
+    return index
 
 
 def below(vals: np.ndarray, n: int) -> np.ndarray:

@@ -62,8 +62,8 @@ from . import rng
 from .bounds import conjectured_min_c4, lb_flag, lb_flag_n
 from .core import (BlowupSpec, InternalInvariantError, Tournament,
                    TournamentError, blowup, random_tournament, transitive)
-from .profiles import (FlipState, Profile3Counts, Profile4Counts,
-                       flip_delta, profile3, profile4)
+from .profiles import (_GRAM_BUDGET, FlipState, Profile3Counts,
+                       Profile4Counts, flip_delta, profile3, profile4)
 
 DEFAULT_PENALTY = 500.0
 DISCOVERY_MARGIN = 0.01
@@ -76,7 +76,7 @@ _WINDOW = 1024          # stream values fetched from rng.values at a time
 # traced peak 19.4, 18.9 and 18.4 n^2 bytes at n = 1500, 2000 and 3000:
 # A and H in float64, two bool snapshots of A and about 3 MB of Gram tiles
 _ANNEAL_BYTES_PER_N2 = 20
-_ANNEAL_MAX_N = math.isqrt((2 << 30) // _ANNEAL_BYTES_PER_N2)     # 10362
+_ANNEAL_MAX_N = math.isqrt(_GRAM_BUDGET // _ANNEAL_BYTES_PER_N2)   # 10362
 
 
 @dataclass(frozen=True)

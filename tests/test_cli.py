@@ -441,6 +441,17 @@ def test_verify_non_ascii_certificate_is_data_error(tmp_path, capsys):
     assert "line 2: non-ASCII byte 0xc3 at column 4" in err
 
 
+def test_missing_certificate_is_data_error_like_a_missing_trn(tmp_path,
+                                                              capsys):
+    # the same message and exit code as a missing tournament file
+    path = str(tmp_path / "missing")
+    for argv in (("verify", "--cert", path), ("profile", path)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"tourprof: data error: {path}: " \
+            "No such file or directory\n"
+
+
 def test_verify_identities_path(capsys):
     code, out, _ = run(capsys, "verify", "--in", "cyclic:25")
     assert code == 0

@@ -175,7 +175,9 @@ def test_random_tournament_deterministic_and_fair():
     assert abs(mean - 2000) < 15
 
 
-def test_constructions_peak_below_six_n_squared_bytes():
+def test_constructions_peak_below_1_4_n_squared_bytes():
+    # the n**2 matrix, a block of rows and the block's index, mixed in
+    # place: the draws add about 0.07 n**2 to the 1.24 of a plain build
     n = 2000
     base = random_tournament(n, 1)
     halves = cyclic(999), random_tournament(1001, 2)
@@ -196,7 +198,7 @@ def test_constructions_peak_below_six_n_squared_bytes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * n * n, (name, peak / n**2)
+        assert peak < 1.4 * n * n, (name, peak / n**2)
 
 
 @pytest.mark.parametrize("pairs", [2**16, 1, 500])
@@ -289,7 +291,7 @@ def test_constructions_adopt_their_own_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * n * n, peak / n**2
+    assert peak < 1.35 * n * n, peak / n**2
     assert not t.dense().flags.writeable
     path = tmp_path / "t.trn"
     write_trn(t, path)

@@ -14,10 +14,38 @@ def test_values_block_matches_scalar_stream():
 def test_values_at_matches_scalar_stream():
     # scattered, repeated and unsorted indices, up to 2**62
     seed = rng.derive(7, 0x5EED)
-    index = np.array([0, 5, 5, 3, 1_000_003, 2**40 + 17, 2**62], np.int64)
-    assert [int(x) for x in rng.values_at(seed, index)] == \
-        [rng.value(seed, int(i)) for i in index]
-    assert rng.values_at(seed, index[:0]).dtype == np.uint64
+    index = np.array([0, 5, 5, 3, 1_000_003, 2**40 + 17, 2**62], np.uint64)
+    want = [rng.value(seed, int(i)) for i in index]
+    got = rng.values_at(seed, index)
+    assert got is index
+    assert [int(x) for x in got] == want
+    empty = np.zeros(0, np.uint64)
+    assert rng.values_at(seed, empty) is empty
+
+
+@pytest.mark.parametrize("index", [
+    np.arange(5, dtype=np.int64), np.arange(5, dtype=np.uint32),
+    np.arange(5, dtype=np.float64), [0, 1, 2, 3, 4]],
+    ids=["int64", "uint32", "float64", "list"])
+def test_values_at_refuses_anything_but_a_uint64_array(index):
+    kept = list(index)
+    name = getattr(index, "dtype", "list")
+    with pytest.raises(TypeError, match=f"uint64 index array, got {name}"):
+        rng.values_at(3, index)
+    assert list(index) == kept
+
+
+def test_values_is_values_at_over_an_arange(monkeypatch):
+    seen = []
+    values_at = rng.values_at
+
+    def spy(seed, index):
+        seen.append(index.copy())
+        return values_at(seed, index)
+    monkeypatch.setattr(rng, "values_at", spy)
+    block = rng.values(9, 40, 30)
+    assert [x.tolist() for x in seen] == [list(range(40, 70))]
+    assert block.tolist() == [rng.value(9, 40 + i) for i in range(30)]
 
 
 def test_stream_reads_the_counter_stream_in_order():
